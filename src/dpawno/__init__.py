@@ -20,7 +20,7 @@ Module map:
     config/cli   experiment presets and the command-line runner
 """
 
-from .physics import GridField, PdeSpec
+from .physics import PdeSpec
 from .reliability import GrfSpec, LimitState, ReliabilityReport
 from .training import TrainConfig, TrainReport
 from .wavelet import WaveletSpec
@@ -29,7 +29,6 @@ from .wno import WnoConfig, WnoModel
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridField",
     "GrfSpec",
     "LimitState",
     "PdeSpec",

@@ -609,6 +609,23 @@ def value_of(x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 
+def central_differences(fn, point, step: float) -> np.ndarray:
+    """Central-difference gradient of the float-valued `fn` at `point`,
+    bumping one coordinate at a time by +-`step`."""
+    point = np.asarray(point, dtype=np.float64)
+    flat = point.ravel().copy()
+    numeric = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = fn(flat.reshape(point.shape))
+        flat[i] = orig - step
+        lo = fn(flat.reshape(point.shape))
+        flat[i] = orig
+        numeric[i] = (hi - lo) / (2.0 * step)
+    return numeric.reshape(point.shape)
+
+
 def check_gradient(loss_fn, point, step: float) -> float:
     """Max relative disagreement between reverse-mode and central differences.
 
@@ -628,7 +645,7 @@ def check_gradient(loss_fn, point, step: float) -> float:
         val = float(value_of(out))
         if not np.isfinite(val):
             raise NonFiniteLoss("loss function returned a non-finite value")
-        return out, tape
+        return val
 
     tape = Tape()
     x = tape.leaf(point)
@@ -643,15 +660,6 @@ def check_gradient(loss_fn, point, step: float) -> float:
     backward(tape, out)
     auto = grad_of(tape, x)
 
-    flat = point.ravel()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        hi, _ = eval_loss(bumped.reshape(point.shape))
-        bumped[i] = flat[i] - step
-        lo, _ = eval_loss(bumped.reshape(point.shape))
-        numeric[i] = (float(value_of(hi)) - float(value_of(lo))) / (2.0 * step)
-    numeric = numeric.reshape(point.shape)
+    numeric = central_differences(eval_loss, point, step)
     rel = np.abs(auto - numeric) / (np.abs(numeric) + 1e-12)
     return float(np.max(rel)) if rel.size else 0.0

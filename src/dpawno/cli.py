@@ -97,8 +97,6 @@ def _add_common(p):
     src.add_argument("--config", help="path to a configuration file")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override one configuration key (repeatable)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="parallel chunks for sample-independent evaluation")
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +171,11 @@ def _surrogates(cfg, args):
     out = {}
     if args.dpa:
         out["dpa-wno"] = tr.AugmentedSurrogate(cfg.partial_spec(),
-                                               wno_mod.WnoModel.load(args.dpa),
-                                               workers=args.workers)
+                                               wno_mod.WnoModel.load(args.dpa))
     if getattr(args, "data_only", None):
         out["data-only"] = tr.AugmentedSurrogate(cfg.data_only_spec(),
-                                                 wno_mod.WnoModel.load(args.data_only),
-                                                 workers=args.workers)
-    out["physics-only"] = tr.PhysicsSurrogate(cfg.partial_spec(), workers=args.workers)
+                                                 wno_mod.WnoModel.load(args.data_only))
+    out["physics-only"] = tr.PhysicsSurrogate(cfg.partial_spec())
     return out
 
 
@@ -247,20 +243,26 @@ def cmd_uq(args) -> int:
     cfg = _load_cfg(args)
     out = _ensure_outdir(args.out)
     test = dg.load(os.path.join(args.data, "test.dpds"))
+    probes = cfg.probes()
+    for _, t_star in probes:
+        if not 1 <= t_star <= test.n_steps:
+            raise UsageError(
+                f"probe step {t_star} outside the test trajectories "
+                f"(1..{test.n_steps})")
     surrogates = _surrogates(cfg, args)
     grid = cfg.partial_spec().grid()
+    # every probe shares one location, so one rollout per surrogate serves all
+    index, snapped = uq.nearest_grid_index(grid, probes[0][0])
+    horizon = max(t_star for _, t_star in probes)
+    predicted = {name: tr.rollout_statistics(sur, test.ics, horizon,
+                                             probe_index=index)["probe"]
+                 for name, sur in surrogates.items()}
     meta = {"config": cfg.name, "probes": []}
-    for k, (x_star, t_star) in enumerate(cfg.probes()):
-        if t_star > test.n_steps:
-            raise UsageError(
-                f"probe step {t_star} beyond test trajectories ({test.n_steps})")
-        index, snapped = uq.nearest_grid_index(grid, x_star)
+    for k, (_, t_star) in enumerate(probes):
         densities = {"truth": _density_or_delta(
             uq.probe_trajectories(test.trajectories, index, t_star))}
-        for name, sur in surrogates.items():
-            stats = tr.rollout_statistics(sur, test.ics, t_star,
-                                          probe_index=index)
-            densities[name] = _density_or_delta(stats["probe"][t_star - 1])
+        for name, probe in predicted.items():
+            densities[name] = _density_or_delta(probe[t_star - 1])
         lo = min(d.support[0] for d in densities.values())
         hi = max(d.support[-1] for d in densities.values())
         bins = max(len(d.support) for d in densities.values())
@@ -279,7 +281,7 @@ def cmd_uq(args) -> int:
                                "bandwidths": {n: d.bandwidth
                                               for n, d in densities.items()}})
     _write_sidecar(os.path.join(out, "uq.meta.json"), meta)
-    print(f"wrote {len(cfg.probes())} PDF tables to {out}")
+    print(f"wrote {len(probes)} PDF tables to {out}")
     return 0
 
 
@@ -290,10 +292,10 @@ def cmd_reliability(args) -> int:
     ls = cfg.limit_state()
     n = cfg.reliability_n
     full = cfg.full_spec()
-    candidates = {"exact": tr.PhysicsSurrogate(full, workers=args.workers)}
+    candidates = {"exact": tr.PhysicsSurrogate(full)}
     if args.dpa:
         candidates["dpa-wno"] = tr.AugmentedSurrogate(
-            cfg.partial_spec(), wno_mod.WnoModel.load(args.dpa), workers=args.workers)
+            cfg.partial_spec(), wno_mod.WnoModel.load(args.dpa))
     lines = []
     for name in sorted(candidates):
         report = rel.estimate_reliability(

@@ -4,7 +4,7 @@ trajectories, and the dataset file format."""
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,20 +200,20 @@ def generate(spec: ph.PdeSpec, families, n: int, nt: int, seed: int,
         raise ValueError(f"families yield {ics.shape[0]} ICs, expected n={n}")
     # substeps > 1 is the fine-reference mode: integrate at dt/substeps and
     # store every substeps-th state
-    step_spec = spec if substeps == 1 else ph.replace_dt(spec, spec.dt / substeps)
-    states = np.empty((n, nt + 1) + spec.state_shape())
-    states[:, 0] = ics
-    u = ics
-    for t in range(nt):
+    step_spec = spec if substeps == 1 else replace(spec, dt=spec.dt / substeps)
+
+    def step(u):
         for _ in range(substeps):
             u = ph.euler_step_values(u, step_spec, check_blowup=False)
-        peaks = np.max(np.abs(u.reshape(n, -1)), axis=1)
-        bad = ~np.isfinite(peaks) | (peaks > ph.BLOWUP_LIMIT)
-        if np.any(bad):
-            idx = int(np.argmax(bad))
+        return u
+
+    states = np.empty((n, nt + 1) + spec.state_shape())
+    for t, u, alive in ph.masked_steps(step, ics, nt):
+        if not alive.all():
+            idx = int(np.argmax(~alive))
             raise NonFiniteState(
-                f"sample {idx} blew up at step {t + 1} while generating ground truth")
-        states[:, t + 1] = u
+                f"sample {idx} blew up at step {t} while generating ground truth")
+        states[:, t] = u
     desc = "; ".join(f.describe() for f in families)
     return Dataset(spec, states, seed, desc)
 

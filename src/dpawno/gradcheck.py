@@ -107,26 +107,14 @@ def gradient_fidelity(partial_spec: ph.PdeSpec, seed: int = 0,
     blocks = dict(model.params)
     blocks["<initial condition>"] = ic
     for name, block in blocks.items():
-        flat = block.ravel().copy()
-        fd = np.zeros_like(flat)
-        step = 1e-5 * max(1.0, float(np.max(np.abs(flat))))
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            shaped = flat.reshape(block.shape)
-            if name == "<initial condition>":
-                hi = loss_value(model.params, shaped)
-            else:
-                hi = loss_value({**model.params, name: shaped}, ic)
-            flat[i] = orig - step
-            shaped = flat.reshape(block.shape)
-            if name == "<initial condition>":
-                lo = loss_value(model.params, shaped)
-            else:
-                lo = loss_value({**model.params, name: shaped}, ic)
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2.0 * step)
-        fd = fd.reshape(block.shape)
+        if name == "<initial condition>":
+            def fn(values):
+                return loss_value(model.params, values)
+        else:
+            def fn(values, name=name):
+                return loss_value({**model.params, name: values}, ic)
+        step = 1e-5 * max(1.0, float(np.max(np.abs(block))))
+        fd = ad.central_differences(fn, block, step)
         errors[name] = float(np.max(np.abs(auto[name] - fd))
                              / (np.max(np.abs(fd)) + 1e-12))
     return errors

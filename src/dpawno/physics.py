@@ -15,7 +15,8 @@ All state arrays are (..., C, X) or (..., C, Y, X) with an optional leading
 batch axis; C is 1 except for burgers2d (C=2).  Diffusion uses the 3-point
 stencil; advection is central by default with an upwind option for
 advection-dominated settings.  Stencils wrap around; for Dirichlet problems
-the wrapped values only ever enter boundary rows that apply_bc overwrites.
+the wrapped values only ever enter boundary rows that apply_bc_values
+overwrites.
 
 Term arrays are accumulated in the benchmark's canonical term order, and the
 correction enters as one extra addition; this makes "partial rhs + missing
@@ -31,6 +32,35 @@ from . import autodiff as ad
 from .errors import NonFiniteState, ShapeMismatch, UnsupportedTermForBenchmark
 
 BLOWUP_LIMIT = 1.0e8
+
+
+def _finite_peaks(states: np.ndarray) -> np.ndarray:
+    """Per-sample flag: every entry finite and no |u| above BLOWUP_LIMIT."""
+    flat = states.reshape(states.shape[0], -1)
+    with np.errstate(invalid="ignore"):
+        peaks = np.max(np.abs(flat), axis=1)
+    return np.isfinite(peaks) & (peaks <= BLOWUP_LIMIT)
+
+
+def masked_steps(step, ics, steps: int):
+    """Untaped batched rollout: yields (0, ics, alive), then (t, u_t, alive)
+    after each of `steps` calls of `step`.
+
+    A sample whose state turns non-finite or exceeds BLOWUP_LIMIT is frozen
+    at its last finite state and stays flagged dead (alive False) for the
+    rest of the rollout; the other samples keep stepping.
+    """
+    u = np.asarray(ics, dtype=np.float64)
+    alive = _finite_peaks(u)
+    sel = (slice(None),) + (None,) * (u.ndim - 1)
+    yield 0, u, alive
+    for t in range(1, steps + 1):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            nxt = step(u)
+        alive = _finite_peaks(nxt) & alive  # once dead, stays dead
+        u = np.where(alive[sel], nxt, u)
+        yield t, u, alive
+
 
 # canonical term order per benchmark (also the full term set)
 BENCHMARK_TERMS = {
@@ -168,18 +198,6 @@ class PdeSpec:
         return mask
 
 
-@dataclass
-class GridField:
-    """State u( . , t) on the grid: values (..., C) + spatial, plus the step index."""
-
-    values: object
-    time_index: int = 0
-
-    @property
-    def data(self) -> np.ndarray:
-        return ad.value_of(self.values)
-
-
 def _d1(u, dx, axis):
     c = 1.0 / (2.0 * dx)
     return ad.circ_stencil(u, [(1, c), (-1, -c)], axis)
@@ -306,20 +324,3 @@ def euler_step_values(u, spec: PdeSpec, correction=None, check_blowup=True):
         if not np.isfinite(peak) or peak > BLOWUP_LIMIT:
             raise NonFiniteState(f"state magnitude {peak:.3e} exceeds {BLOWUP_LIMIT:.0e}")
     return u_next
-
-
-def replace_dt(spec: PdeSpec, dt: float) -> PdeSpec:
-    return replace(spec, dt=dt)
-
-
-def rhs(u: GridField, spec: PdeSpec) -> GridField:
-    return GridField(rhs_values(u.values, spec), u.time_index)
-
-
-def apply_bc(u: GridField, spec: PdeSpec) -> GridField:
-    return GridField(apply_bc_values(u.values, spec), u.time_index)
-
-
-def euler_step(u: GridField, spec: PdeSpec, correction=None) -> GridField:
-    corr = correction.values if isinstance(correction, GridField) else correction
-    return GridField(euler_step_values(u.values, spec, corr), u.time_index + 1)

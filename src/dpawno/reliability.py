@@ -3,8 +3,10 @@ conditions: covariance kernels, Cholesky sampling, limit-state margins and
 failure-probability estimation.
 
 The surrogate handed to :func:`estimate_reliability` only needs a
-``rollout(ics, steps)`` method returning ``(trajectories, diverged_mask)``;
-see :mod:`dpawno.training` for the provided implementations.
+``step(u)`` method mapping a batch of states (B, C) + spatial to the next
+batch; it is rolled by :func:`dpawno.training.rollout_statistics`, which
+freezes and flags diverging samples.  See :mod:`dpawno.training` for the
+provided implementations.
 """
 
 import json
@@ -14,6 +16,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite
 from .rng import stream
+from .training import rollout_statistics
 
 KERNELS = ("exp_sine_squared", "rbf")
 _MAX_JITTER = 1e-4
@@ -145,15 +148,12 @@ def estimate_reliability(surrogate, grf_spec: GrfSpec, ls: LimitState,
     if n < 1:
         raise ValueError("n must be >= 1")
     ics = grf_initial_conditions(grf_spec, spec, n, seed)
-    if hasattr(surrogate, "max_response"):
-        # streaming reduction: full trajectory storage for thousands of
-        # samples over long horizons does not fit in memory at 2D scale
-        peak, diverged = surrogate.max_response(ics, ls.horizon,
-                                                magnitude=ls.use_magnitude)
-        margins = ls.threshold - peak
-    else:
-        trajs, diverged = surrogate.rollout(ics, ls.horizon)
-        margins = np.array([evaluate_margin(trajs[i], ls) for i in range(n)])
+    # streaming reduction: full trajectory storage for thousands of samples
+    # over long horizons does not fit in memory at 2D scale
+    stats = rollout_statistics(surrogate, ics, ls.horizon,
+                               magnitude=ls.use_magnitude)
+    diverged = stats["diverged"]
+    margins = ls.threshold - stats["max_response"]
     margins[diverged] = -np.inf if diverged_as_failure else np.nan
     valid = ~np.isnan(margins)
     failures = int(np.sum(margins[valid] < 0.0))

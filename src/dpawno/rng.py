@@ -16,7 +16,6 @@ PURPOSES = {
     "shuffle": 2,
     "grf": 3,
     "test": 4,
-    "mc": 5,
 }
 
 

@@ -7,7 +7,6 @@ flow back through every step of the unroll.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,71 +203,41 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # evaluation-time surrogates (no tape, batched, blow-up masked)
 
-def _finite_peaks(states: np.ndarray) -> np.ndarray:
-    flat = states.reshape(states.shape[0], -1)
-    with np.errstate(invalid="ignore"):
-        peaks = np.max(np.abs(flat), axis=1)
-    return np.isfinite(peaks) & (peaks <= ph.BLOWUP_LIMIT)
-
-
-def masked_rollout(step_fn, ics: np.ndarray, steps: int):
-    """Roll every sample `steps` times; samples that blow up are frozen at
-    their last finite state and flagged."""
-    states = np.empty((ics.shape[0], steps + 1) + ics.shape[1:])
-    states[:, 0] = ics
-    alive = _finite_peaks(ics)
-    u = ics.copy()
-    sel = (slice(None),) + (None,) * (ics.ndim - 1)
-    for t in range(steps):
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            nxt = step_fn(u)
-        ok = _finite_peaks(nxt) & alive  # once dead, stays dead
-        u = np.where(ok[sel], nxt, u)
-        alive = ok
-        states[:, t + 1] = u
-    return states, ~alive
-
-
 def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
-                       channel: int = 0, snapshots=(), truth=None,
-                       mse_steps: int = None, magnitude: bool = True):
-    """Stream a masked rollout, keeping reductions instead of trajectories.
+                       snapshots=(), truth=None, mse_steps: int = None,
+                       magnitude: bool = True):
+    """Stream a masked rollout (physics.masked_steps) of `surrogate.step`,
+    keeping reductions instead of trajectories.
 
     Full-scale predicted trajectories run to gigabytes; everything the
     evaluation pipeline needs is accumulated per step:
 
       max_response  running per-sample max of |u| (or signed u), IC included
-      probe         (steps, B) values at `probe_index` when given
+      probe         (steps, B) channel-0 values at `probe_index` when given
       snapshots     {t: state copy} for the requested step indices
       sse / count   squared error against `truth` over min(steps, mse_steps)
       diverged      per-sample blow-up flags (frozen at last finite state)
+      final         the state after the last step
     """
-    u = np.asarray(ics, dtype=np.float64)
+    rolled = ph.masked_steps(surrogate.step, ics, steps)
+    _, u, alive = next(rolled)
     n = u.shape[0]
-    alive = _finite_peaks(u)
-    sel = (slice(None),) + (None,) * (u.ndim - 1)
     flat = u.reshape(n, -1)
-    response = np.abs(flat) if magnitude else flat
-    max_response = np.max(response, axis=1)
+    max_response = np.max(np.abs(flat) if magnitude else flat, axis=1)
     probe = np.zeros((steps, n)) if probe_index is not None else None
     snaps = {}
     sse = 0.0
     count = 0
     limit = steps if mse_steps is None else min(steps, mse_steps)
-    for t in range(1, steps + 1):
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            nxt = surrogate.step(u)
-        ok = _finite_peaks(nxt) & alive  # once dead, stays dead
-        u = np.where(ok[sel], nxt, u)
-        alive = ok
+    for t, u, alive in rolled:
         flat = u.reshape(n, -1)
         response = np.abs(flat) if magnitude else flat
         max_response = np.maximum(max_response, np.max(response, axis=1))
         if probe is not None:
             if isinstance(probe_index, tuple):
-                probe[t - 1] = u[:, channel, probe_index[0], probe_index[1]]
+                probe[t - 1] = u[:, 0, probe_index[0], probe_index[1]]
             else:
-                probe[t - 1] = u[:, channel, probe_index]
+                probe[t - 1] = u[:, 0, probe_index]
         if t in snapshots:
             snaps[t] = u.copy()
         if truth is not None and t <= limit:
@@ -287,48 +256,24 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
     }
 
 
-class _SurrogateBase:
-    def rollout(self, ics, steps):
-        """(trajectories, diverged): prefer rollout_statistics for large runs."""
-        return _chunked_rollout(self.step, ics, steps, self.workers)
-
-    def max_response(self, ics, steps, magnitude=True):
-        stats = rollout_statistics(self, ics, steps, magnitude=magnitude)
-        return stats["max_response"], stats["diverged"]
-
-
-class PhysicsSurrogate(_SurrogateBase):
+class PhysicsSurrogate:
     """Rolls the bare right-hand side of `spec` (partial or full physics)."""
 
-    def __init__(self, spec: ph.PdeSpec, workers: int = 1):
+    def __init__(self, spec: ph.PdeSpec):
         self.spec = spec
-        self.workers = workers
 
     def step(self, u):
         return ph.euler_step_values(u, self.spec, check_blowup=False)
 
 
-class AugmentedSurrogate(_SurrogateBase):
+class AugmentedSurrogate:
     """Rolls spec physics plus the model's learned correction."""
 
-    def __init__(self, spec: ph.PdeSpec, model, workers: int = 1):
+    def __init__(self, spec: ph.PdeSpec, model):
         self.spec = spec
         self.model = model
         self.grid = spec.grid()
-        self.workers = workers
 
     def step(self, u):
         corr = wno_mod.wno_forward(u, self.grid, self.model)
         return ph.euler_step_values(u, self.spec, corr, check_blowup=False)
-
-
-def _chunked_rollout(step_fn, ics, steps, workers):
-    ics = np.asarray(ics, dtype=np.float64)
-    if workers <= 1 or ics.shape[0] < 2 * workers:
-        return masked_rollout(step_fn, ics, steps)
-    chunks = np.array_split(np.arange(ics.shape[0]), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: masked_rollout(step_fn, ics[c], steps), chunks))
-    trajs = np.concatenate([p[0] for p in parts], axis=0)
-    diverged = np.concatenate([p[1] for p in parts], axis=0)
-    return trajs, diverged

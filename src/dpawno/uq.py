@@ -98,16 +98,6 @@ def probe_trajectories(trajectories: np.ndarray, index, t_star: int,
     return trajectories[:, t_star, channel, index]
 
 
-def probe_ensemble(surrogate, ics, x_star, t_star: int, grid,
-                   channel: int = 0):
-    """Predicted u(x*, t*) for every IC; x* snaps to the nearest grid point.
-
-    Returns (samples, snapped_index, snapped_coordinate)."""
-    index, snapped = nearest_grid_index(grid, x_star)
-    trajs, _ = surrogate.rollout(np.asarray(ics, dtype=np.float64), t_star)
-    return probe_trajectories(trajs, index, t_star, channel), index, snapped
-
-
 def ensemble_mse(pred_trajectories, true_trajectories, steps: int = 100) -> float:
     """Mean squared error over samples x first `steps` steps x space."""
     pred = np.asarray(pred_trajectories, dtype=np.float64)

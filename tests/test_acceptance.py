@@ -183,11 +183,12 @@ class TestCriterion5:
         test_ds = art["test_ds"]
         horizon = test_ds.n_steps
         mse = {}
-        for name, sur in (
-                ("dpa", tr.AugmentedSurrogate(art["partial"], art["dpa"])),
-                ("donly", tr.AugmentedSurrogate(art["donly_spec"], art["donly"])),
-                ("ponly", tr.PhysicsSurrogate(art["partial"]))):
-            pred, _ = sur.rollout(test_ds.ics, horizon)
+        for name, model, spec in (
+                ("dpa", art["dpa"], art["partial"]),
+                ("donly", art["donly"], art["donly_spec"]),
+                ("ponly", None, art["partial"])):
+            states = tr.rollout(model, spec, test_ds.ics, horizon)
+            pred = np.stack([ad.value_of(s) for s in states], axis=1)
             mse[name] = uq.ensemble_mse(pred, test_ds.trajectories, 100)
         elapsed = art["train_time"] + (time.perf_counter() - t0)
         ok = (mse["dpa"] < 0.5 * mse["ponly"]
@@ -241,7 +242,7 @@ class TestCriterion7:
         rep_truth = rel.estimate_reliability(truth_sur, grf, ls, 1000,
                                              cfg.seed, art["full"])
         ics = rel.grf_initial_conditions(grf, art["full"], 1000, cfg.seed)
-        trajs, _ = truth_sur.rollout(ics, ls.horizon)
+        trajs = np.stack(tr.rollout(None, art["full"], ics, ls.horizon), axis=1)
         margins = np.array([rel.evaluate_margin(t, ls) for t in trajs])
         direct_failures = int(np.sum(margins < 0))
         self_consistent = (rep_truth.failures == direct_failures)

@@ -1,11 +1,13 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dpawno import cli
 from dpawno import config as cf
+from dpawno import training as tr
 from dpawno.errors import UsageError
 
 FAST_TRAIN = [
@@ -176,6 +178,46 @@ class TestCliPipeline:
         out = capsys.readouterr().out
         for key in ("partial_terms", "schedule", "threshold", "amplitudes"):
             assert key in out
+
+
+class TestUqStepping:
+    """`uq` rolls each surrogate once, to the latest probe step."""
+
+    def setup_method(self):
+        self.steps = Counter()
+
+    def count_steps(self, monkeypatch):
+        for cls in (tr.PhysicsSurrogate, tr.AugmentedSurrogate):
+            def step(sur, u, original=cls.step):
+                self.steps[id(sur)] += 1
+                return original(sur, u)
+            monkeypatch.setattr(cls, "step", step)
+
+    def prepare(self, tmp_path):
+        data, model = str(tmp_path / "data"), str(tmp_path / "model")
+        assert cli.main(["gen-data", "--preset", DESK, "--out", data,
+                         *SMALL_DATA]) == 0
+        assert cli.main(["train", "--preset", DESK, "--data", data, "--out",
+                         model, "--mode", "physics-only", *SMALL_DATA]) == 0
+        return ["uq", "--preset", DESK, "--data", data,
+                "--dpa", os.path.join(model, "model.dpaw"),
+                "--out", str(tmp_path / "uq"), *SMALL_DATA]
+
+    def test_one_rollout_per_surrogate(self, tmp_path, monkeypatch):
+        argv = self.prepare(tmp_path)
+        self.count_steps(monkeypatch)
+        assert cli.main(argv) == 0  # probe.t=5, 20
+        assert sorted(self.steps.values()) == [20, 20]
+        for k in (0, 1):
+            assert os.path.exists(tmp_path / "uq" / f"pdf_probe{k}.csv")
+
+    @pytest.mark.parametrize("t_star", ["0", "31"])
+    def test_bad_probe_step_rejected_before_rollout(self, tmp_path,
+                                                    monkeypatch, t_star):
+        argv = self.prepare(tmp_path)
+        self.count_steps(monkeypatch)
+        assert cli.main(argv + ["--set", f"probe.t=5, {t_star}"]) == 2
+        assert not self.steps
 
 
 class TestGradcheckCommand:

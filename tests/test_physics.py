@@ -112,12 +112,6 @@ class TestEulerStep:
         with pytest.raises(ShapeMismatch):
             ph.euler_step_values(u, spec, np.zeros((1, 32)))
 
-    def test_gridfield_wrapper_advances_time_index(self):
-        spec = nagumo()
-        u = ph.GridField(np.random.default_rng(3).standard_normal((1, 64)), 4)
-        out = ph.euler_step(u, spec)
-        assert out.time_index == 5
-
 
 class TestApplyBc:
     def test_periodic_is_identity(self):

@@ -221,18 +221,14 @@ class TestSurrogates:
         spec = ph.PdeSpec("burgers1d", {"nu": 0.3 / np.pi},
                           ("advection", "diffusion"), "dirichlet", 0.0,
                           (-1.0, 1.0), nx=32, dt=3e-4)
-        trajs, diverged = tr.PhysicsSurrogate(spec).rollout(ics, 10)
+        stats = tr.rollout_statistics(tr.PhysicsSurrogate(spec), ics, 10,
+                                      snapshots=range(1, 11))
+        diverged = stats["diverged"]
         assert not diverged[0] and diverged[1]
-        assert np.all(np.isfinite(trajs[0]))
-
-    def test_workers_do_not_change_results(self):
-        full, partial, ds = burgers_setup(n=6)
-        s1 = tr.PhysicsSurrogate(partial, workers=1)
-        s3 = tr.PhysicsSurrogate(partial, workers=3)
-        t1, d1 = s1.rollout(ds.ics, 15)
-        t3, d3 = s3.rollout(ds.ics, 15)
-        assert np.array_equal(t1, t3)
-        assert np.array_equal(d1, d3)
+        assert all(np.all(np.isfinite(stats["snapshots"][t][0]))
+                   for t in range(1, 11))
+        assert np.array_equal(stats["snapshots"][10], stats["final"])
+        assert np.all(np.isfinite(stats["final"]))  # frozen, not garbage
 
     def test_augmented_surrogate_matches_rollout(self):
         full, partial, ds = burgers_setup()
@@ -241,8 +237,9 @@ class TestSurrogates:
         for k in model.params:
             model.params[k] = 0.05 * rng.standard_normal(model.params[k].shape)
         sur = tr.AugmentedSurrogate(partial, model)
-        trajs, diverged = sur.rollout(ds.ics, 6)
+        stats = tr.rollout_statistics(sur, ds.ics, 6, snapshots=range(1, 7))
         states = tr.rollout(model, partial, ds.ics, 6)
-        for t, s in enumerate(states):
-            assert np.array_equal(trajs[:, t], ad.value_of(s))
-        assert not diverged.any()
+        for t, s in enumerate(states[1:], start=1):
+            assert np.array_equal(stats["snapshots"][t], ad.value_of(s))
+        assert np.array_equal(stats["final"], ad.value_of(states[-1]))
+        assert not stats["diverged"].any()

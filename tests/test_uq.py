@@ -119,17 +119,23 @@ class TestProbeEnsemble:
 
     def test_truth_surrogate_reproduces_stored_values(self):
         sur = tr.PhysicsSurrogate(self.spec)
-        samples, index, snapped = uq.probe_ensemble(
-            sur, self.ds.ics, -0.35, 7, self.spec.grid())
-        assert np.array_equal(samples, self.ds.trajectories[:, 7, 0, index])
+        index, snapped = uq.nearest_grid_index(self.spec.grid(), -0.35)
+        probe = tr.rollout_statistics(sur, self.ds.ics, 7,
+                                      probe_index=index)["probe"]
+        assert probe.shape == (7, 4)
+        for t in range(1, 8):
+            assert np.array_equal(probe[t - 1],
+                                  self.ds.trajectories[:, t, 0, index])
         assert abs(snapped - (-0.35)) <= self.spec.dx / 2
 
     def test_frozen_dynamics_returns_ic_values(self):
         frozen = self.spec.with_terms(())
         sur = tr.PhysicsSurrogate(frozen)
-        samples, index, _ = uq.probe_ensemble(sur, self.ds.ics, 0.11, 5,
-                                              self.spec.grid())
-        assert np.array_equal(samples, self.ds.ics[:, 0, index])
+        index, _ = uq.nearest_grid_index(self.spec.grid(), 0.11)
+        probe = tr.rollout_statistics(sur, self.ds.ics, 5,
+                                      probe_index=index)["probe"]
+        for row in probe:
+            assert np.array_equal(row, self.ds.ics[:, 0, index])
 
     def test_probe_beyond_rollout_raises(self):
         with pytest.raises(ValueError):
@@ -140,6 +146,14 @@ class TestProbeEnsemble:
         (iy, ix), (sx, sy) = uq.nearest_grid_index((x, x), (0.69, 1.03))
         assert abs(sx - 0.69) <= (x[1] - x[0]) / 2
         assert abs(sy - 1.03) <= (x[1] - x[0]) / 2
+        # a (iy, ix) probe reads channel 0 of the 2D state
+        frozen = ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "periodic",
+                            nx=16, dt=1e-4)
+        ics = np.random.default_rng(12).standard_normal((3, 2, 16, 16))
+        probe = tr.rollout_statistics(tr.PhysicsSurrogate(frozen), ics, 2,
+                                      probe_index=(iy, ix))["probe"]
+        for row in probe:
+            assert np.array_equal(row, ics[:, 0, iy, ix])
 
 
 class TestMeanHellinger:
