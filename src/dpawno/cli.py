@@ -62,11 +62,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _csv_line(row) -> str:
+    return ",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
+
+
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(_csv_line(header))
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+            fh.write(_csv_line(row))
 
 
 def _write_sidecar(path, doc):
@@ -139,21 +143,23 @@ def cmd_train(args) -> int:
     dataset = dg.load(os.path.join(args.data, "train.dpds"))
     spec = cfg.data_only_spec() if args.mode == "data-only" else cfg.partial_spec()
     tcfg = cfg.train_config()
-    log_rows = []
-
-    def log_sink(epoch, t_steps, mean_loss, wall_ms):
-        log_rows.append((epoch, t_steps, mean_loss, wall_ms))
 
     def checkpoint_fn(epoch, m):
         m.save(os.path.join(out, f"checkpoint_epoch{epoch + 1}.dpaw"))
 
-    report = tr.train(model, dataset, spec, tcfg, log_sink=log_sink,
-                      checkpoint_fn=checkpoint_fn)
+    # wall_ms makes the log a sidecar, not a primary output; one row is
+    # flushed per epoch so a failed or killed run keeps its history
+    with open(os.path.join(out, "train_log.csv"), "w") as log:
+        log.write(_csv_line(["epoch", "T", "mean_loss", "wall_ms"]))
+        log.flush()
+
+        def log_sink(epoch, t_steps, mean_loss, wall_ms):
+            log.write(_csv_line((str(epoch), str(t_steps), mean_loss, wall_ms)))
+            log.flush()
+
+        report = tr.train(model, dataset, spec, tcfg, log_sink=log_sink,
+                          checkpoint_fn=checkpoint_fn)
     model.save(ckpt)
-    # wall_ms makes the log a sidecar, not a primary output
-    _write_csv(os.path.join(out, "train_log.csv"),
-               ["epoch", "T", "mean_loss", "wall_ms"],
-               [(str(e), str(t), l, w) for e, t, l, w in log_rows])
     _write_sidecar(os.path.join(out, "train.meta.json"), {
         "config": cfg.name,
         "mode": args.mode,

@@ -86,16 +86,16 @@ def nearest_grid_index(grid, x_star):
     return ix, float(g[ix])
 
 
-def probe_trajectories(trajectories: np.ndarray, index, t_star: int,
-                       channel: int = 0) -> np.ndarray:
-    """u(x*, t*) per sample from stored trajectories (B, T+1, C) + spatial."""
+def probe_trajectories(trajectories: np.ndarray, index, t_star: int) -> np.ndarray:
+    """u(x*, t*) of channel 0 per sample from stored trajectories
+    (B, T+1, C) + spatial."""
     if t_star >= trajectories.shape[1]:
         raise ValueError(
             f"probe step {t_star} beyond stored {trajectories.shape[1] - 1}")
     if isinstance(index, tuple):
         iy, ix = index
-        return trajectories[:, t_star, channel, iy, ix]
-    return trajectories[:, t_star, channel, index]
+        return trajectories[:, t_star, 0, iy, ix]
+    return trajectories[:, t_star, 0, index]
 
 
 def ensemble_mse(pred_trajectories, true_trajectories, steps: int = 100) -> float:
@@ -129,15 +129,3 @@ def mean_hellinger_from_samples(pred_probe, true_probe,
         values.append(hellinger(dp, dq))
     return float(np.mean(values))
 
-
-def mean_hellinger(pred_trajectories, true_trajectories, index,
-                   steps: int = 100, grid_points: int = 256,
-                   channel: int = 0) -> float:
-    """Per-step mean Hellinger distance at a fixed probe, from stored
-    trajectories."""
-    upto = min(steps, np.shape(pred_trajectories)[1] - 1)
-    pred = np.stack([probe_trajectories(pred_trajectories, index, t, channel)
-                     for t in range(1, upto + 1)])
-    true = np.stack([probe_trajectories(true_trajectories, index, t, channel)
-                     for t in range(1, upto + 1)])
-    return mean_hellinger_from_samples(pred, true, grid_points)

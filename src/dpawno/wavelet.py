@@ -4,6 +4,13 @@ Transforms are realized as per-level banded matrices so that adjoints are
 plain transposes; with periodic extension the matrices are orthogonal and the
 adjoint coincides with the inverse.  The trailing array axis is the transform
 axis; leading axes (batch, channels) pass through untouched.
+
+Every level is one :func:`autodiff.level_matmul`, so the transforms accept an
+ndarray or a tape :class:`autodiff.Tensor`: on a Tensor they record
+"dwt_level"/"idwt_level" nodes, and the tape's VJP of the forward transform
+is its adjoint.  The inverses read a detail band given as ``None`` as a zero
+band and record nothing for it; the WNO kernel layer truncates its
+unweighted sub-bands this way.
 """
 
 from dataclasses import dataclass
@@ -11,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import InconsistentCoeffLengths, SignalTooShort
 
 # Orthonormal Daubechies scaling filters (reconstruction low-pass, natural
@@ -196,54 +204,46 @@ class WaveletCoeffs2d:
         return np.concatenate(parts)
 
 
-def _apply_last(mat, x):
-    return x @ mat.T
-
-
-def _apply_axis2(mat, x):
-    return np.matmul(mat, x)
+def _accumulate(x, mat, band, axis):
+    """x + mat . band along `axis`; a None band (or x) is zero and records
+    nothing."""
+    if band is None:
+        return x
+    up = ad.level_matmul("idwt_level", mat, band, axis)
+    return up if x is None else ad.add(x, up)
 
 
 def dwt_multilevel(signal, spec: WaveletSpec) -> WaveletCoeffs:
     """Forward multilevel transform along the trailing axis."""
-    x = np.asarray(signal, dtype=np.float64)
-    lengths = level_lengths(x.shape[-1], spec)
+    x = signal
+    lengths = level_lengths(ad.value_of(x).shape[-1], spec)
     details = []
     for m in lengths:
         lo, hi = level_analysis(m, spec.family, spec.extension)
-        details.append(_apply_last(hi, x))
-        x = _apply_last(lo, x)
+        details.append(ad.level_matmul("dwt_level", hi, x, -1))
+        x = ad.level_matmul("dwt_level", lo, x, -1)
     details.reverse()
     return WaveletCoeffs(x, details, lengths)
 
 
-def idwt_multilevel(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
+def idwt_multilevel(coeffs: WaveletCoeffs, spec: WaveletSpec):
     """Exact left inverse of :func:`dwt_multilevel`."""
     lengths = coeffs.original_lengths
     if len(coeffs.details) != len(lengths):
         raise InconsistentCoeffLengths(
             f"{len(coeffs.details)} detail bands for {len(lengths)} levels"
         )
-    x = np.asarray(coeffs.approx, dtype=np.float64)
+    x = coeffs.approx
     for d, m in zip(coeffs.details, reversed(lengths)):
         k_in = coeff_length(m, spec.family, spec.extension)
-        if x.shape[-1] != k_in or np.shape(d)[-1] != k_in:
-            raise InconsistentCoeffLengths(
-                f"level input {m}: expected coefficient length {k_in}, "
-                f"got approx {x.shape[-1]} / detail {np.shape(d)[-1]}"
-            )
+        for band in (x, d):
+            if band is not None and ad.value_of(band).shape[-1] != k_in:
+                raise InconsistentCoeffLengths(
+                    f"level input {m}: expected coefficient length {k_in}, "
+                    f"got {ad.value_of(band).shape[-1]}"
+                )
         s_lo, s_hi = level_synthesis(m, spec.family, spec.extension)
-        x = _apply_last(s_lo, x) + _apply_last(s_hi, np.asarray(d, dtype=np.float64))
-    return x
-
-
-def dwt_multilevel_adjoint(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
-    """Adjoint of the forward transform (equals the inverse when periodic)."""
-    lengths = coeffs.original_lengths
-    x = np.asarray(coeffs.approx, dtype=np.float64)
-    for d, m in zip(coeffs.details, reversed(lengths)):
-        lo, hi = level_analysis(m, spec.family, spec.extension)
-        x = _apply_last(lo.T, x) + _apply_last(hi.T, np.asarray(d, dtype=np.float64))
+        x = _accumulate(ad.level_matmul("idwt_level", s_lo, x, -1), s_hi, d, -1)
     return x
 
 
@@ -263,45 +263,45 @@ def level_shapes_2d(shape, spec: WaveletSpec) -> tuple:
 
 def dwt2d_multilevel(field, spec: WaveletSpec) -> WaveletCoeffs2d:
     """Separable forward transform over the two trailing axes."""
-    x = np.asarray(field, dtype=np.float64)
-    shapes = level_shapes_2d(x.shape[-2:], spec)
+    x = field
+    shapes = level_shapes_2d(ad.value_of(x).shape[-2:], spec)
     details = []
     for ny, nx in shapes:
         lo_x, hi_x = level_analysis(nx, spec.family, spec.extension)
         lo_y, hi_y = level_analysis(ny, spec.family, spec.extension)
-        l = _apply_last(lo_x, x)
-        h = _apply_last(hi_x, x)
-        ll = _apply_axis2(lo_y, l)
-        lh = _apply_axis2(hi_y, l)
-        hl = _apply_axis2(lo_y, h)
-        hh = _apply_axis2(hi_y, h)
+        l = ad.level_matmul("dwt_level", lo_x, x, -1)
+        h = ad.level_matmul("dwt_level", hi_x, x, -1)
+        ll = ad.level_matmul("dwt_level", lo_y, l, -2)
+        lh = ad.level_matmul("dwt_level", hi_y, l, -2)
+        hl = ad.level_matmul("dwt_level", lo_y, h, -2)
+        hh = ad.level_matmul("dwt_level", hi_y, h, -2)
         details.append((lh, hl, hh))
         x = ll
     details.reverse()
     return WaveletCoeffs2d(x, details, shapes)
 
 
-def idwt2d_multilevel(coeffs: WaveletCoeffs2d, spec: WaveletSpec) -> np.ndarray:
+def idwt2d_multilevel(coeffs: WaveletCoeffs2d, spec: WaveletSpec):
+    """Exact left inverse of :func:`dwt2d_multilevel`."""
     shapes = coeffs.original_shapes
     if len(coeffs.details) != len(shapes):
         raise InconsistentCoeffLengths(
             f"{len(coeffs.details)} detail bands for {len(shapes)} levels"
         )
-    x = np.asarray(coeffs.approx, dtype=np.float64)
+    x = coeffs.approx
     for (lh, hl, hh), (ny, nx) in zip(coeffs.details, reversed(shapes)):
         ky = coeff_length(ny, spec.family, spec.extension)
         kx = coeff_length(nx, spec.family, spec.extension)
         for band in (x, lh, hl, hh):
-            if np.shape(band)[-2:] != (ky, kx):
+            if band is not None and ad.value_of(band).shape[-2:] != (ky, kx):
                 raise InconsistentCoeffLengths(
                     f"level input {(ny, nx)}: expected band shape {(ky, kx)}, "
-                    f"got {np.shape(band)[-2:]}"
+                    f"got {ad.value_of(band).shape[-2:]}"
                 )
         s_lo_x, s_hi_x = level_synthesis(nx, spec.family, spec.extension)
         s_lo_y, s_hi_y = level_synthesis(ny, spec.family, spec.extension)
-        l = _apply_axis2(s_lo_y, x) + _apply_axis2(s_hi_y, np.asarray(lh, dtype=np.float64))
-        h = _apply_axis2(s_lo_y, np.asarray(hl, dtype=np.float64)) + _apply_axis2(
-            s_hi_y, np.asarray(hh, dtype=np.float64)
-        )
-        x = _apply_last(s_lo_x, l) + _apply_last(s_hi_x, h)
+        l = _accumulate(ad.level_matmul("idwt_level", s_lo_y, x, -2), s_hi_y, lh, -2)
+        x = ad.level_matmul("idwt_level", s_lo_x, l, -1)
+        h = _accumulate(_accumulate(None, s_lo_y, hl, -2), s_hi_y, hh, -2)
+        x = _accumulate(x, s_hi_x, h, -1)
     return x

@@ -4,9 +4,11 @@ Each kernel integral layer computes
 
     v  ->  phi( idwt( R . dwt(v) ) + W v + b )
 
-where R applies learnable width x width channel mixing to the retained
-wavelet sub-bands (by default the coarsest approximation band and the
-coarsest detail band; finer bands are truncated in the kernel path), W is a
+where dwt/idwt are the multilevel transforms of :mod:`dpawno.wavelet`
+(1D or separable 2D, on ndarrays or tape Tensors), R applies learnable
+width x width channel mixing to the retained sub-bands (by default the
+coarsest approximation and detail bands; the other detail bands reach the
+inverse as ``None``, which truncates them from the kernel path), W is a
 pointwise affine map, and phi is GeLU on all but the final layer.  Channel
 mixing is shared across coefficients within a band, so the parameter count is
 independent of the grid resolution.
@@ -24,7 +26,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import wavelet as wv
-from .errors import FormatVersionMismatch, ShapeMismatch
+from .errors import (
+    ChecksumMismatch,
+    DatasetIoError,
+    FormatVersionMismatch,
+    ShapeMismatch,
+)
 from .rng import stream
 
 CHECKPOINT_MAGIC = b"DPAW"
@@ -164,88 +171,36 @@ def lift(u, grid, model: WnoModel, params=None):
     return ad.bias_add(v, p["lift.bias"], channel_axis=ca)
 
 
-def _dwt_chain_1d(v, wspec):
-    lengths = wv.level_lengths(ad.value_of(v).shape[-1], wspec)
-    a = v
-    details = []  # finest first during descent
-    for m in lengths:
-        lo, hi = wv.level_analysis(m, wspec.family, wspec.extension)
-        details.append(ad.level_matmul("dwt_level", hi, a, -1))
-        a = ad.level_matmul("dwt_level", lo, a, -1)
-    return a, details, lengths
-
-
-def _dwt_chain_2d(v, wspec):
-    shapes = wv.level_shapes_2d(ad.value_of(v).shape[-2:], wspec)
-    a = v
-    details = []
-    for ny, nx in shapes:
-        lo_x, hi_x = wv.level_analysis(nx, wspec.family, wspec.extension)
-        lo_y, hi_y = wv.level_analysis(ny, wspec.family, wspec.extension)
-        l = ad.level_matmul("dwt_level", lo_x, a, -1)
-        h = ad.level_matmul("dwt_level", hi_x, a, -1)
-        ll = ad.level_matmul("dwt_level", lo_y, l, -2)
-        lh = ad.level_matmul("dwt_level", hi_y, l, -2)
-        hl = ad.level_matmul("dwt_level", lo_y, h, -2)
-        hh = ad.level_matmul("dwt_level", hi_y, h, -2)
-        details.append((lh, hl, hh))
-        a = ll
-    return a, details, shapes
-
-
 def kernel_layer(v, layer: int, model: WnoModel, params=None, final=False):
     """One wavelet kernel integral block; `final` drops the activation."""
     p = params if params is not None else model.params
     cfg = model.config
     wspec = cfg.wavelet
     ca = _channel_axis(v, cfg.spatial_dims)
+    bands = cfg.kernel_bands()
 
     def mix(band, value):
+        # bands not carrying weights are truncated from the kernel path
+        if band not in bands:
+            return None
         return ad.matmul(p[f"layer{layer}.kernel.{band}"], value, channel_axis=ca)
 
+    # v feeds the transform and the pointwise path; recording the transform
+    # first fixes the order in which backward sums v's gradient
     if cfg.spatial_dims == 1:
-        a, details, lengths = _dwt_chain_1d(v, wspec)
-        # bands not carrying weights are truncated from the kernel path
-        mixed = {}
-        for band in cfg.kernel_bands():
-            if band == "approx":
-                continue
-            j = int(band[6:])  # 0 = coarsest
-            mixed[len(lengths) - 1 - j] = mix(band, details[len(lengths) - 1 - j])
-        x = mix("approx", a)
-        for idx in range(len(lengths) - 1, -1, -1):
-            m = lengths[idx]
-            s_lo, s_hi = wv.level_synthesis(m, wspec.family, wspec.extension)
-            x = ad.level_matmul("idwt_level", s_lo, x, -1)
-            if idx in mixed:
-                x = ad.add(x, ad.level_matmul("idwt_level", s_hi, mixed[idx], -1))
+        c = wv.dwt_multilevel(v, wspec)
+        details = [mix(f"detail{j}", d) for j, d in enumerate(c.details)]
+        x = wv.idwt_multilevel(
+            wv.WaveletCoeffs(mix("approx", c.approx), details, c.original_lengths),
+            wspec)
     else:
-        a, details, shapes = _dwt_chain_2d(v, wspec)
-        mixed = {}
-        for band in cfg.kernel_bands():
-            if band == "approx":
-                continue
-            kind, j = band[:2], int(band[2:])
-            pos = {"lh": 0, "hl": 1, "hh": 2}[kind]
-            key = (len(shapes) - 1 - j, pos)
-            mixed[key] = mix(band, details[key[0]][pos])
-        x = mix("approx", a)
-        for idx in range(len(shapes) - 1, -1, -1):
-            ny, nx = shapes[idx]
-            s_lo_x, s_hi_x = wv.level_synthesis(nx, wspec.family, wspec.extension)
-            s_lo_y, s_hi_y = wv.level_synthesis(ny, wspec.family, wspec.extension)
-            l = ad.level_matmul("idwt_level", s_lo_y, x, -2)
-            if (idx, 0) in mixed:
-                l = ad.add(l, ad.level_matmul("idwt_level", s_hi_y, mixed[(idx, 0)], -2))
-            x = ad.level_matmul("idwt_level", s_lo_x, l, -1)
-            h = None
-            if (idx, 1) in mixed:
-                h = ad.level_matmul("idwt_level", s_lo_y, mixed[(idx, 1)], -2)
-            if (idx, 2) in mixed:
-                hh_up = ad.level_matmul("idwt_level", s_hi_y, mixed[(idx, 2)], -2)
-                h = hh_up if h is None else ad.add(h, hh_up)
-            if h is not None:
-                x = ad.add(x, ad.level_matmul("idwt_level", s_hi_x, h, -1))
+        c = wv.dwt2d_multilevel(v, wspec)
+        details = [tuple(mix(f"{kind}{j}", d)
+                         for kind, d in zip(("lh", "hl", "hh"), triple))
+                   for j, triple in enumerate(c.details)]
+        x = wv.idwt2d_multilevel(
+            wv.WaveletCoeffs2d(mix("approx", c.approx), details, c.original_shapes),
+            wspec)
 
     w = ad.matmul(p[f"layer{layer}.pointwise.weight"], v, channel_axis=ca)
     w = ad.bias_add(w, p[f"layer{layer}.pointwise.bias"], channel_axis=ca)
@@ -322,25 +277,37 @@ def save_checkpoint(model: WnoModel, path):
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
 
 
+def _read(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) < size:
+        raise ChecksumMismatch(f"checkpoint truncated inside the {what}")
+    return raw
+
+
 def load_checkpoint(path) -> WnoModel:
+    """Read a checkpoint; a short read raises ChecksumMismatch and a
+    non-finite parameter DatasetIoError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatVersionMismatch(f"not a checkpoint file: magic {magic!r}")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        version, header_len = struct.unpack("<II", _read(fh, 8, "header"))
         if version > CHECKPOINT_VERSION:
             raise FormatVersionMismatch(
                 f"checkpoint format version {version} is newer than supported "
                 f"{CHECKPOINT_VERSION}")
-        config = config_from_header(json.loads(fh.read(header_len).decode()))
-        (count,) = struct.unpack("<I", fh.read(4))
+        config = config_from_header(
+            json.loads(_read(fh, header_len, "header").decode()))
+        (count,) = struct.unpack("<I", _read(fh, 4, "header"))
         params = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+            (name_len,) = struct.unpack("<H", _read(fh, 2, "parameter name"))
+            name = _read(fh, name_len, "parameter name").decode()
+            (ndim,) = struct.unpack("<B", _read(fh, 1, f"shape of {name}"))
+            shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, f"shape of {name}"))
             size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-            params[name] = data.astype(np.float64)
+            data = np.frombuffer(_read(fh, 8 * size, f"data of {name}"), dtype="<f8")
+            if not np.all(np.isfinite(data)):
+                raise DatasetIoError(f"checkpoint parameter {name} is not finite")
+            params[name] = data.reshape(shape).astype(np.float64)
     return WnoModel(config, params)

@@ -8,7 +8,8 @@ import pytest
 from dpawno import cli
 from dpawno import config as cf
 from dpawno import training as tr
-from dpawno.errors import UsageError
+from dpawno import wno
+from dpawno.errors import NonFiniteLoss, UsageError
 
 FAST_TRAIN = [
     "--set", "train.epochs=2",
@@ -178,6 +179,59 @@ class TestCliPipeline:
         out = capsys.readouterr().out
         for key in ("partial_terms", "schedule", "threshold", "amplitudes"):
             assert key in out
+
+
+class TestDamagedCheckpoint:
+    """A cut or non-finite checkpoint is an i/o error (exit 4), not a usage
+    error or a plausible-looking report."""
+
+    def reliability(self, tmp_path, model, keep=1.0):
+        path = tmp_path / "model.dpaw"
+        model.save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:int(len(raw) * keep)])
+        return cli.main(["reliability", "--preset", DESK, "--dpa", str(path),
+                         "--out", str(tmp_path / "rel"), *SMALL_DATA])
+
+    def model(self):
+        return wno.WnoModel.initialize(cf.load_config(preset=DESK).wno_config(), 0)
+
+    def test_truncated_checkpoint_exits_4(self, tmp_path, capsys):
+        assert self.reliability(tmp_path, self.model(), keep=0.5) == 4
+        assert "checkpoint truncated" in capsys.readouterr().err
+        assert not (tmp_path / "rel" / "reliability.jsonl").exists()
+
+    def test_nan_parameter_exits_4(self, tmp_path, capsys):
+        model = self.model()
+        model.params["lift.bias"][0] = np.nan
+        assert self.reliability(tmp_path, model) == 4
+        assert "lift.bias" in capsys.readouterr().err
+        assert not (tmp_path / "rel" / "reliability.jsonl").exists()
+
+
+class TestTrainLog:
+    def test_epochs_logged_before_a_failure(self, tmp_path, monkeypatch):
+        data, out = str(tmp_path / "data"), tmp_path / "dpa"
+        assert cli.main(["gen-data", "--preset", DESK, "--out", data,
+                         *SMALL_DATA]) == 0
+        cfg = cf.load_config(preset=DESK, overrides=SMALL_DATA[1::2])
+        batches = -(-cfg.n_train // cfg.train_config().batch_size)
+        steps = []
+
+        def step(opt, grads, original=tr.Adam.step):
+            steps.append(1)
+            if len(steps) == 2 * batches + 1:  # first batch of the third epoch
+                raise NonFiniteLoss("injected failure")
+            return original(opt, grads)
+
+        monkeypatch.setattr(tr.Adam, "step", step)
+        code = cli.main(["train", "--preset", DESK, "--data", data, "--out",
+                         str(out), *SMALL_DATA, "--set", "train.epochs=3",
+                         "--set", "train.schedule=pairs: 0:3"])
+        assert code == 3
+        rows = (out / "train_log.csv").read_text().splitlines()
+        assert rows[0] == "epoch,T,mean_loss,wall_ms"
+        assert [row.split(",")[:2] for row in rows[1:]] == [["0", "3"], ["1", "3"]]
 
 
 class TestUqStepping:

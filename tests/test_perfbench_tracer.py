@@ -11,7 +11,23 @@ INSTALL = """
 import sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 from tracer import Tracer
-Tracer().install()
+tracer = Tracer()
+tracer.install()
+
+# the WNO reaches level_matmul through dpawno.wavelet, which the tracer does
+# not list: a `from .autodiff import level_matmul` there would escape it
+import numpy as np
+from dpawno import wavelet as wv
+from dpawno import wno
+for dims, shape, grid in [
+        (1, (1, 1, 16), np.linspace(0, 1, 16)),
+        (2, (1, 2, 16, 16), (np.linspace(0, 1, 16), np.linspace(0, 1, 16)))]:
+    before = tracer.calls["autodiff.level_matmul"]
+    cfg = wno.WnoConfig(width=2, layers=1, wavelet=wv.WaveletSpec("db2", 2),
+                        fc1_dim=2, in_channels=shape[1] + dims,
+                        out_channels=shape[1], spatial_dims=dims)
+    wno.wno_forward(np.zeros(shape), grid, wno.WnoModel.initialize(cfg, 0))
+    assert tracer.calls["autodiff.level_matmul"] > before, dims
 """
 
 

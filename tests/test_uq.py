@@ -157,11 +157,17 @@ class TestProbeEnsemble:
 
 
 class TestMeanHellinger:
+    @staticmethod
+    def probe(trajectories):
+        return np.stack([uq.probe_trajectories(trajectories, 3, s)
+                         for s in range(1, 6)])
+
     def test_identical_trajectories_zero(self):
         t = np.random.default_rng(10).standard_normal((30, 6, 1, 8))
-        assert uq.mean_hellinger(t, t, 3, steps=5) == 0.0
+        assert uq.mean_hellinger_from_samples(self.probe(t), self.probe(t)) == 0.0
 
     def test_shifted_trajectories_positive(self):
         rng = np.random.default_rng(11)
         t = rng.standard_normal((30, 6, 1, 8))
-        assert uq.mean_hellinger(t + 2.0, t, 3, steps=5) > 0.5
+        assert uq.mean_hellinger_from_samples(self.probe(t + 2.0),
+                                              self.probe(t)) > 0.5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpawno import autodiff as ad
 from dpawno import wavelet as wv
 from dpawno.errors import InconsistentCoeffLengths, SignalTooShort
 
@@ -13,6 +14,27 @@ def transform_matrix(n, spec):
         e[i] = 1.0
         cols.append(wv.dwt_multilevel(e, spec).ravel())
     return np.column_stack(cols)
+
+
+def bands_1d(c):
+    return [c.approx] + list(c.details)
+
+
+def bands_2d(c):
+    return [c.approx] + [b for triple in c.details for b in triple]
+
+
+def adjoint_apply(x, y, spec):
+    """A^T y, as the gradient of sum <band, y_band> taken through
+    dwt_multilevel on a tape."""
+    tape = ad.Tape()
+    leaf = tape.leaf(x)
+    pairing = None
+    for band, y_band in zip(bands_1d(wv.dwt_multilevel(leaf, spec)), bands_1d(y)):
+        term = ad.total_sum(ad.mul(band, y_band))
+        pairing = term if pairing is None else ad.add(pairing, term)
+    ad.backward(tape, pairing)
+    return ad.grad_of(tape, leaf)
 
 
 class TestFilters:
@@ -159,7 +181,7 @@ class TestInvariants:
                                  [rng.standard_normal(d.shape) for d in c.details],
                                  c.original_lengths)
             lhs = float(np.dot(c.ravel(), y.ravel()))
-            rhs = float(np.dot(x, wv.dwt_multilevel_adjoint(y, spec)))
+            rhs = float(np.dot(x, adjoint_apply(x, y, spec)))
             assert abs(lhs - rhs) < 1e-10
 
     def test_adjoint_equals_inverse_when_periodic(self):
@@ -167,8 +189,80 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(64)
         c = wv.dwt_multilevel(x, spec)
-        assert np.max(np.abs(wv.dwt_multilevel_adjoint(c, spec)
+        assert np.max(np.abs(adjoint_apply(x, c, spec)
                              - wv.idwt_multilevel(c, spec))) < 1e-12
+
+
+class TestTapeTensors:
+    """The transforms the WNO records on the tape: Tensor inputs and None
+    (zero) detail bands."""
+
+    @pytest.mark.parametrize("dwt,idwt,bands,shape,spec", [
+        (wv.dwt_multilevel, wv.idwt_multilevel, bands_1d, (3, 2, 64),
+         wv.WaveletSpec("db6", 3, "periodic")),
+        (wv.dwt_multilevel, wv.idwt_multilevel, bands_1d, (2, 40),
+         wv.WaveletSpec("db4", 2, "symmetric")),
+        (wv.dwt2d_multilevel, wv.idwt2d_multilevel, bands_2d, (2, 3, 32, 16),
+         wv.WaveletSpec("db6", 2, "periodic")),
+        (wv.dwt2d_multilevel, wv.idwt2d_multilevel, bands_2d, (2, 24, 40),
+         wv.WaveletSpec("db4", 2, "symmetric")),
+    ])
+    def test_tensor_path_matches_ndarray_path(self, dwt, idwt, bands, shape, spec):
+        x = np.random.default_rng(20).standard_normal(shape)
+        tape = ad.Tape()
+        leaf = tape.leaf(x)
+        taped, plain = dwt(leaf, spec), dwt(x, spec)
+        for t_band, p_band in zip(bands(taped), bands(plain)):
+            assert isinstance(t_band, ad.Tensor)
+            assert np.array_equal(t_band.data, p_band)
+        back = idwt(taped, spec)
+        assert np.array_equal(back.data, idwt(plain, spec))
+        # idwt(dwt(x)) = x, so its VJP returns the cotangent unchanged
+        w = np.random.default_rng(23).standard_normal(shape)
+        ad.backward(tape, ad.total_sum(ad.mul(back, w)))
+        assert np.max(np.abs(ad.grad_of(tape, leaf) - w)) < 1e-12
+
+    @pytest.mark.parametrize("extension", wv.EXTENSIONS)
+    def test_none_detail_band_is_a_zero_band_1d(self, extension):
+        spec = wv.WaveletSpec("db4", 3, extension)
+        c = wv.dwt_multilevel(np.random.default_rng(21).standard_normal((2, 64)), spec)
+
+        def inverse(coarsest):
+            return wv.idwt_multilevel(wv.WaveletCoeffs(
+                c.approx, [coarsest] + c.details[1:], c.original_lengths), spec)
+
+        assert np.array_equal(inverse(None), inverse(np.zeros_like(c.details[0])))
+
+    @pytest.mark.parametrize("extension", wv.EXTENSIONS)
+    def test_none_detail_band_is_a_zero_band_2d(self, extension):
+        spec = wv.WaveletSpec("db4", 2, extension)
+        c = wv.dwt2d_multilevel(
+            np.random.default_rng(22).standard_normal((2, 32, 24)), spec)
+        lh, hl, hh = c.details[-1]
+
+        def inverse(finest):
+            return wv.idwt2d_multilevel(wv.WaveletCoeffs2d(
+                c.approx, c.details[:-1] + [finest], c.original_shapes), spec)
+
+        assert np.array_equal(inverse((None, hl, None)),
+                              inverse((np.zeros_like(lh), hl, np.zeros_like(hh))))
+
+    def test_wrong_length_tensor_band_raises(self):
+        spec = wv.WaveletSpec("db6", 2, "periodic")
+        tape = ad.Tape()
+        c = wv.dwt_multilevel(tape.leaf(np.ones(32)), spec)
+        short = ad.slice_axis(c.details[0], -1, 0, 7)
+        with pytest.raises(InconsistentCoeffLengths):
+            wv.idwt_multilevel(
+                wv.WaveletCoeffs(c.approx, [short] + c.details[1:],
+                                 c.original_lengths), spec)
+        c2 = wv.dwt2d_multilevel(tape.leaf(np.ones((16, 16))), spec)
+        lh, hl, hh = c2.details[0]
+        with pytest.raises(InconsistentCoeffLengths):
+            wv.idwt2d_multilevel(
+                wv.WaveletCoeffs2d(c2.approx,
+                                   [(lh, ad.slice_axis(hl, -2, 0, 3), hh)]
+                                   + c2.details[1:], c2.original_shapes), spec)
 
 
 class TestSymmetricExtension:

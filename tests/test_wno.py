@@ -1,10 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from dpawno import autodiff as ad
 from dpawno import wavelet as wv
 from dpawno import wno
-from dpawno.errors import FormatVersionMismatch, ShapeMismatch
+from dpawno.errors import (
+    ChecksumMismatch,
+    DatasetIoError,
+    FormatVersionMismatch,
+    ShapeMismatch,
+)
 
 
 def small_config(**kw):
@@ -253,6 +260,27 @@ class TestCheckpoint:
         path = tmp_path / "bogus.dpaw"
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(FormatVersionMismatch):
+            wno.WnoModel.load(path)
+
+    @pytest.mark.parametrize("where", ["version", "config", "name", "data"])
+    def test_truncated_rejected(self, tmp_path, where):
+        path = tmp_path / "model.dpaw"
+        randomized(small_config(), 22).save(path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        first_name = 12 + header_len + 4 + 2  # after the count and name length
+        cut = {"version": 6, "config": 12 + header_len // 2,
+               "name": first_name + 3, "data": len(raw) - 4}[where]
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ChecksumMismatch, match="checkpoint truncated"):
+            wno.WnoModel.load(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        m = randomized(small_config(), 23)
+        m.params["lift.bias"][0] = np.nan
+        path = tmp_path / "model.dpaw"
+        m.save(path)
+        with pytest.raises(DatasetIoError, match="lift.bias"):
             wno.WnoModel.load(path)
 
     def test_wrong_shape_rejected(self):
