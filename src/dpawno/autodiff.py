@@ -9,6 +9,8 @@ Shapes are explicit (rank 1-4, optional leading batch axis); there is no
 general broadcasting.  Python floats are accepted as scalar operands.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import (
@@ -22,26 +24,59 @@ from .errors import (
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
+_GELU_3A = 3.0 * _GELU_A
 
 
 # ---------------------------------------------------------------------------
 # kernels (shared by taped and untaped evaluation)
+#
+# Each kernel evaluates its formula in a fixed order and hands BLAS fixed
+# operands; byte-identical primary outputs across versions depend on both.
+
+def _gelu_tanh(x):
+    """tanh(C (x + A x^3)) in one fresh buffer, evaluated in the order of
+    that expression: ((A x) x) x, then + x, then * C."""
+    t = np.multiply(_GELU_A, x, out=np.empty_like(x, dtype=np.float64))
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
 
 def k_gelu(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    return 0.5 * x * (1.0 + t)
+    # 0.5 x (1 + t), as (0.5 x) * (1 + t)
+    t = _gelu_tanh(x)
+    t += 1.0
+    out = np.multiply(0.5, x, out=np.empty_like(t))
+    out *= t
+    return out
+
+
+@lru_cache(maxsize=None)
+def _axis_orders(ndim, axis):
+    """(order, inverse): the transpose that moves `axis` to the end, keeping
+    the other axes in order, and the one that moves it back."""
+    axis %= ndim
+    order = tuple(i for i in range(ndim) if i != axis) + (axis,)
+    inverse = tuple(order.index(i) for i in range(ndim))
+    return order, inverse
+
+
+def k_axis_matmul(mat, v, axis):
+    """mat applied along `axis` of v, as v @ mat.T on the view with `axis`
+    moved last.  Only those operand roles and views keep results bitwise
+    stable; `mat @ v` forms round differently."""
+    if axis == -1 or axis == v.ndim - 1:
+        return v @ mat.T
+    order, inverse = _axis_orders(v.ndim, axis)
+    return (v.transpose(order) @ mat.T).transpose(inverse)
 
 
 def k_channel_matmul(w, v, axis):
     if v.ndim == 1:
         return w @ v
-    vm = np.moveaxis(v, axis, -1)
-    return np.moveaxis(vm @ w.T, -1, axis)
-
-
-def k_axis_matmul(mat, v, axis):
-    vm = np.moveaxis(v, axis, -1)
-    return np.moveaxis(vm @ mat.T, -1, axis)
+    return k_axis_matmul(w, v, axis)
 
 
 def k_circ_stencil(v, taps, axis):
@@ -135,7 +170,7 @@ class Tape:
 
 
 def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValue(f"non-finite value produced by {op!r}")
 
 
@@ -346,11 +381,10 @@ def _vjp_matmul(tape, node, g):
     axis = node.ctx["axis"]
     if x.ndim == 1:
         return np.outer(g, x), w.T @ g
-    gm = np.moveaxis(g, axis, -1)
-    xm = np.moveaxis(x, axis, -1)
+    order, inverse = _axis_orders(x.ndim, axis)
+    gm, xm = g.transpose(order), x.transpose(order)
     gw = gm.reshape(-1, w.shape[0]).T @ xm.reshape(-1, w.shape[1])
-    gx = np.moveaxis(gm @ w, -1, axis)
-    return gw, gx
+    return gw, (gm @ w).transpose(inverse)
 
 
 def _vjp_bias_add(tape, node, g):
@@ -360,10 +394,24 @@ def _vjp_bias_add(tape, node, g):
 
 
 def _vjp_gelu(tape, node, g):
+    # g * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2)), evaluated left to
+    # right in three fresh buffers; g and x are tape values and stay untouched
     x = _input_value(tape, node, 0)
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return (g * dx,)
+    t = _gelu_tanh(x)
+    s = np.multiply(t, t, out=np.empty_like(t))
+    np.subtract(1.0, s, out=s)
+    dx = np.multiply(0.5, x, out=np.empty_like(t))
+    dx *= s
+    dx *= _GELU_C
+    np.multiply(_GELU_3A, x, out=s)
+    s *= x
+    s += 1.0
+    dx *= s
+    t += 1.0
+    t *= 0.5
+    t += dx
+    t *= g
+    return (t,)
 
 
 def _vjp_square(tape, node, g):

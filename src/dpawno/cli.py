@@ -9,6 +9,7 @@ times and timestamps live only in sidecar files (*.meta.json, train_log.csv).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -56,6 +57,12 @@ configuration keys (INI sections):
   [reliability] n, diverged_as_failure
 Override any key with --set SECTION.KEY=VALUE (repeatable).
 """
+
+
+# one column per training.EpochLog field, in order
+TRAIN_LOG_COLUMNS = ("epoch", "T", "mean_loss", "wall_ms", "forward_ms",
+                     "backward_ms", "optimizer_ms", "grad_norm_max",
+                     "clipped_batches", "tape_nodes")
 
 
 def _fmt(x) -> str:
@@ -150,11 +157,12 @@ def cmd_train(args) -> int:
     # wall_ms makes the log a sidecar, not a primary output; one row is
     # flushed per epoch so a failed or killed run keeps its history
     with open(os.path.join(out, "train_log.csv"), "w") as log:
-        log.write(_csv_line(["epoch", "T", "mean_loss", "wall_ms"]))
+        log.write(_csv_line(TRAIN_LOG_COLUMNS))
         log.flush()
 
-        def log_sink(epoch, t_steps, mean_loss, wall_ms):
-            log.write(_csv_line((str(epoch), str(t_steps), mean_loss, wall_ms)))
+        def log_sink(row):
+            cells = dataclasses.astuple(row)
+            log.write(_csv_line([str(v) if isinstance(v, int) else v for v in cells]))
             log.flush()
 
         report = tr.train(model, dataset, spec, tcfg, log_sink=log_sink,

@@ -4,6 +4,7 @@ trajectories, and the dataset file format."""
 import hashlib
 import json
 import struct
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,6 +186,26 @@ class Dataset:
                 and np.array_equal(self.trajectories, other.trajectories))
 
 
+def _check_advective_cfl(spec: ph.PdeSpec, ics):
+    """Warn when the initial speeds give a Courant number above 1:
+    max|u| dt/dx, plus max|u2| dt/dy for the 2D velocity (u1, u2)."""
+    if "advection" not in spec.terms:
+        return
+    speeds = np.abs(ics)
+    if spec.is_2d:
+        number = (float(np.max(speeds[:, 0])) * spec.dt / spec.dx
+                  + float(np.max(speeds[:, 1])) * spec.dt / spec.dy)
+    else:
+        number = float(np.max(speeds)) * spec.dt / spec.dx
+    if number > 1.0:
+        warnings.warn(
+            f"advective CFL number {number:.3f} > 1 for {spec.benchmark} at the "
+            f"initial conditions; the run may be unstable",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def generate(spec: ph.PdeSpec, families, n: int, nt: int, seed: int,
              purpose: str = "data", substeps: int = 1) -> Dataset:
     """Solve the complete physics for every sampled IC, storing all steps."""
@@ -201,6 +222,7 @@ def generate(spec: ph.PdeSpec, families, n: int, nt: int, seed: int,
     # substeps > 1 is the fine-reference mode: integrate at dt/substeps and
     # store every substeps-th state
     step_spec = spec if substeps == 1 else replace(spec, dt=spec.dt / substeps)
+    _check_advective_cfl(step_spec, ics)
 
     def step(u):
         for _ in range(substeps):

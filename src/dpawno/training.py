@@ -64,6 +64,22 @@ class TrainConfig:
 
 
 @dataclass
+class EpochLog:
+    """Telemetry of one epoch (one train_log.csv row); times are summed over
+    the epoch's batches."""
+    epoch: int
+    t_steps: int
+    mean_loss: float
+    wall_ms: float
+    forward_ms: float  # taped rollout loss
+    backward_ms: float  # reverse sweep
+    optimizer_ms: float  # gradient read-out, clipping and the Adam update
+    grad_norm_max: float  # largest global gradient norm before clipping
+    clipped_batches: int
+    tape_nodes: int  # largest tape of the epoch
+
+
+@dataclass
 class TrainReport:
     losses: list
     schedule_trace: list  # (epoch, T) actually used
@@ -94,12 +110,14 @@ class Adam:
             self.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def clip_gradients(grads: dict, max_norm: float) -> dict:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
-        return grads
+def clip_gradients(grads: dict, max_norm) -> tuple:
+    """(grads scaled to a global norm of at most `max_norm`, the global norm
+    before clipping); max_norm None leaves the gradients as they are."""
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if max_norm is None or total <= max_norm or total == 0.0:
+        return grads, total
     scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}
+    return {k: g * scale for k, g in grads.items()}, total
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +167,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
     """Algorithm: per epoch, shuffle; per batch, unroll T steps from the
     schedule, backpropagate through the whole rollout, Adam-update.
 
-    `log_sink`: optional callable(epoch, T, mean_loss, wall_ms).
+    `log_sink`: optional callable(EpochLog), called after every epoch.
     `checkpoint_fn`: optional callable(epoch, model) honoring checkpoint_every.
     """
     if dataset.spec.benchmark != partial_spec.benchmark:
@@ -168,32 +186,48 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
                 f"schedule wants T={t_steps} but dataset stores {dataset.n_steps} steps")
         order = shuffle_rng.permutation(n)
         epoch_losses = []
+        forward_s = backward_s = optimizer_s = 0.0
+        norm_max = 0.0
+        clipped = 0
+        tape_nodes = 0
         epoch_t0 = time.perf_counter()
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = dataset.trajectories[idx]
             tape = ad.Tape()
             staged = {name: tape.leaf(value) for name, value in model.params.items()}
+            t_forward = time.perf_counter()
             try:
                 loss = rollout_loss(model, partial_spec, batch[:, 0], batch,
                                     t_steps, params=staged, grid=grid)
                 loss_val = float(loss.data)
+                t_backward = time.perf_counter()
                 ad.backward(tape, loss, retain_all=False)
             except (NonFiniteValue, NonFiniteState) as exc:
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch {start // cfg.batch_size}, "
                     f"T={t_steps}: {exc}") from exc
+            t_optimizer = time.perf_counter()
             grads = {name: ad.grad_of(tape, leaf) for name, leaf in staged.items()}
-            if cfg.grad_clip_norm is not None:
-                grads = clip_gradients(grads, cfg.grad_clip_norm)
+            grads, norm = clip_gradients(grads, cfg.grad_clip_norm)
             opt.step(grads)
+            t_done = time.perf_counter()
+            forward_s += t_backward - t_forward
+            backward_s += t_optimizer - t_backward
+            optimizer_s += t_done - t_optimizer
+            norm_max = max(norm_max, norm)
+            if cfg.grad_clip_norm is not None and norm > cfg.grad_clip_norm:
+                clipped += 1
+            tape_nodes = max(tape_nodes, len(tape.nodes))
             epoch_losses.append(loss_val)
         mean_loss = float(np.mean(epoch_losses))
         losses.append(mean_loss)
         trace.append((epoch, t_steps))
         if log_sink is not None:
-            log_sink(epoch, t_steps, mean_loss,
-                     (time.perf_counter() - epoch_t0) * 1e3)
+            wall_ms = (time.perf_counter() - epoch_t0) * 1e3
+            log_sink(EpochLog(epoch, t_steps, mean_loss, wall_ms,
+                              forward_s * 1e3, backward_s * 1e3,
+                              optimizer_s * 1e3, norm_max, clipped, tape_nodes))
         if checkpoint_fn is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
             checkpoint_fn(epoch, model)

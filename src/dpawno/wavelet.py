@@ -182,10 +182,6 @@ class WaveletCoeffs:
         self.details = list(details)
         self.original_lengths = tuple(original_lengths)
 
-    def ravel(self) -> np.ndarray:
-        parts = [self.approx] + self.details
-        return np.concatenate([np.ravel(p) for p in parts])
-
 
 class WaveletCoeffs2d:
     """Multilevel separable 2D coefficients.  Each detail entry is a
@@ -196,12 +192,6 @@ class WaveletCoeffs2d:
         self.approx = approx
         self.details = list(details)
         self.original_shapes = tuple(original_shapes)
-
-    def ravel(self) -> np.ndarray:
-        parts = [np.ravel(self.approx)]
-        for lh, hl, hh in self.details:
-            parts += [np.ravel(lh), np.ravel(hl), np.ravel(hh)]
-        return np.concatenate(parts)
 
 
 def _accumulate(x, mat, band, axis):

@@ -230,3 +230,144 @@ class TestInvariants:
         plain = pipeline(x0)
         taped = pipeline(ad.Tape().leaf(x0))
         assert np.array_equal(plain, taped.data)
+
+
+def moveaxis_matmul(mat, v, axis):
+    """The reference formulation of the dense axis kernels."""
+    return np.moveaxis(np.moveaxis(v, axis, -1) @ mat.T, -1, axis)
+
+
+def gelu_reference(x):
+    t = np.tanh(0.7978845608028654 * (x + 0.044715 * x * x * x))
+    return 0.5 * x * (1.0 + t)
+
+
+def gelu_vjp_reference(x, g):
+    c, a = 0.7978845608028654, 0.044715
+    t = np.tanh(c * (x + a * x * x * x))
+    dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x * x)
+    return g * dx
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def axis_cases():
+    """(v, axis) for every rank 1-4 and axis, on contiguous inputs and on
+    transposed views of the same shape."""
+    sizes = (3, 5, 4, 6)
+    for ndim in range(1, 5):
+        shape = sizes[:ndim]
+        for axis in list(range(ndim)) + [-1]:
+            yield RNG.standard_normal(shape), axis
+            yield RNG.standard_normal(shape[::-1]).transpose(), axis
+
+
+def gelu_inputs():
+    """|x| <= 30, through tanh saturation, signed zeros and subnormals,
+    contiguous and as a transposed view."""
+    edge = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-160, 30.0, -30.0])
+    line = np.concatenate([np.linspace(-30.0, 30.0, 2401), edge])
+    grid = RNG.uniform(-30.0, 30.0, size=(5, 3, 8))
+    return [line, grid, grid.transpose(2, 0, 1), RNG.standard_normal((4, 9)).T * 4.0]
+
+
+class TestKernelEquivalence:
+    """The dense kernels equal their reference formulations bit for bit and
+    return the same memory layout, so every downstream BLAS call sees the
+    same operands."""
+
+    @pytest.mark.parametrize("kernel", [ad.k_axis_matmul, ad.k_channel_matmul])
+    def test_axis_kernels_match_moveaxis(self, kernel):
+        count = 0
+        for v, axis in axis_cases():
+            mat = RNG.standard_normal((7, v.shape[axis]))
+            out = kernel(mat, v, axis)
+            ref = mat @ v if v.ndim == 1 else moveaxis_matmul(mat, v, axis)
+            assert bitwise_equal(out, ref), (v.shape, v.strides, axis)
+            assert out.strides == ref.strides, (v.shape, v.strides, axis)
+            count += 1
+        assert count == 2 * (2 + 3 + 4 + 5)
+
+    def test_matmul_vjp_matches_moveaxis(self):
+        for v, axis in axis_cases():
+            if v.ndim == 1:
+                continue
+            w = RNG.standard_normal((7, v.shape[axis]))
+            tape = ad.Tape()
+            out = ad.matmul(tape.leaf(w), tape.leaf(v), channel_axis=axis)
+            g = RNG.standard_normal(out.shape)
+            gw, gx = ad._vjp_matmul(tape, tape.nodes[out.node_id], g)
+            gm, xm = np.moveaxis(g, axis, -1), np.moveaxis(v, axis, -1)
+            ref_gw = gm.reshape(-1, w.shape[0]).T @ xm.reshape(-1, w.shape[1])
+            ref_gx = np.moveaxis(gm @ w, -1, axis)
+            assert bitwise_equal(gw, ref_gw), (v.shape, axis)
+            assert bitwise_equal(gx, ref_gx) and gx.strides == ref_gx.strides
+
+    def test_level_matmul_vjp_matches_moveaxis(self):
+        for v, axis in axis_cases():
+            mat = RNG.standard_normal((7, v.shape[axis]))
+            tape = ad.Tape()
+            out = ad.level_matmul("dwt_level", mat, tape.leaf(v), axis)
+            g = RNG.standard_normal(out.shape)
+            (gx,) = ad._vjp_level_matmul(tape, tape.nodes[out.node_id], g)
+            ref = moveaxis_matmul(mat.T, g, axis)
+            assert bitwise_equal(gx, ref) and gx.strides == ref.strides
+
+    def test_gelu_matches_reference(self):
+        for x in gelu_inputs():
+            assert bitwise_equal(ad.k_gelu(x), gelu_reference(x))
+            assert bitwise_equal(ad.gelu(x), gelu_reference(x))
+
+    def test_gelu_vjp_matches_reference(self):
+        for x in gelu_inputs():
+            for g in (RNG.standard_normal(x.shape),
+                      RNG.standard_normal(x.shape[::-1]).T):
+                tape = ad.Tape()
+                out = ad.gelu(tape.leaf(x))
+                (dx,) = ad._vjp_gelu(tape, tape.nodes[out.node_id], g)
+                assert bitwise_equal(dx, gelu_vjp_reference(x, g))
+
+    def test_gelu_leaves_inputs_untouched(self):
+        for x in gelu_inputs():
+            x_before = x.copy()
+            ad.k_gelu(x)
+            tape = ad.Tape()
+            leaf = tape.leaf(x)
+            out = ad.gelu(leaf)
+            g = RNG.standard_normal(x.shape)
+            g_before = g.copy()
+            ad._vjp_gelu(tape, tape.nodes[out.node_id], g)
+            assert bitwise_equal(x, x_before)
+            assert bitwise_equal(leaf.data, x_before)
+            assert bitwise_equal(g, g_before)
+
+    def test_matmul_leaves_inputs_untouched(self):
+        for v, axis in axis_cases():
+            if v.ndim == 1:
+                continue
+            w = RNG.standard_normal((7, v.shape[axis]))
+            v_before, w_before = v.copy(), w.copy()
+            tape = ad.Tape()
+            out = ad.matmul(tape.leaf(w), tape.leaf(v), channel_axis=axis)
+            g = RNG.standard_normal(out.shape)
+            g_before = g.copy()
+            ad._vjp_matmul(tape, tape.nodes[out.node_id], g)
+            assert bitwise_equal(v, v_before) and bitwise_equal(w, w_before)
+            assert bitwise_equal(g, g_before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gelu_input_raises(self, bad):
+        x = np.array([[0.5, -1.0], [bad, 2.0]])
+        with pytest.raises(NonFiniteValue, match="'gelu'"):
+            ad.record(ad.Tape(), "gelu", x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_matmul_input_raises(self, bad):
+        x = RNG.standard_normal((2, 3, 8))
+        x[1, 2, 5] = bad
+        tape = ad.Tape()
+        w = tape.leaf(RNG.standard_normal((4, 3)))
+        with pytest.raises(NonFiniteValue, match="'matmul'"):
+            ad.matmul(w, x, channel_axis=1)

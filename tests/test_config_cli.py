@@ -5,8 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dpawno import autodiff as ad
 from dpawno import cli
 from dpawno import config as cf
+from dpawno import datagen as dg
 from dpawno import training as tr
 from dpawno import wno
 from dpawno.errors import NonFiniteLoss, UsageError
@@ -230,8 +232,54 @@ class TestTrainLog:
                          "--set", "train.schedule=pairs: 0:3"])
         assert code == 3
         rows = (out / "train_log.csv").read_text().splitlines()
-        assert rows[0] == "epoch,T,mean_loss,wall_ms"
+        assert rows[0] == ("epoch,T,mean_loss,wall_ms,forward_ms,backward_ms,"
+                           "optimizer_ms,grad_norm_max,clipped_batches,tape_nodes")
         assert [row.split(",")[:2] for row in rows[1:]] == [["0", "3"], ["1", "3"]]
+
+    def train_log(self, tmp_path, name, grad_clip):
+        data, out = tmp_path / "data", tmp_path / name
+        if not data.exists():
+            assert cli.main(["gen-data", "--preset", DESK, "--out", str(data),
+                             *SMALL_DATA]) == 0
+        assert cli.main(["train", "--preset", DESK, "--data", str(data), "--out",
+                         str(out), *SMALL_DATA, "--set", "train.epochs=3",
+                         "--set", "train.schedule=pairs: 0:2 2:4",
+                         "--set", f"train.grad_clip={grad_clip}"]) == 0
+        lines = (out / "train_log.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+    def test_phase_columns_plausible(self, tmp_path):
+        cfg = cf.load_config(preset=DESK, overrides=SMALL_DATA[1::2])
+        batches = -(-cfg.n_train // cfg.train_config().batch_size)
+        clipped = self.train_log(tmp_path, "clipped", 1e-9)
+        free = self.train_log(tmp_path, "free", 0)
+        ds = dg.load(str(tmp_path / "data" / "train.dpds"))
+        for rows in (clipped, free):
+            assert [(r["epoch"], r["T"]) for r in rows] == [
+                ("0", "2"), ("1", "2"), ("2", "4")]
+            for r in rows:
+                phases = [float(r[k]) for k in ("forward_ms", "backward_ms",
+                                                "optimizer_ms")]
+                assert all(ms > 0.0 for ms in phases)
+                assert sum(phases) <= float(r["wall_ms"])
+                assert 0.0 < float(r["grad_norm_max"]) < np.inf
+                assert int(r["tape_nodes"]) == tape_nodes(cfg, ds, int(r["T"]))
+        # the norm is read before clipping, which would cap it at 1e-9
+        assert all(float(r["grad_norm_max"]) > 1e-6 for r in clipped)
+        assert [int(r["clipped_batches"]) for r in clipped] == [batches] * 3
+        assert [int(r["clipped_batches"]) for r in free] == [0] * 3
+
+
+def tape_nodes(cfg, ds, t_steps):
+    """Nodes on the tape of one training batch at unroll length T."""
+    model = wno.WnoModel.initialize(cfg.wno_config(), cfg.seed)
+    tape = ad.Tape()
+    staged = {name: tape.leaf(value) for name, value in model.params.items()}
+    batch = ds.trajectories[:cfg.train_config().batch_size]
+    tr.rollout_loss(model, cfg.partial_spec(), batch[:, 0], batch, t_steps,
+                    params=staged)
+    return len(tape.nodes)
 
 
 class TestUqStepping:

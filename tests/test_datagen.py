@@ -130,6 +130,32 @@ class TestGenerate:
         with pytest.raises(NonFiniteState, match="sample"):
             dg.generate(spec, fams, 4, 50, seed=0)
 
+    def test_advective_cfl_warning(self):
+        # max|u0| dt/dx = 8 * 0.004 / (2/63) = 1.008
+        spec = burgers_spec(nx=64, dt=0.004)
+        fams = [dg.IcFamily("sine", 1, amplitudes=(8.0,), frequencies=(1,))]
+        ics = dg.sample_families(fams, spec, seed=0)
+        assert np.max(np.abs(ics)) * spec.dt / spec.dx > 1.0
+        with pytest.warns(RuntimeWarning, match="advective CFL number 1.00"):
+            dg.generate(spec, fams, 1, 0, seed=0)
+
+    def test_no_advective_cfl_warning_below_one(self, recwarn):
+        spec = burgers_spec(nx=64, dt=0.0035)  # Courant number 0.882
+        fams = [dg.IcFamily("sine", 1, amplitudes=(8.0,), frequencies=(1,))]
+        dg.generate(spec, fams, 1, 0, seed=0)
+        assert not [w for w in recwarn if "CFL" in str(w.message)]
+
+    def test_advective_cfl_counts_both_2d_directions(self):
+        # each direction alone is below 1, their sum is not
+        spec = ph.PdeSpec("burgers2d", {"nu": 0.1 / np.pi},
+                          ("advection", "diffusion_x", "diffusion_y"),
+                          "dirichlet", 1.0, (0.0, 2.0), nx=16, dt=0.07)
+        fams = [dg.IcFamily("square2d", 1, amplitudes=(1.0,))]
+        ics = dg.sample_families(fams, spec, seed=0)
+        assert np.max(np.abs(ics)) * spec.dt / spec.dx < 1.0
+        with pytest.warns(RuntimeWarning, match="advective CFL"):
+            dg.generate(spec, fams, 1, 0, seed=0)
+
     def test_stored_states_satisfy_euler_recurrence(self):
         spec = burgers_spec(nx=64)
         ds = dg.generate(spec, [dg.IcFamily("sine", 4, amplitudes=(1., 2., 3., 4.),

@@ -71,10 +71,14 @@ class TestAdam:
 
     def test_clip_gradients(self):
         grads = {"a": np.array([3.0, 4.0])}  # norm 5
-        clipped = tr.clip_gradients(grads, 1.0)
+        clipped, norm = tr.clip_gradients(grads, 1.0)
         assert np.allclose(np.linalg.norm(clipped["a"]), 1.0)
-        untouched = tr.clip_gradients(grads, 10.0)
+        assert norm == 5.0
+        untouched, norm = tr.clip_gradients(grads, 10.0)
         assert np.array_equal(untouched["a"], grads["a"])
+        assert norm == 5.0
+        unclipped, norm = tr.clip_gradients(grads, None)
+        assert unclipped is grads and norm == 5.0
 
 
 class TestRollout:
