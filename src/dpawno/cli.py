@@ -300,21 +300,35 @@ def cmd_uq(args) -> int:
 
 
 def cmd_reliability(args) -> int:
+    # validate the sample count and load every checkpoint before the costly
+    # GRF factorization, so a bad setting or checkpoint fails fast
     cfg = _load_cfg(args)
+    n = cfg.reliability_n
     out = _ensure_outdir(args.out)
     grf = cfg.grf_spec()
     ls = cfg.limit_state()
-    n = cfg.reliability_n
     full = cfg.full_spec()
     candidates = {"exact": tr.PhysicsSurrogate(full)}
     if args.dpa:
         candidates["dpa-wno"] = tr.AugmentedSurrogate(
             cfg.partial_spec(), wno_mod.WnoModel.load(args.dpa))
+    t0 = time.perf_counter()
+    ics = rel.grf_initial_conditions(grf, full, n, cfg.seed)
+    meta = {"config": cfg.name, "n": n, "horizon": ls.horizon,
+            "grf_s": time.perf_counter() - t0, "models": {}}
     lines = []
     for name in sorted(candidates):
+        t0 = time.perf_counter()
         report = rel.estimate_reliability(
-            candidates[name], grf, ls, n, cfg.seed, full,
+            candidates[name], ics, ls, cfg.seed,
             diverged_as_failure=cfg.diverged_as_failure)
+        meta["models"][name] = {
+            "rollout_s": time.perf_counter() - t0,
+            "failures": report.failures,
+            "diverged": report.diverged,
+            "diverged_at": report.diverged_at,
+            "p_f_wilson95": report.p_f_interval,
+        }
         lines.append(report.to_json(
             model=name, kernel=grf.kernel, alpha=grf.alpha,
             length_scale=grf.length_scale, periodicity=grf.periodicity,
@@ -323,6 +337,7 @@ def cmd_reliability(args) -> int:
               f"({report.failures}/{n} failures, {report.diverged} diverged)")
     with open(os.path.join(out, "reliability.jsonl"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    _write_sidecar(os.path.join(out, "reliability.meta.json"), meta)
     return 0
 
 

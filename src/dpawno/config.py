@@ -226,7 +226,10 @@ class ExperimentConfig:
 
     @property
     def reliability_n(self) -> int:
-        return self._get("reliability", "n", int, 1000)
+        n = self._get("reliability", "n", int, 1000)
+        if n < 1:
+            raise UsageError(f"[reliability] n must be >= 1, got {n}")
+        return n
 
     @property
     def diverged_as_failure(self) -> bool:

@@ -10,7 +10,7 @@ provided implementations.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,30 +44,50 @@ class GrfSpec:
 
 
 def grf_covariance(spec: GrfSpec, points) -> np.ndarray:
-    """Dense covariance matrix with the diagonal jitter already added."""
+    """Dense covariance matrix with the diagonal jitter already added.
+
+    Built in one n x n buffer: the squared separations are summed per
+    coordinate and the kernel is applied in place, in the order of the
+    closed forms above, so the values equal the broadcast expressions bit
+    for bit while the peak memory stays at one matrix.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.size == 0:
         raise ValueError("empty grid")
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    n = len(pts)
+    k = np.subtract.outer(pts[:, 0], pts[:, 0])
+    np.square(k, out=k)
+    for x in pts.T[1:]:
+        sep = np.subtract.outer(x, x)
+        np.square(sep, out=sep)
+        k += sep
+    np.sqrt(k, out=k)  # the distance ||x - x'||
     if spec.kernel == "exp_sine_squared":
-        k = spec.alpha * np.exp(
-            -(2.0 / spec.length_scale ** 2)
-            * np.sin(np.pi * dist / spec.periodicity) ** 2)
+        k *= np.pi
+        k /= spec.periodicity
+        np.sin(k, out=k)
+        np.square(k, out=k)
+        k *= -(2.0 / spec.length_scale ** 2)
     else:
-        k = spec.alpha * np.exp(-(dist ** 2) / (2.0 * spec.length_scale ** 2))
-    return k + spec.jitter * np.eye(len(pts))
+        np.square(k, out=k)
+        np.negative(k, out=k)
+        k /= 2.0 * spec.length_scale ** 2
+    np.exp(k, out=k)
+    k *= spec.alpha
+    k.flat[::n + 1] += spec.jitter
+    return k
 
 
 def _cholesky(spec: GrfSpec, points) -> np.ndarray:
-    base = grf_covariance(GrfSpec(spec.kernel, spec.alpha, spec.length_scale,
-                                  spec.periodicity, jitter=0.0), points)
+    base = grf_covariance(replace(spec, jitter=0.0), points)
     jitter = spec.jitter
-    eye = np.eye(base.shape[0])
     while jitter <= _MAX_JITTER:
+        trial = base.copy()
+        trial.flat[::len(trial) + 1] += jitter
         try:
-            return np.linalg.cholesky(base + jitter * eye)
+            return np.linalg.cholesky(trial)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NotPositiveDefinite(
@@ -110,6 +130,26 @@ def evaluate_margin(trajectory, ls: LimitState) -> float:
     return float(np.min(ls.threshold - np.max(response, axis=1)))
 
 
+# two-sided 95% standard normal quantile
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(failures: int, n: int):
+    """95% Wilson (1927) score interval for a binomial proportion; unlike
+    the normal-approximation stderr it stays wide at 0/n and n/n.  None
+    when n is 0."""
+    if n < 1:
+        return None
+    p = failures / n
+    z2n = _Z95 * _Z95 / n
+    center = (p + z2n / 2.0) / (1.0 + z2n)
+    half = _Z95 / (1.0 + z2n) * np.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n))
+    # the bounds are exactly 0 at 0/n and 1 at n/n; rounding would miss them
+    lo = 0.0 if failures == 0 else max(0.0, float(center - half))
+    hi = 1.0 if failures == n else min(1.0, float(center + half))
+    return lo, hi
+
+
 @dataclass
 class ReliabilityReport:
     n_samples: int
@@ -120,6 +160,10 @@ class ReliabilityReport:
     stderr: float
     seed: int
     margins: np.ndarray = None
+    # sidecar-only fields (not in to_json): the 95% Wilson interval of p_f
+    # and the step at which each diverged sample diverged, as (index, step)
+    p_f_interval: tuple = None
+    diverged_at: list = None
 
     def to_json(self, **extra) -> str:
         doc = {
@@ -135,19 +179,21 @@ class ReliabilityReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def estimate_reliability(surrogate, grf_spec: GrfSpec, ls: LimitState,
-                         n: int, seed: int, spec,
+def estimate_reliability(surrogate, ics, ls: LimitState, seed: int,
                          diverged_as_failure: bool = True,
                          keep_margins: bool = False) -> ReliabilityReport:
-    """Indicator-based Monte Carlo failure probability under GRF ICs.
+    """Indicator-based Monte Carlo failure probability over the initial
+    conditions `ics` (one sample per row, e.g. from grf_initial_conditions;
+    never written to, so several surrogates can share one draw).  `seed` is
+    the seed the draws came from, recorded in the report.
 
     Diverged surrogate trajectories count as failures by default (their
     margin is set to -inf); pass diverged_as_failure=False to exclude them
     from the failure count instead.
     """
+    n = len(ics)
     if n < 1:
         raise ValueError("n must be >= 1")
-    ics = grf_initial_conditions(grf_spec, spec, n, seed)
     # streaming reduction: full trajectory storage for thousands of samples
     # over long horizons does not fit in memory at 2D scale
     stats = rollout_statistics(surrogate, ics, ls.horizon,
@@ -169,6 +215,9 @@ def estimate_reliability(surrogate, grf_spec: GrfSpec, ls: LimitState,
         stderr=stderr,
         seed=seed,
         margins=margins if keep_margins else None,
+        p_f_interval=wilson_interval(failures, n_eff),
+        diverged_at=[(int(i), int(stats["diverged_at"][i]))
+                     for i in np.flatnonzero(diverged)],
     )
 
 

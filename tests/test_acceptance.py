@@ -246,18 +246,17 @@ class TestCriterion7:
         t0 = time.perf_counter()
         # self-consistency: the reference solver as surrogate equals the
         # direct ground-truth computation exactly
-        truth_sur = tr.PhysicsSurrogate(art["full"])
-        rep_truth = rel.estimate_reliability(truth_sur, grf, ls, 1000,
-                                             cfg.seed, art["full"])
         ics = rel.grf_initial_conditions(grf, art["full"], 1000, cfg.seed)
+        truth_sur = tr.PhysicsSurrogate(art["full"])
+        rep_truth = rel.estimate_reliability(truth_sur, ics, ls, cfg.seed)
         trajs = np.stack(tr.rollout(None, art["full"], ics, ls.horizon), axis=1)
         margins = np.array([rel.evaluate_margin(t, ls) for t in trajs])
         direct_failures = int(np.sum(margins < 0))
         self_consistent = (rep_truth.failures == direct_failures)
 
         rep_dpa = rel.estimate_reliability(
-            tr.AugmentedSurrogate(art["partial"], art["dpa"]), grf, ls, 1000,
-            cfg.seed, art["full"])
+            tr.AugmentedSurrogate(art["partial"], art["dpa"]), ics, ls,
+            cfg.seed)
         gap_pp = abs(rep_dpa.reliability - rep_truth.reliability) * 100.0
         elapsed = time.perf_counter() - t0
         report(7, self_consistent and gap_pp <= 2.0 and elapsed < 300.0,

@@ -183,6 +183,55 @@ class TestCliPipeline:
             assert key in out
 
 
+def count_cholesky(monkeypatch):
+    calls = []
+    real = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+class TestReliabilityCommand:
+    def run(self, tmp_path, *extra):
+        path = tmp_path / "model.dpaw"
+        wno.WnoModel.initialize(cf.load_config(preset=DESK).wno_config(), 0).save(path)
+        return cli.main(["reliability", "--preset", DESK, "--dpa", str(path),
+                         "--out", str(tmp_path / "rel"), *SMALL_DATA, *extra])
+
+    def test_one_factorization_for_every_candidate(self, tmp_path, monkeypatch):
+        calls = count_cholesky(monkeypatch)
+        assert self.run(tmp_path) == 0
+        assert calls == [(64, 64)]
+
+    def test_sidecar_matches_report(self, tmp_path):
+        assert self.run(tmp_path) == 0
+        rel_dir = tmp_path / "rel"
+        records = [json.loads(line) for line in
+                   (rel_dir / "reliability.jsonl").read_text().splitlines()]
+        meta = json.loads((rel_dir / "reliability.meta.json").read_text())
+        assert (meta["n"], meta["horizon"]) == (40, 20)
+        assert meta["grf_s"] >= 0.0
+        assert set(meta["models"]) == {r["model"] for r in records}
+        for r in records:
+            m = meta["models"][r["model"]]
+            assert (m["failures"], m["diverged"]) == (r["failures"], r["diverged"])
+            assert len(m["diverged_at"]) == r["diverged"]
+            lo, hi = m["p_f_wilson95"]
+            assert lo <= r["p_f"] <= hi and hi > lo
+            assert m["rollout_s"] >= 0.0
+
+    def test_zero_samples_rejected_before_factorization(self, tmp_path,
+                                                         monkeypatch, capsys):
+        calls = count_cholesky(monkeypatch)
+        assert self.run(tmp_path, "--set", "reliability.n=0") == 2
+        assert "[reliability] n" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestDamagedCheckpoint:
     """A cut or non-finite checkpoint is an i/o error (exit 4), not a usage
     error or a plausible-looking report."""
@@ -198,8 +247,10 @@ class TestDamagedCheckpoint:
     def model(self):
         return wno.WnoModel.initialize(cf.load_config(preset=DESK).wno_config(), 0)
 
-    def test_truncated_checkpoint_exits_4(self, tmp_path, capsys):
+    def test_truncated_checkpoint_exits_4(self, tmp_path, capsys, monkeypatch):
+        calls = count_cholesky(monkeypatch)
         assert self.reliability(tmp_path, self.model(), keep=0.5) == 4
+        assert calls == []  # fails before the GRF factorization
         assert "checkpoint truncated" in capsys.readouterr().err
         assert not (tmp_path / "rel" / "reliability.jsonl").exists()
 

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dpawno import physics as ph
 from dpawno import reliability as rel
 from dpawno import training as tr
+from dpawno import wno
 from dpawno.errors import NotPositiveDefinite
 
 PERIODIC_GRF = rel.GrfSpec("exp_sine_squared", alpha=4.0, length_scale=0.5,
@@ -61,6 +64,63 @@ class TestCovariance:
             rel.sample_grf(PERIODIC_GRF, np.linspace(0, 1, 8), 1, seed=0)
 
 
+def broadcast_covariance(spec, points):
+    """The (n, n, d) broadcast construction that grf_covariance replaced,
+    kept as the reference its values must equal bit for bit."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    if spec.kernel == "exp_sine_squared":
+        k = spec.alpha * np.exp(
+            -(2.0 / spec.length_scale ** 2)
+            * np.sin(np.pi * dist / spec.periodicity) ** 2)
+    else:
+        k = spec.alpha * np.exp(-(dist ** 2) / (2.0 * spec.length_scale ** 2))
+    return k + spec.jitter * np.eye(len(pts))
+
+
+class TestInPlaceCovariance:
+    @staticmethod
+    def grid(dims):
+        if dims == 1:
+            return np.linspace(-1.0, 1.0, 64)
+        x = np.linspace(0.0, 2.0, 16)
+        gx, gy = np.meshgrid(x, x)
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    @pytest.mark.parametrize("jitter", (0.0, 1e-8))
+    @pytest.mark.parametrize("kernel", rel.KERNELS)
+    @pytest.mark.parametrize("dims", (1, 2))
+    def test_equals_broadcast_expression(self, dims, kernel, jitter):
+        spec = rel.GrfSpec(kernel, alpha=3.7, length_scale=0.45,
+                           periodicity=1.3, jitter=jitter)
+        pts = self.grid(dims)
+        assert np.array_equal(rel.grf_covariance(spec, pts),
+                              broadcast_covariance(spec, pts))
+
+    def test_retries_factor_base_plus_jitter_eye(self, monkeypatch):
+        received = []
+        real = np.linalg.cholesky
+
+        def fails_twice(a):
+            received.append(a.copy())
+            if len(received) < 3:
+                raise np.linalg.LinAlgError("forced")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_twice)
+        pts = np.linspace(0.0, 1.0, 12)
+        rel.sample_grf(PERIODIC_GRF, pts, 1, seed=0)
+        base = broadcast_covariance(
+            dataclasses.replace(PERIODIC_GRF, jitter=0.0), pts)
+        # the jitter grows tenfold per retry, as the factorization computes it
+        jitters = (1e-8, 1e-8 * 10.0, 1e-8 * 10.0 * 10.0)
+        assert len(received) == 3
+        for got, j in zip(received, jitters):
+            assert np.array_equal(got, base + j * np.eye(len(pts)))
+
+
 class TestSampleGrf:
     def test_empirical_covariance_matches(self):
         pts = np.array([0.1, 0.35])
@@ -112,14 +172,18 @@ class TestMargin:
         assert rel.evaluate_margin(traj, ls) == 1.0
 
 
+def draws(full, n, seed):
+    return rel.grf_initial_conditions(PERIODIC_GRF, full, n, seed=seed)
+
+
 class TestEstimateReliability:
     def test_reference_solver_self_consistency(self):
         full = burgers_full()
         ls = rel.LimitState(threshold=7.0, horizon=30)
         sur = tr.PhysicsSurrogate(full)
-        rep = rel.estimate_reliability(sur, PERIODIC_GRF, ls, 200, seed=5, spec=full)
-        # direct ground-truth computation over the same draws
         ics = rel.grf_initial_conditions(PERIODIC_GRF, full, 200, seed=5)
+        rep = rel.estimate_reliability(sur, ics, ls, seed=5)
+        # direct ground-truth computation over the same draws
         trajs = np.stack(tr.rollout(None, full, ics, ls.horizon), axis=1)
         margins = np.array([rel.evaluate_margin(t, ls) for t in trajs])
         assert rep.failures == int(np.sum(margins < 0))
@@ -128,26 +192,26 @@ class TestEstimateReliability:
     def test_threshold_below_reachable_floor_fails_everything(self):
         full = burgers_full()
         ls = rel.LimitState(threshold=1e-6, horizon=5)
-        rep = rel.estimate_reliability(tr.PhysicsSurrogate(full), PERIODIC_GRF, ls,
-                                       50, seed=6, spec=full)
+        rep = rel.estimate_reliability(tr.PhysicsSurrogate(full),
+                                       draws(full, 50, 6), ls, seed=6)
         assert rep.reliability < 0.05
 
     def test_monotone_in_threshold(self):
         full = burgers_full()
         sur = tr.PhysicsSurrogate(full)
+        ics = draws(full, 100, 7)
         last = -1.0
         for g_t in (2.0, 4.0, 6.0, 8.0):
             rep = rel.estimate_reliability(
-                sur, PERIODIC_GRF, rel.LimitState(g_t, horizon=20), 100,
-                seed=7, spec=full)
+                sur, ics, rel.LimitState(g_t, horizon=20), seed=7)
             assert rep.reliability >= last
             last = rep.reliability
 
     def test_pf_plus_reliability_is_one(self):
         full = burgers_full()
-        rep = rel.estimate_reliability(tr.PhysicsSurrogate(full), PERIODIC_GRF,
-                                       rel.LimitState(5.0, horizon=10), 64,
-                                       seed=8, spec=full)
+        rep = rel.estimate_reliability(tr.PhysicsSurrogate(full),
+                                       draws(full, 64, 8),
+                                       rel.LimitState(5.0, horizon=10), seed=8)
         assert rep.p_f + rep.reliability == 1.0
         assert rep.stderr == pytest.approx(
             np.sqrt(rep.p_f * (1 - rep.p_f) / 64))
@@ -156,25 +220,72 @@ class TestEstimateReliability:
         full = burgers_full()
         ls = rel.LimitState(6.0, horizon=15)
         reps = [rel.estimate_reliability(tr.PhysicsSurrogate(full),
-                                         PERIODIC_GRF, ls, 80, seed=9, spec=full)
+                                         draws(full, 80, 9), ls, seed=9)
                 for _ in range(3)]
         assert reps[0].failures == reps[1].failures == reps[2].failures
 
     def test_margin_indicator_consistency(self):
         full = burgers_full()
         ls = rel.LimitState(5.5, horizon=20)
-        rep = rel.estimate_reliability(tr.PhysicsSurrogate(full), PERIODIC_GRF, ls,
-                                       100, seed=10, spec=full,
+        rep = rel.estimate_reliability(tr.PhysicsSurrogate(full),
+                                       draws(full, 100, 10), ls, seed=10,
                                        keep_margins=True)
         assert rep.failures == int(np.sum(rep.margins < 0))
 
     def test_json_record_fields(self):
         full = burgers_full()
-        rep = rel.estimate_reliability(tr.PhysicsSurrogate(full), PERIODIC_GRF,
-                                       rel.LimitState(7.0, horizon=5), 16,
-                                       seed=11, spec=full)
+        rep = rel.estimate_reliability(tr.PhysicsSurrogate(full),
+                                       draws(full, 16, 11),
+                                       rel.LimitState(7.0, horizon=5), seed=11)
         import json
         doc = json.loads(rep.to_json(kernel="exp_sine_squared", g_t=7.0))
         for key in ("n", "failures", "reliability", "stderr", "seed",
                     "kernel", "g_t"):
             assert key in doc
+
+    def test_shared_ics_left_untouched(self):
+        full = burgers_full()
+        ics = draws(full, 24, 12)
+        ics[:2] = 9e7  # two samples diverge in the first step
+        before = ics.copy()
+        model = wno.WnoModel.initialize(
+            wno.WnoConfig(width=6, layers=2, fc1_dim=12), seed=0)
+        rng = np.random.default_rng(13)
+        for name in ("downlift2.weight", "downlift2.bias"):
+            model.params[name] = 0.1 * rng.standard_normal(model.params[name].shape)
+        ls = rel.LimitState(6.0, horizon=8)
+        for sur in (tr.PhysicsSurrogate(full),
+                    tr.AugmentedSurrogate(full.with_terms(("advection",)), model)):
+            shared = rel.estimate_reliability(sur, ics, ls, seed=12,
+                                              keep_margins=True)
+            assert np.array_equal(ics, before)
+            fresh = rel.estimate_reliability(sur, before.copy(), ls, seed=12,
+                                             keep_margins=True)
+            assert np.array_equal(shared.margins, fresh.margins)
+            assert shared.diverged == 2
+            assert [i for i, _ in shared.diverged_at] == [0, 1]
+            assert all(1 <= t <= ls.horizon for _, t in shared.diverged_at)
+
+
+class TestWilsonInterval:
+    def test_textbook_value(self):
+        lo, hi = rel.wilson_interval(1, 10)
+        assert lo == pytest.approx(0.01788, abs=1e-5)
+        assert hi == pytest.approx(0.40416, abs=1e-5)
+
+    def test_zero_failures_is_not_a_point(self):
+        lo, hi = rel.wilson_interval(0, 1000)
+        z2 = 1.959963984540054 ** 2
+        assert lo == 0.0
+        assert hi == pytest.approx(z2 / (1000 + z2), rel=1e-12)
+
+    def test_symmetric_and_contains_estimate(self):
+        for failures in range(0, 41):
+            lo, hi = rel.wilson_interval(failures, 40)
+            assert 0.0 <= lo <= failures / 40 <= hi <= 1.0
+            mlo, mhi = rel.wilson_interval(40 - failures, 40)
+            assert mlo == pytest.approx(1.0 - hi, abs=1e-12)
+            assert mhi == pytest.approx(1.0 - lo, abs=1e-12)
+
+    def test_empty(self):
+        assert rel.wilson_interval(0, 0) is None

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from dpawno import autodiff as ad
+from dpawno import config as cf
 from dpawno import datagen as dg
 from dpawno import physics as ph
+from dpawno import reliability as rel
 from dpawno import training as tr
 from dpawno import wavelet as wv
 from dpawno import wno
@@ -234,6 +236,24 @@ class TestSurrogates:
         assert np.array_equal(stats["snapshots"][10], stats["final"])
         assert np.all(np.isfinite(stats["final"]))  # frozen, not garbage
 
+    def test_diverged_at_records_first_flagged_step(self):
+        class BlowsUpOnSchedule:
+            # sample k turns non-finite at step k; sample 0 never does
+            t = 0
+
+            def step(self, u):
+                self.t += 1
+                nxt = u + 1.0
+                if self.t < len(u):
+                    nxt[self.t] = np.nan
+                return nxt
+
+        ics = np.zeros((4, 1, 8))
+        ics[3] = np.inf  # non-finite from the start
+        stats = tr.rollout_statistics(BlowsUpOnSchedule(), ics, 5)
+        assert stats["diverged_at"].tolist() == [-1, 1, 2, 0]
+        assert stats["diverged"].tolist() == [False, True, True, True]
+
     def test_augmented_surrogate_matches_rollout(self):
         full, partial, ds = burgers_setup()
         model = tiny_model(seed=5)
@@ -247,3 +267,37 @@ class TestSurrogates:
             assert np.array_equal(stats["snapshots"][t], ad.value_of(s))
         assert np.array_equal(stats["final"], ad.value_of(states[-1]))
         assert not stats["diverged"].any()
+
+
+class TestBlockedAugmentedStep:
+    """AugmentedSurrogate.step evaluates the WNO in sample blocks; the result
+    must equal one whole-batch evaluation bit for bit."""
+
+    @staticmethod
+    def case(preset, overrides, n, seed):
+        cfg = cf.load_config(preset=preset, overrides=overrides)
+        model = wno.WnoModel.initialize(cfg.wno_config(), seed)
+        # the zero output layer would make every correction zero
+        rng = np.random.default_rng(seed)
+        for name in ("downlift2.weight", "downlift2.bias"):
+            model.params[name] = 0.1 * rng.standard_normal(model.params[name].shape)
+        u = rel.grf_initial_conditions(cfg.grf_spec(), cfg.full_spec(), n, seed)
+        return cfg.partial_spec(), model, u
+
+    def check(self, spec, model, u):
+        got = tr.AugmentedSurrogate(spec, model).step(u)
+        corr = wno.wno_forward(u, spec.grid(), model)
+        want = ph.euler_step_values(u, spec, corr, check_blowup=False)
+        assert np.any(corr != 0.0)
+        assert np.array_equal(got, want)
+
+    def test_desk_several_blocks_and_a_ragged_one(self):
+        # desk blocks hold 42 samples (width 24, fc1_dim 48, 64 points)
+        self.check(*self.case("burgers1d-missing-diffusion-desk", (), 89, 3))
+
+    def test_small_2d_coarsest_bands(self):
+        overrides = ("pde.nx=32", "pde.ny=32", "wno.width=8", "wno.fc1_dim=48",
+                     "wno.levels=2", "wno.layers=2")
+        spec, model, u = self.case("burgers2d-missing-xdiff", overrides, 3, 4)
+        assert model.config.bands == "coarsest"
+        self.check(spec, model, u)
