@@ -1,9 +1,12 @@
 """Reverse-mode differentiation over dense float64 grid tensors.
 
 Define-by-run: every operation appends a node to the active :class:`Tape`;
-:func:`backward` walks the tape once in reverse.  The same kernel functions
-serve both the recorded path and the plain-ndarray path, so evaluating a model
-with or without a tape produces bit-identical values.
+:func:`backward` walks the tape once in reverse and keeps only the gradients
+of leaf nodes.  Each primitive is defined once, as a (forward, vjp) pair in
+:data:`PRIMITIVES`, and every public op goes through one dispatch path: it is
+recorded when any input is a Tensor, otherwise its forward function is
+evaluated on the plain operands.  Evaluating a model with or without a tape
+therefore produces bit-identical values.
 
 Shapes are explicit (rank 1-4, optional leading batch axis); there is no
 general broadcasting.  Python floats are accepted as scalar operands.
@@ -128,31 +131,12 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(node={self.node_id}, shape={self.shape})"
 
 
 class Tape:
-    """Append-only operation record plus the gradient map filled by backward."""
+    """Append-only operation record plus the leaf gradients filled by backward."""
 
     def __init__(self):
         self.nodes = []
@@ -187,7 +171,8 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
     Inputs may be Tensors (on this tape), ndarrays, or Python floats; the
     latter two are treated as constants that receive no gradient.
     """
-    if op not in _FORWARD:
+    entry = PRIMITIVES.get(op)
+    if entry is None:
         raise UnknownPrimitive(f"unknown primitive {op!r}")
     parents = []
     values = []
@@ -203,7 +188,7 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
             parents.append(None)
             values.append(val)
             consts[i] = val
-    out, ctx = _FORWARD[op](values, params)
+    out, ctx = entry[0](values, params)
     _check_finite(out, op)
     if consts:
         ctx = dict(ctx or {})
@@ -211,13 +196,11 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
     return tape._append(op, tuple(parents), out, ctx)
 
 
-def backward(tape: Tape, seed, retain_all: bool = True) -> dict:
-    """Populate and return gradients of `seed` w.r.t. every ancestor node.
+def backward(tape: Tape, seed) -> dict:
+    """Populate and return gradients of `seed` w.r.t. its leaf ancestors.
 
-    With retain_all=False only leaf gradients are kept; an interior node's
-    gradient is dropped as soon as it has been propagated to its parents.
-    Long unrolled rollouts need this: retaining the full map costs as much
-    memory as the forward tape itself.
+    An interior node's gradient is dropped as soon as it has been propagated
+    to its parents: keeping it would cost as much memory as the forward tape.
     """
     if not tape.nodes:
         raise EmptyTape("backward on an empty tape")
@@ -233,7 +216,7 @@ def backward(tape: Tape, seed, retain_all: bool = True) -> dict:
         node = tape.nodes[nid]
         if node.op == "leaf":
             continue
-        contribs = _VJP[node.op](tape, node, g)
+        contribs = PRIMITIVES[node.op][1](tape, node, g)
         for i, contrib in enumerate(contribs):
             pid = node.parents[i]
             if pid is None or contrib is None:
@@ -242,14 +225,14 @@ def backward(tape: Tape, seed, retain_all: bool = True) -> dict:
                 grads[pid] = grads[pid] + contrib
             else:
                 grads[pid] = contrib
-        if not retain_all:
-            del grads[nid]
+        del grads[nid]
     tape.gradients = grads
     return grads
 
 
 def grad_of(tape: Tape, tensor: Tensor) -> np.ndarray:
-    """Gradient of the last backward seed w.r.t. `tensor` (zeros if detached)."""
+    """Gradient of the last backward seed w.r.t. the leaf `tensor` (zeros if
+    detached)."""
     g = tape.gradients.get(tensor.node_id)
     if g is None:
         return np.zeros_like(tensor.data)
@@ -282,7 +265,7 @@ def _fw_mul(v, p):
 
 
 def _fw_scalar_mul(v, p):
-    return v[0] * p["scalar"], {"scalar": p["scalar"]}
+    return v[0] * p["scalar"], p
 
 
 def _fw_matmul(v, p):
@@ -299,7 +282,9 @@ def _fw_matmul(v, p):
 
 def _fw_bias_add(v, p):
     x, b = v
-    axis = p.get("channel_axis", 1 if x.ndim >= 3 else 0)
+    axis = p.get("channel_axis")
+    if axis is None:
+        axis = 1 if x.ndim >= 3 else 0
     if b.ndim != 1 or x.shape[axis] != b.shape[0]:
         raise ShapeMismatch(f"bias_add: {b.shape} against axis {axis} of {x.shape}")
     return k_bias_add(x, b, axis), {"axis": axis}
@@ -319,15 +304,10 @@ def _fw_sum(v, p):
     return np.asarray(np.sum(v[0])), None
 
 
-def _fw_mean(v, p):
-    return np.asarray(np.mean(v[0])), None
-
-
 def _fw_slice_axis(v, p):
     sl = [slice(None)] * v[0].ndim
     sl[p["axis"]] = slice(p["start"], p["stop"])
-    return v[0][tuple(sl)].copy(), {"axis": p["axis"], "start": p["start"],
-                                    "stop": p["stop"], "in_shape": v[0].shape}
+    return v[0][tuple(sl)].copy(), {**p, "in_shape": v[0].shape}
 
 
 def _fw_concat(v, p):
@@ -341,12 +321,11 @@ def _fw_boundary_overwrite(v, p):
     out = np.where(mask, p["value"], v[0])
     if out.shape != v[0].shape:
         raise ShapeMismatch(f"boundary_overwrite: mask {mask.shape} vs {v[0].shape}")
-    return out, {"mask": mask}
+    return out, p
 
 
 def _fw_circ_stencil(v, p):
-    return k_circ_stencil(v[0], p["taps"], p["axis"]), {
-        "taps": p["taps"], "axis": p["axis"]}
+    return k_circ_stencil(v[0], p["taps"], p["axis"]), p
 
 
 def _fw_level_matmul(v, p):
@@ -354,7 +333,7 @@ def _fw_level_matmul(v, p):
     if v[0].shape[axis] != mat.shape[1]:
         raise ShapeMismatch(
             f"axis matmul: matrix {mat.shape} against axis {axis} of {v[0].shape}")
-    return k_axis_matmul(mat, v[0], axis), {"matrix": mat, "axis": axis}
+    return k_axis_matmul(mat, v[0], axis), p
 
 
 def _vjp_add(tape, node, g):
@@ -423,11 +402,6 @@ def _vjp_sum(tape, node, g):
     return (np.broadcast_to(g, x.shape).copy(),)
 
 
-def _vjp_mean(tape, node, g):
-    x = _input_value(tape, node, 0)
-    return (np.broadcast_to(g / x.size, x.shape).copy(),)
-
-
 def _vjp_slice_axis(tape, node, g):
     ctx = node.ctx
     out = np.zeros(ctx["in_shape"])
@@ -463,179 +437,101 @@ def _vjp_level_matmul(tape, node, g):
     return (k_axis_matmul(node.ctx["matrix"].T, g, node.ctx["axis"]),)
 
 
-_FORWARD = {
-    "add": _fw_add,
-    "sub": _fw_sub,
-    "mul": _fw_mul,
-    "scalar_mul": _fw_scalar_mul,
-    "matmul": _fw_matmul,
-    "bias_add": _fw_bias_add,
-    "gelu": _fw_gelu,
-    "square": _fw_square,
-    "sum": _fw_sum,
-    "mean": _fw_mean,
-    "slice_axis": _fw_slice_axis,
-    "concat": _fw_concat,
-    "boundary_overwrite": _fw_boundary_overwrite,
-    "circ_stencil": _fw_circ_stencil,
-    "dwt_level": _fw_level_matmul,
-    "idwt_level": _fw_level_matmul,
+# name -> (forward, vjp).  forward(values, params) returns (output, ctx);
+# vjp(tape, node, g) returns one cotangent per input.
+PRIMITIVES = {
+    "add": (_fw_add, _vjp_add),
+    "sub": (_fw_sub, _vjp_sub),
+    "mul": (_fw_mul, _vjp_mul),
+    "scalar_mul": (_fw_scalar_mul, _vjp_scalar_mul),
+    "matmul": (_fw_matmul, _vjp_matmul),
+    "bias_add": (_fw_bias_add, _vjp_bias_add),
+    "gelu": (_fw_gelu, _vjp_gelu),
+    "square": (_fw_square, _vjp_square),
+    "sum": (_fw_sum, _vjp_sum),
+    "slice_axis": (_fw_slice_axis, _vjp_slice_axis),
+    "concat": (_fw_concat, _vjp_concat),
+    "boundary_overwrite": (_fw_boundary_overwrite, _vjp_boundary_overwrite),
+    "circ_stencil": (_fw_circ_stencil, _vjp_circ_stencil),
+    "dwt_level": (_fw_level_matmul, _vjp_level_matmul),
+    "idwt_level": (_fw_level_matmul, _vjp_level_matmul),
 }
-
-_VJP = {
-    "add": _vjp_add,
-    "sub": _vjp_sub,
-    "mul": _vjp_mul,
-    "scalar_mul": _vjp_scalar_mul,
-    "matmul": _vjp_matmul,
-    "bias_add": _vjp_bias_add,
-    "gelu": _vjp_gelu,
-    "square": _vjp_square,
-    "sum": _vjp_sum,
-    "mean": _vjp_mean,
-    "slice_axis": _vjp_slice_axis,
-    "concat": _vjp_concat,
-    "boundary_overwrite": _vjp_boundary_overwrite,
-    "circ_stencil": _vjp_circ_stencil,
-    "dwt_level": _vjp_level_matmul,
-    "idwt_level": _vjp_level_matmul,
-}
-
-PRIMITIVES = tuple(_FORWARD)
 
 
 # ---------------------------------------------------------------------------
-# dispatching op functions: record when any input is a Tensor, else evaluate
-# the kernel directly
+# public ops: one dispatch path for taped and untaped evaluation
 
-def _tape_of(*xs):
-    for x in xs:
+def _apply(op, *inputs, **params):
+    """Record primitive `op` when any input is a Tensor, else return its
+    forward value.  Ints and NumPy scalars become floats, anything else that
+    is not a Tensor or float becomes a float64 array."""
+    tape = None
+    operands = []
+    for x in inputs:
         if isinstance(x, Tensor):
-            return x.tape
-    return None
-
-
-def _as_operand(x):
-    if isinstance(x, Tensor) or isinstance(x, float):
-        return x
-    if isinstance(x, (int, np.floating, np.integer)):
-        return float(x)
-    return np.asarray(x, dtype=np.float64)
+            if tape is None:
+                tape = x.tape
+        elif not isinstance(x, float):
+            x = (float(x) if isinstance(x, (int, np.floating, np.integer))
+                 else np.asarray(x, dtype=np.float64))
+        operands.append(x)
+    if tape is not None:
+        return record(tape, op, *operands, **params)
+    return PRIMITIVES[op][0](operands, params)[0]
 
 
 def add(a, b):
-    a, b = _as_operand(a), _as_operand(b)
-    tape = _tape_of(a, b)
-    if tape is not None:
-        return record(tape, "add", a, b)
-    _shapes_equal(a, b, "add")
-    return a + b
+    return _apply("add", a, b)
 
 
 def sub(a, b):
-    a, b = _as_operand(a), _as_operand(b)
-    tape = _tape_of(a, b)
-    if tape is not None:
-        return record(tape, "sub", a, b)
-    _shapes_equal(a, b, "sub")
-    return a - b
+    return _apply("sub", a, b)
 
 
 def mul(a, b):
-    a, b = _as_operand(a), _as_operand(b)
-    tape = _tape_of(a, b)
-    if tape is not None:
-        return record(tape, "mul", a, b)
-    _shapes_equal(a, b, "mul")
-    return a * b
+    return _apply("mul", a, b)
 
 
 def scalar_mul(a, c: float):
-    a = _as_operand(a)
-    c = float(c)
-    if isinstance(a, Tensor):
-        return record(a.tape, "scalar_mul", a, scalar=c)
-    return a * c
+    return _apply("scalar_mul", a, scalar=float(c))
 
 
 def matmul(w, v, channel_axis=None):
-    w, v = _as_operand(w), _as_operand(v)
-    tape = _tape_of(w, v)
-    if tape is not None:
-        return record(tape, "matmul", w, v, channel_axis=channel_axis)
-    out, _ = _fw_matmul([w, v], {"channel_axis": channel_axis})
-    return out
+    return _apply("matmul", w, v, channel_axis=channel_axis)
 
 
 def bias_add(v, b, channel_axis=None):
-    v, b = _as_operand(v), _as_operand(b)
-    tape = _tape_of(v, b)
-    params = {} if channel_axis is None else {"channel_axis": channel_axis}
-    if tape is not None:
-        return record(tape, "bias_add", v, b, **params)
-    out, _ = _fw_bias_add([v, b], params)
-    return out
+    return _apply("bias_add", v, b, channel_axis=channel_axis)
 
 
 def gelu(x):
-    x = _as_operand(x)
-    if isinstance(x, Tensor):
-        return record(x.tape, "gelu", x)
-    return k_gelu(x)
+    return _apply("gelu", x)
 
 
 def square(x):
-    x = _as_operand(x)
-    if isinstance(x, Tensor):
-        return record(x.tape, "square", x)
-    return x * x
+    return _apply("square", x)
 
 
 def total_sum(x):
-    x = _as_operand(x)
-    if isinstance(x, Tensor):
-        return record(x.tape, "sum", x)
-    return np.asarray(np.sum(x))
-
-
-def total_mean(x):
-    x = _as_operand(x)
-    if isinstance(x, Tensor):
-        return record(x.tape, "mean", x)
-    return np.asarray(np.mean(x))
+    return _apply("sum", x)
 
 
 def slice_axis(x, axis: int, start: int, stop: int):
-    x = _as_operand(x)
-    if isinstance(x, Tensor):
-        return record(x.tape, "slice_axis", x, axis=axis, start=start, stop=stop)
-    out, _ = _fw_slice_axis([x], {"axis": axis, "start": start, "stop": stop})
-    return out
+    return _apply("slice_axis", x, axis=axis, start=start, stop=stop)
 
 
 def concat(a, b, axis: int):
-    a, b = _as_operand(a), _as_operand(b)
-    tape = _tape_of(a, b)
-    if tape is not None:
-        return record(tape, "concat", a, b, axis=axis)
-    return np.concatenate([a, b], axis=axis)
+    return _apply("concat", a, b, axis=axis)
 
 
 def boundary_overwrite(x, mask, value: float):
-    x = _as_operand(x)
-    mask = np.asarray(mask, dtype=bool)
-    if isinstance(x, Tensor):
-        return record(x.tape, "boundary_overwrite", x, mask=mask, value=float(value))
-    out, _ = _fw_boundary_overwrite([x], {"mask": mask, "value": float(value)})
-    return out
+    return _apply("boundary_overwrite", x, mask=np.asarray(mask, dtype=bool),
+                  value=float(value))
 
 
 def circ_stencil(x, taps, axis: int):
-    x = _as_operand(x)
     taps = tuple((int(o), float(w)) for o, w in taps)
-    if isinstance(x, Tensor):
-        return record(x.tape, "circ_stencil", x, taps=taps, axis=axis)
-    return k_circ_stencil(x, taps, axis)
+    return _apply("circ_stencil", x, taps=taps, axis=axis)
 
 
 def level_matmul(kind: str, matrix, x, axis: int):
@@ -643,12 +539,7 @@ def level_matmul(kind: str, matrix, x, axis: int):
 
     `kind` tags the tape node as "dwt_level" or "idwt_level".
     """
-    x = _as_operand(x)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if isinstance(x, Tensor):
-        return record(x.tape, kind, x, matrix=matrix, axis=axis)
-    out, _ = _fw_level_matmul([x], {"matrix": matrix, "axis": axis})
-    return out
+    return _apply(kind, x, matrix=np.asarray(matrix, dtype=np.float64), axis=axis)
 
 
 def value_of(x) -> np.ndarray:

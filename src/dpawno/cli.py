@@ -147,9 +147,9 @@ def cmd_train(args) -> int:
                        {"config": cfg.name, "mode": args.mode, "epochs": 0})
         print(f"wrote identity checkpoint {ckpt}")
         return 0
-    dataset = dg.load(os.path.join(args.data, "train.dpds"))
     spec = cfg.data_only_spec() if args.mode == "data-only" else cfg.partial_spec()
     tcfg = cfg.train_config()
+    dataset = dg.load(os.path.join(args.data, "train.dpds"))
 
     def checkpoint_fn(epoch, m):
         m.save(os.path.join(out, f"checkpoint_epoch{epoch + 1}.dpaw"))
@@ -307,6 +307,7 @@ def cmd_reliability(args) -> int:
     out = _ensure_outdir(args.out)
     grf = cfg.grf_spec()
     ls = cfg.limit_state()
+    diverged_as_failure = cfg.diverged_as_failure
     full = cfg.full_spec()
     candidates = {"exact": tr.PhysicsSurrogate(full)}
     if args.dpa:
@@ -321,7 +322,7 @@ def cmd_reliability(args) -> int:
         t0 = time.perf_counter()
         report = rel.estimate_reliability(
             candidates[name], ics, ls, cfg.seed,
-            diverged_as_failure=cfg.diverged_as_failure)
+            diverged_as_failure=diverged_as_failure)
         meta["models"][name] = {
             "rollout_s": time.perf_counter() - t0,
             "failures": report.failures,

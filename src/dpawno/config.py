@@ -60,17 +60,17 @@ def parse_amplitudes(text: str):
 
 def parse_schedule(text: str):
     text = text.strip()
-    if text.startswith("auto:"):
-        parts = text[len("auto:"):].split(",")
-        t0, hold = (float(v) for v in parts[0].split("@"))
-        tmax, reach = (float(v) for v in parts[1].split("@"))
-        return default_schedule(int(t0), int(hold), int(tmax), int(reach))
-    if text.startswith("pairs:"):
-        pairs = []
-        for tok in text[len("pairs:"):].split():
-            e, t = tok.split(":")
-            pairs.append((int(e), int(t)))
-        return tuple(pairs)
+    try:
+        if text.startswith("auto:"):
+            (t0, hold), (tmax, reach) = (
+                [int(float(v)) for v in part.split("@")]
+                for part in text[len("auto:"):].split(","))
+            return default_schedule(t0, hold, tmax, reach)
+        if text.startswith("pairs:"):
+            return tuple((int(e), int(t)) for e, t in
+                         (tok.split(":") for tok in text[len("pairs:"):].split()))
+    except ValueError as exc:
+        raise UsageError(f"cannot parse schedule {text!r}: {exc}") from exc
     raise UsageError(f"cannot parse schedule {text!r} (use auto:... or pairs:...)")
 
 
@@ -89,7 +89,11 @@ class ExperimentConfig:
             raise UsageError(f"missing config key [{section}] {key}")
         raw = self.parser.get(section, key)
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            word = raw.strip().lower()
+            if word not in self.parser.BOOLEAN_STATES:
+                raise UsageError(f"[{section}] {key} must be one of "
+                                 f"{'/'.join(self.parser.BOOLEAN_STATES)}, got {raw!r}")
+            return self.parser.BOOLEAN_STATES[word]
         return cast(raw)
 
     @property

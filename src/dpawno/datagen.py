@@ -327,9 +327,15 @@ def load(path) -> Dataset:
         raw = fh.read(8)
         if len(blob) < blob_len or len(raw) < 8:
             raise ChecksumMismatch("file truncated inside the header")
-        header = json.loads(blob.decode())
+        try:
+            header = json.loads(blob.decode())
+            shape = tuple(header["shape"])
+            spec = spec_from_doc(header["spec"])
+            seed, family = header["seed"], header["family"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetIoError(
+                f"dataset header is malformed: {type(exc).__name__}: {exc}") from exc
         (payload_len,) = struct.unpack("<Q", raw)
-        shape = tuple(header["shape"])
         expected = int(np.prod(shape)) * 8
         if payload_len != expected:
             raise ChecksumMismatch(
@@ -350,5 +356,4 @@ def load(path) -> Dataset:
         (stored,) = struct.unpack("<Q", raw)
         if int.from_bytes(digest.digest()[:8], "little") != stored:
             raise ChecksumMismatch("payload checksum does not match")
-    return Dataset(spec_from_doc(header["spec"]), trajectories,
-                   header["seed"], header["family"])
+    return Dataset(spec, trajectories, seed, family)

@@ -81,13 +81,15 @@ def grf_covariance(spec: GrfSpec, points) -> np.ndarray:
 
 
 def _cholesky(spec: GrfSpec, points) -> np.ndarray:
+    # each attempt jitters the base in place from its saved diagonal, so no
+    # second n x n matrix is ever live next to the base and the factor
     base = grf_covariance(replace(spec, jitter=0.0), points)
+    diag = base.diagonal().copy()
     jitter = spec.jitter
     while jitter <= _MAX_JITTER:
-        trial = base.copy()
-        trial.flat[::len(trial) + 1] += jitter
+        base.flat[::len(base) + 1] = diag + jitter
         try:
-            return np.linalg.cholesky(trial)
+            return np.linalg.cholesky(base)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NotPositiveDefinite(

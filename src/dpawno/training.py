@@ -202,7 +202,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
                                     t_steps, params=staged, grid=grid)
                 loss_val = float(loss.data)
                 t_backward = time.perf_counter()
-                ad.backward(tape, loss, retain_all=False)
+                ad.backward(tape, loss)
             except (NonFiniteValue, NonFiniteState) as exc:
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch {start // cfg.batch_size}, "

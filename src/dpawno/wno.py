@@ -285,8 +285,8 @@ def _read(fh, size: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> WnoModel:
-    """Read a checkpoint; a short read raises ChecksumMismatch and a
-    non-finite parameter DatasetIoError."""
+    """Read a checkpoint; a short read raises ChecksumMismatch, and a
+    malformed header or a non-finite parameter DatasetIoError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -296,8 +296,12 @@ def load_checkpoint(path) -> WnoModel:
             raise FormatVersionMismatch(
                 f"checkpoint format version {version} is newer than supported "
                 f"{CHECKPOINT_VERSION}")
-        config = config_from_header(
-            json.loads(_read(fh, header_len, "header").decode()))
+        raw = _read(fh, header_len, "header")
+        try:
+            config = config_from_header(json.loads(raw.decode()))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetIoError(
+                f"checkpoint header is malformed: {type(exc).__name__}: {exc}") from exc
         (count,) = struct.unpack("<I", _read(fh, 4, "header"))
         params = {}
         for _ in range(count):

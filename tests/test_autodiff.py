@@ -15,6 +15,10 @@ from dpawno.errors import (
 RNG = np.random.default_rng(2024)
 
 
+def mean(y):
+    return ad.scalar_mul(ad.total_sum(y), 1.0 / ad.value_of(y).size)
+
+
 def away_from_zero(shape, lo=0.5, hi=1.5):
     """Inputs with |x| in [lo, hi]: keeps finite-difference checks conditioned."""
     mag = RNG.uniform(lo, hi, size=shape)
@@ -72,7 +76,7 @@ class TestBackwardExamples:
     def test_mean_gradient(self):
         t = ad.Tape()
         x = t.leaf([5.0, 1.0, -2.0, 0.5])
-        ad.backward(t, ad.total_mean(x))
+        ad.backward(t, mean(x))
         assert np.array_equal(ad.grad_of(t, x), [0.25, 0.25, 0.25, 0.25])
 
     def test_dwt_gradient_equals_matrix_column_sums(self):
@@ -105,12 +109,15 @@ class TestBackwardExamples:
         assert x.node_id in grads
         assert y.node_id not in grads
 
-    def test_seed_gradient_is_ones(self):
+    def test_backward_keeps_only_leaf_gradients(self):
         t = ad.Tape()
+        w = t.leaf([[0.5, -1.0], [2.0, 0.25]])
         x = t.leaf([1.0, 2.0])
-        loss = ad.total_sum(x)
+        t.leaf([3.0])  # not an ancestor of the seed
+        loss = ad.total_sum(ad.square(ad.gelu(ad.matmul(w, x))))
         grads = ad.backward(t, loss)
-        assert np.array_equal(grads[loss.node_id], np.ones(()))
+        assert set(grads) == {w.node_id, x.node_id}
+        assert t.gradients is grads
 
 
 class TestPrimitiveGradients:
@@ -136,7 +143,6 @@ class TestPrimitiveGradients:
             "gelu": (lambda t: quad(ad.gelu(t)), x),
             "square": (lambda t: ad.total_sum(ad.mul(ad.square(t), c)), x),
             "sum": (lambda t: ad.square(ad.total_sum(t)), x),
-            "mean": (lambda t: ad.square(ad.total_mean(t)), x),
             "slice_axis": (lambda t: quad(ad.slice_axis(t, -1, 2, 6)), x),
             "concat": (lambda t: quad(ad.concat(t, c, 1)), x),
             "boundary": (lambda t: quad(ad.boundary_overwrite(t, mask, 1.5)), x),
@@ -183,7 +189,7 @@ class TestInvariants:
         t = ad.Tape()
         x = t.leaf(x0)
         f = ad.total_sum(ad.square(x))
-        g = ad.total_mean(ad.gelu(x))
+        g = mean(ad.gelu(x))
         ad.backward(t, f)
         gf = ad.grad_of(t, x).copy()
         ad.backward(t, g)
@@ -195,7 +201,7 @@ class TestInvariants:
     def test_replay_determinism(self):
         t = ad.Tape()
         x = t.leaf(away_from_zero((4, 8)))
-        loss = ad.total_mean(ad.square(ad.gelu(ad.scalar_mul(x, 1.3))))
+        loss = mean(ad.square(ad.gelu(ad.scalar_mul(x, 1.3))))
         first = ad.backward(t, loss)[x.node_id].tobytes()
         second = ad.backward(t, loss)[x.node_id].tobytes()
         assert first == second
@@ -218,18 +224,57 @@ class TestInvariants:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
 
-    def test_taped_and_plain_paths_bit_identical(self):
-        x0 = away_from_zero((2, 4, 16))
-        w = away_from_zero((4, 4))
+    def op_cases(self):
+        """(primitive, op call, operands): every primitive, float and int
+        operands, and bias_add's default channel axis."""
+        x = away_from_zero((2, 4, 16))
+        c = away_from_zero((2, 4, 16))
+        w = away_from_zero((3, 4))
+        b = away_from_zero((4,))
         lo, _ = wv.level_analysis(16, "db6", "periodic")
+        mask = np.zeros((1, 1, 16), dtype=bool)
+        mask[..., 0] = True
+        taps = [(1, 2.0), (0, -1.0), (-1, 3.0)]
+        return [
+            ("add", ad.add, (x, c)),
+            ("add", ad.add, (x, 2.5)),
+            ("add", ad.add, (3, x)),
+            ("sub", ad.sub, (x, c)),
+            ("sub", ad.sub, (1.5, x)),
+            ("mul", ad.mul, (x, c)),
+            ("mul", ad.mul, (x, np.float32(0.5))),
+            ("scalar_mul", lambda a: ad.scalar_mul(a, -1.3), (x,)),
+            ("matmul", lambda a, v: ad.matmul(a, v, channel_axis=1), (w, x)),
+            ("matmul", ad.matmul, (w, x[0, :, 0])),
+            ("bias_add", lambda v, a: ad.bias_add(v, a, channel_axis=1), (x, b)),
+            ("bias_add", ad.bias_add, (x, b)),
+            ("bias_add", ad.bias_add, (x[0, :, 0], b)),
+            ("gelu", ad.gelu, (x,)),
+            ("square", ad.square, (x,)),
+            ("sum", ad.total_sum, (x,)),
+            ("slice_axis", lambda a: ad.slice_axis(a, -1, 2, 9), (x,)),
+            ("concat", lambda a, d: ad.concat(a, d, 1), (x, c)),
+            ("boundary_overwrite", lambda a: ad.boundary_overwrite(a, mask, 0.5), (x,)),
+            ("circ_stencil", lambda a: ad.circ_stencil(a, taps, -1), (x,)),
+            ("dwt_level", lambda a: ad.level_matmul("dwt_level", lo, a, -1), (x,)),
+            ("idwt_level", lambda a: ad.level_matmul("idwt_level", lo.T, a, -1),
+             (x[..., :8],)),
+        ]
 
-        def pipeline(x):
-            y = ad.gelu(ad.matmul(w, x, channel_axis=1))
-            return ad.level_matmul("dwt_level", lo, y, -1)
-
-        plain = pipeline(x0)
-        taped = pipeline(ad.Tape().leaf(x0))
-        assert np.array_equal(plain, taped.data)
+    def test_taped_and_plain_paths_bit_identical(self):
+        cases = self.op_cases()
+        assert {op for op, _, _ in cases} == set(ad.PRIMITIVES)
+        for op, fn, operands in cases:
+            plain = fn(*operands)
+            tape = ad.Tape()
+            taped_operands = [tape.leaf(a) if isinstance(a, np.ndarray) else a
+                              for a in operands]
+            before = len(tape.nodes)
+            taped = fn(*taped_operands)
+            assert not isinstance(plain, ad.Tensor), op
+            assert len(tape.nodes) == before + 1, op
+            assert tape.nodes[-1].op == op
+            assert bitwise_equal(np.asarray(plain), taped.data), op
 
 
 def moveaxis_matmul(mat, v, axis):

@@ -77,6 +77,12 @@ class TestConfig:
         with pytest.raises(UsageError):
             cf.parse_schedule("every 10 epochs")
 
+    def test_malformed_schedule_rejected(self):
+        for bad in ("auto: 10 @ 2", "auto: 10 @ 2, 50 @ 40, 60 @ 50",
+                    "pairs: 0:10 20", "pairs: 0:10:3", "pairs: 0:1.5"):
+            with pytest.raises(UsageError):
+                cf.parse_schedule(bad)
+
     def test_amplitude_grammar(self):
         assert cf.parse_amplitudes("-8 .. 8") == tuple(
             float(a) for a in range(-8, 9) if a)
@@ -236,11 +242,11 @@ class TestDamagedCheckpoint:
     """A cut or non-finite checkpoint is an i/o error (exit 4), not a usage
     error or a plausible-looking report."""
 
-    def reliability(self, tmp_path, model, keep=1.0):
+    def reliability(self, tmp_path, model, keep=1.0, edit=lambda raw: raw):
         path = tmp_path / "model.dpaw"
         model.save(path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:int(len(raw) * keep)])
+        path.write_bytes(edit(raw[:int(len(raw) * keep)]))
         return cli.main(["reliability", "--preset", DESK, "--dpa", str(path),
                          "--out", str(tmp_path / "rel"), *SMALL_DATA])
 
@@ -260,6 +266,72 @@ class TestDamagedCheckpoint:
         assert self.reliability(tmp_path, model) == 4
         assert "lift.bias" in capsys.readouterr().err
         assert not (tmp_path / "rel" / "reliability.jsonl").exists()
+
+    def test_undecodable_header_exits_4(self, tmp_path, capsys, monkeypatch):
+        calls = count_cholesky(monkeypatch)
+        # byte 20 lies inside the JSON header, which starts after 12 bytes
+        assert self.reliability(tmp_path, self.model(),
+                                edit=lambda raw: raw[:20] + b"\xff" + raw[21:]) == 4
+        assert "checkpoint header" in capsys.readouterr().err
+        assert calls == []
+
+    def test_header_missing_key_exits_4(self, tmp_path, capsys, monkeypatch):
+        calls = count_cholesky(monkeypatch)
+        assert self.reliability(
+            tmp_path, self.model(),
+            edit=lambda raw: raw.replace(b'"bands"', b'"bandz"', 1)) == 4
+        err = capsys.readouterr().err
+        assert "checkpoint header" in err and "bands" in err
+        assert calls == []
+
+
+@pytest.fixture(scope="module")
+def desk_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("desk") / "data"
+    assert cli.main(["gen-data", "--preset", DESK, "--out", str(data),
+                     *SMALL_DATA]) == 0
+    return data
+
+
+class TestMalformedInput:
+    """Malformed config text exits 2 and a corrupt dataset header exits 4,
+    before any output or costly work."""
+
+    @pytest.mark.parametrize("schedule", ["auto: 10 @ 2", "auto: 10, 50 @ 40",
+                                          "pairs: 0:10 20"])
+    def test_malformed_schedule_exits_2(self, tmp_path, desk_data, capsys,
+                                        schedule):
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(desk_data),
+                         "--out", str(out), *SMALL_DATA, "--set", "train.epochs=2",
+                         "--set", f"train.schedule={schedule}"])
+        assert code == 2
+        assert "cannot parse schedule" in capsys.readouterr().err
+        assert not (out / "model.dpaw").exists()
+
+    @pytest.mark.parametrize("key", ["limit_state.use_magnitude",
+                                     "reliability.diverged_as_failure"])
+    def test_boolean_typo_exits_2_before_factorization(self, tmp_path, monkeypatch,
+                                                       capsys, key):
+        calls = count_cholesky(monkeypatch)
+        code = cli.main(["reliability", "--preset", DESK,
+                         "--out", str(tmp_path / "rel"), *SMALL_DATA,
+                         "--set", f"{key}=ture"])
+        assert code == 2
+        assert key.split(".")[1] in capsys.readouterr().err
+        assert calls == []
+
+    def test_undecodable_dataset_header_exits_4(self, tmp_path, desk_data, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        raw = (desk_data / "train.dpds").read_bytes()
+        (data / "train.dpds").write_bytes(raw[:20] + b"\xff" + raw[21:])
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(data),
+                         "--out", str(out), *SMALL_DATA, *FAST_TRAIN])
+        assert code == 4
+        assert "dataset header" in capsys.readouterr().err
+        assert not (out / "model.dpaw").exists()
 
 
 class TestTrainLog:

@@ -6,6 +6,10 @@ from dpawno import physics as ph
 from dpawno.errors import NonFiniteState, ShapeMismatch, UnsupportedTermForBenchmark
 
 
+def mean(y):
+    return ad.scalar_mul(ad.total_sum(y), 1.0 / ad.value_of(y).size)
+
+
 def burgers(nx=64, nu=0.3 / np.pi, dt=3e-4, terms=("advection", "diffusion"),
             scheme="central"):
     return ph.PdeSpec("burgers1d", {"nu": nu}, terms, "dirichlet", 0.0,
@@ -158,7 +162,7 @@ class TestInvariants:
             v = t
             for _ in range(5):
                 v = ph.euler_step_values(v, spec)
-            return ad.total_mean(ad.square(ad.sub(v, target)))
+            return mean(ad.square(ad.sub(v, target)))
 
         point = (2.0 * np.sin(2 * np.pi * np.linspace(-1, 1, 16)))[None, :]
         assert ad.check_gradient(loss_fn, point, 1e-5) < 1e-5

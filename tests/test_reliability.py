@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ class TestInPlaceCovariance:
         assert len(received) == 3
         for got, j in zip(received, jitters):
             assert np.array_equal(got, base + j * np.eye(len(pts)))
+
+    def test_factorization_peak_memory(self):
+        # the base covariance and the factor; a jittered copy of the base
+        # would add a third n x n matrix
+        x = np.linspace(0.0, 2.0, 24)
+        gx, gy = np.meshgrid(x, x)
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        spec = rel.GrfSpec("rbf", alpha=4.0, length_scale=0.5)
+        matrix_bytes = len(pts) ** 2 * 8
+        tracemalloc.start()
+        try:
+            rel._cholesky(spec, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix_bytes
 
 
 class TestSampleGrf:
