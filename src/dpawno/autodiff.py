@@ -148,14 +148,20 @@ class Tape:
         self.nodes.append(Node("leaf", (), arr, None))
         return Tensor(self, len(self.nodes) - 1)
 
-    def _append(self, op, parents, value, ctx) -> Tensor:
-        self.nodes.append(Node(op, parents, value, ctx))
-        return Tensor(self, len(self.nodes) - 1)
-
 
 def _check_finite(arr, op):
     if not np.isfinite(arr).all():
         raise NonFiniteValue(f"non-finite value produced by {op!r}")
+
+
+def _operand(x):
+    """A non-Tensor operand: floats stay, ints and NumPy scalars become
+    floats, anything else becomes a float64 array."""
+    if isinstance(x, float):
+        return x
+    if isinstance(x, (int, np.floating, np.integer)):
+        return float(x)
+    return np.asarray(x, dtype=np.float64)
 
 
 def _input_value(tape, node, i):
@@ -168,12 +174,13 @@ def _input_value(tape, node, i):
 def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
     """Record one primitive on `tape` and return the output tensor.
 
-    Inputs may be Tensors (on this tape), ndarrays, or Python floats; the
-    latter two are treated as constants that receive no gradient.
+    Inputs may be Tensors (on this tape), arrays or scalars; the latter two
+    are constants that receive no gradient.
     """
     entry = PRIMITIVES.get(op)
     if entry is None:
         raise UnknownPrimitive(f"unknown primitive {op!r}")
+    nodes = tape.nodes
     parents = []
     values = []
     consts = {}
@@ -182,9 +189,9 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
             if x.tape is not tape:
                 raise ValueError("inputs registered on a different tape")
             parents.append(x.node_id)
-            values.append(x.data)
+            values.append(nodes[x.node_id].value)
         else:
-            val = x if isinstance(x, float) else np.asarray(x, dtype=np.float64)
+            val = x if isinstance(x, float) else _operand(x)
             parents.append(None)
             values.append(val)
             consts[i] = val
@@ -193,7 +200,8 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
     if consts:
         ctx = dict(ctx or {})
         ctx["consts"] = consts
-    return tape._append(op, tuple(parents), out, ctx)
+    nodes.append(Node(op, tuple(parents), out, ctx))
+    return Tensor(tape, len(nodes) - 1)
 
 
 def backward(tape: Tape, seed) -> dict:
@@ -463,21 +471,11 @@ PRIMITIVES = {
 
 def _apply(op, *inputs, **params):
     """Record primitive `op` when any input is a Tensor, else return its
-    forward value.  Ints and NumPy scalars become floats, anything else that
-    is not a Tensor or float becomes a float64 array."""
-    tape = None
-    operands = []
+    forward value on the plain operands."""
     for x in inputs:
         if isinstance(x, Tensor):
-            if tape is None:
-                tape = x.tape
-        elif not isinstance(x, float):
-            x = (float(x) if isinstance(x, (int, np.floating, np.integer))
-                 else np.asarray(x, dtype=np.float64))
-        operands.append(x)
-    if tape is not None:
-        return record(tape, op, *operands, **params)
-    return PRIMITIVES[op][0](operands, params)[0]
+            return record(x.tape, op, *inputs, **params)
+    return PRIMITIVES[op][0]([_operand(x) for x in inputs], params)[0]
 
 
 def add(a, b):
