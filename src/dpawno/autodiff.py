@@ -472,10 +472,12 @@ PRIMITIVES = {
 def _apply(op, *inputs, **params):
     """Record primitive `op` when any input is a Tensor, else return its
     forward value on the plain operands."""
+    operands = []
     for x in inputs:
         if isinstance(x, Tensor):
             return record(x.tape, op, *inputs, **params)
-    return PRIMITIVES[op][0]([_operand(x) for x in inputs], params)[0]
+        operands.append(x if isinstance(x, float) else _operand(x))
+    return PRIMITIVES[op][0](operands, params)[0]
 
 
 def add(a, b):
