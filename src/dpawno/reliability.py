@@ -81,8 +81,8 @@ def grf_covariance(spec: GrfSpec, points) -> np.ndarray:
 
 
 def _cholesky(spec: GrfSpec, points) -> np.ndarray:
-    # each attempt jitters the base in place from its saved diagonal, so no
-    # second n x n matrix is ever live next to the base and the factor
+    # each attempt jitters the base in place from its saved diagonal: a
+    # jittered copy would be a third n x n matrix next to the base and factor
     base = grf_covariance(replace(spec, jitter=0.0), points)
     diag = base.diagonal().copy()
     jitter = spec.jitter
