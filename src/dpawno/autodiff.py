@@ -2,11 +2,16 @@
 
 Define-by-run: every operation appends a node to the active :class:`Tape`;
 :func:`backward` walks the tape once in reverse and keeps only the gradients
-of leaf nodes.  Each primitive is defined once, as a (forward, vjp) pair in
-:data:`PRIMITIVES`, and every public op goes through one dispatch path: it is
-recorded when any input is a Tensor, otherwise its forward function is
-evaluated on the plain operands.  Evaluating a model with or without a tape
-therefore produces bit-identical values.
+of leaf nodes.  Each primitive is defined once, as a (forward, vjp, reads)
+entry in :data:`PRIMITIVES`, and every public op goes through one dispatch
+path: it is recorded when any input is a Tensor, otherwise its forward
+function is evaluated on the plain operands.  Evaluating a model with or
+without a tape therefore produces bit-identical values.
+
+A node keeps an input value only when its VJP reads it (`reads`): the
+output array belongs to the returned :class:`Tensor` and is saved on its
+node when, and only when, a consumer that reads it is recorded.  Values
+nothing reads in reverse are freed as soon as the forward pass drops them.
 
 Shapes are explicit (rank 1-4, optional leading batch axis); there is no
 general broadcasting.  Python floats are accepted as scalar operands.
@@ -100,28 +105,30 @@ def k_bias_add(v, b, axis):
 # ---------------------------------------------------------------------------
 # tape machinery
 
+# The value of every node whose output no VJP reads.
+_UNSAVED = np.empty(0)
+_UNSAVED.flags.writeable = False
+
+
 class Node:
     __slots__ = ("op", "parents", "value", "ctx")
 
-    def __init__(self, op, parents, value, ctx):
+    def __init__(self, op, parents, ctx):
         self.op = op
         self.parents = parents
-        self.value = value
+        self.value = _UNSAVED  # the output, once a consumer's VJP reads it
         self.ctx = ctx
 
 
 class Tensor:
-    """Handle to one tape node; `data` lives on the tape."""
+    """Handle to one tape node and owner of its output array `data`."""
 
-    __slots__ = ("tape", "node_id")
+    __slots__ = ("tape", "node_id", "data")
 
-    def __init__(self, tape, node_id):
+    def __init__(self, tape, node_id, data):
         self.tape = tape
         self.node_id = node_id
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tape.nodes[self.node_id].value
+        self.data = data
 
     @property
     def shape(self):
@@ -145,8 +152,8 @@ class Tape:
     def leaf(self, value) -> Tensor:
         arr = np.asarray(value, dtype=np.float64)
         _check_finite(arr, "leaf")
-        self.nodes.append(Node("leaf", (), arr, None))
-        return Tensor(self, len(self.nodes) - 1)
+        self.nodes.append(Node("leaf", (), None))
+        return Tensor(self, len(self.nodes) - 1, arr)
 
 
 def _check_finite(arr, op):
@@ -175,11 +182,13 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
     """Record one primitive on `tape` and return the output tensor.
 
     Inputs may be Tensors (on this tape), arrays or scalars; the latter two
-    are constants that receive no gradient.
+    are constants that receive no gradient.  The inputs the op's VJP reads
+    are kept: a Tensor's value on its node, a constant in the ctx.
     """
     entry = PRIMITIVES.get(op)
     if entry is None:
         raise UnknownPrimitive(f"unknown primitive {op!r}")
+    reads = entry[2]
     nodes = tape.nodes
     parents = []
     values = []
@@ -189,34 +198,37 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
             if x.tape is not tape:
                 raise ValueError("inputs registered on a different tape")
             parents.append(x.node_id)
-            values.append(nodes[x.node_id].value)
+            values.append(x.data)
+            if i in reads:
+                nodes[x.node_id].value = x.data
         else:
             val = x if isinstance(x, float) else _operand(x)
             parents.append(None)
             values.append(val)
-            consts[i] = val
+            if i in reads:
+                consts[i] = val
     out, ctx = entry[0](values, params)
     _check_finite(out, op)
     if consts:
         ctx = dict(ctx or {})
         ctx["consts"] = consts
-    nodes.append(Node(op, tuple(parents), out, ctx))
-    return Tensor(tape, len(nodes) - 1)
+    nodes.append(Node(op, tuple(parents), ctx))
+    return Tensor(tape, len(nodes) - 1, out)
 
 
-def backward(tape: Tape, seed) -> dict:
-    """Populate and return gradients of `seed` w.r.t. its leaf ancestors.
+def backward(tape: Tape, seed: Tensor) -> dict:
+    """Populate and return gradients of the scalar Tensor `seed` w.r.t. its
+    leaf ancestors.
 
     An interior node's gradient is dropped as soon as it has been propagated
     to its parents: keeping it would cost as much memory as the forward tape.
     """
     if not tape.nodes:
         raise EmptyTape("backward on an empty tape")
-    seed_id = seed.node_id if isinstance(seed, Tensor) else int(seed)
-    seed_node = tape.nodes[seed_id]
-    if seed_node.value.size != 1:
-        raise NonScalarSeed(f"seed must be scalar-shaped, got {seed_node.value.shape}")
-    grads = {seed_id: np.ones_like(seed_node.value)}
+    if seed.data.size != 1:
+        raise NonScalarSeed(f"seed must be scalar-shaped, got {seed.shape}")
+    seed_id = seed.node_id
+    grads = {seed_id: np.ones_like(seed.data)}
     for nid in range(seed_id, -1, -1):
         g = grads.get(nid)
         if g is None:
@@ -309,7 +321,7 @@ def _fw_square(v, p):
 
 
 def _fw_sum(v, p):
-    return np.asarray(np.sum(v[0])), None
+    return np.asarray(np.sum(v[0])), {"in_shape": np.shape(v[0])}
 
 
 def _fw_slice_axis(v, p):
@@ -406,8 +418,7 @@ def _vjp_square(tape, node, g):
 
 
 def _vjp_sum(tape, node, g):
-    x = _input_value(tape, node, 0)
-    return (np.broadcast_to(g, x.shape).copy(),)
+    return (np.broadcast_to(g, node.ctx["in_shape"]).copy(),)
 
 
 def _vjp_slice_axis(tape, node, g):
@@ -445,24 +456,25 @@ def _vjp_level_matmul(tape, node, g):
     return (k_axis_matmul(node.ctx["matrix"].T, g, node.ctx["axis"]),)
 
 
-# name -> (forward, vjp).  forward(values, params) returns (output, ctx);
-# vjp(tape, node, g) returns one cotangent per input.
+# name -> (forward, vjp, reads).  forward(values, params) returns (output,
+# ctx); vjp(tape, node, g) returns one cotangent per input and may read the
+# values of the inputs whose indices are in `reads`, no others.
 PRIMITIVES = {
-    "add": (_fw_add, _vjp_add),
-    "sub": (_fw_sub, _vjp_sub),
-    "mul": (_fw_mul, _vjp_mul),
-    "scalar_mul": (_fw_scalar_mul, _vjp_scalar_mul),
-    "matmul": (_fw_matmul, _vjp_matmul),
-    "bias_add": (_fw_bias_add, _vjp_bias_add),
-    "gelu": (_fw_gelu, _vjp_gelu),
-    "square": (_fw_square, _vjp_square),
-    "sum": (_fw_sum, _vjp_sum),
-    "slice_axis": (_fw_slice_axis, _vjp_slice_axis),
-    "concat": (_fw_concat, _vjp_concat),
-    "boundary_overwrite": (_fw_boundary_overwrite, _vjp_boundary_overwrite),
-    "circ_stencil": (_fw_circ_stencil, _vjp_circ_stencil),
-    "dwt_level": (_fw_level_matmul, _vjp_level_matmul),
-    "idwt_level": (_fw_level_matmul, _vjp_level_matmul),
+    "add": (_fw_add, _vjp_add, ()),
+    "sub": (_fw_sub, _vjp_sub, ()),
+    "mul": (_fw_mul, _vjp_mul, (0, 1)),
+    "scalar_mul": (_fw_scalar_mul, _vjp_scalar_mul, ()),
+    "matmul": (_fw_matmul, _vjp_matmul, (0, 1)),
+    "bias_add": (_fw_bias_add, _vjp_bias_add, ()),
+    "gelu": (_fw_gelu, _vjp_gelu, (0,)),
+    "square": (_fw_square, _vjp_square, (0,)),
+    "sum": (_fw_sum, _vjp_sum, ()),
+    "slice_axis": (_fw_slice_axis, _vjp_slice_axis, ()),
+    "concat": (_fw_concat, _vjp_concat, ()),
+    "boundary_overwrite": (_fw_boundary_overwrite, _vjp_boundary_overwrite, ()),
+    "circ_stencil": (_fw_circ_stencil, _vjp_circ_stencil, ()),
+    "dwt_level": (_fw_level_matmul, _vjp_level_matmul, ()),
+    "idwt_level": (_fw_level_matmul, _vjp_level_matmul, ()),
 }
 
 

@@ -62,7 +62,7 @@ Override any key with --set SECTION.KEY=VALUE (repeatable).
 # one column per training.EpochLog field, in order
 TRAIN_LOG_COLUMNS = ("epoch", "T", "mean_loss", "wall_ms", "forward_ms",
                      "backward_ms", "optimizer_ms", "grad_norm_max",
-                     "clipped_batches", "tape_nodes")
+                     "clipped_batches", "tape_nodes", "tape_bytes")
 
 
 def _fmt(x) -> str:

@@ -21,7 +21,7 @@ from . import physics as ph
 from . import wavelet as wv
 from . import wno as wno_mod
 from .datagen import IcFamily
-from .errors import UsageError
+from .errors import UnsupportedTermForBenchmark, UsageError
 from .reliability import GrfSpec, LimitState
 from .training import TrainConfig, default_schedule
 
@@ -102,7 +102,11 @@ class ExperimentConfig:
 
     @property
     def benchmark(self) -> str:
-        return self._get("run", "benchmark")
+        bench = self._get("run", "benchmark")
+        if bench not in ph.BENCHMARK_TERMS:
+            raise UsageError(f"unknown benchmark {bench!r}; choose from "
+                             f"{', '.join(ph.BENCHMARK_TERMS)}")
+        return bench
 
     def full_spec(self) -> ph.PdeSpec:
         return self._spec(ph.BENCHMARK_TERMS[self.benchmark])
@@ -121,18 +125,21 @@ class ExperimentConfig:
         params = {k: self._get("pde", k, float) for k in param_keys}
         domain = tuple(_parse_number_list(self._get("pde", "domain")))
         ny = self._get("pde", "ny", int, 0) or None
-        return ph.PdeSpec(
-            benchmark=bench,
-            params=params,
-            terms=terms,
-            bc=self._get("pde", "bc"),
-            bc_value=self._get("pde", "bc_value", float, 0.0),
-            domain=domain,
-            nx=self._get("pde", "nx", int),
-            ny=ny,
-            dt=self._get("pde", "dt", float),
-            advection_scheme=self._get("pde", "advection", str, "central"),
-        )
+        try:
+            return ph.PdeSpec(
+                benchmark=bench,
+                params=params,
+                terms=terms,
+                bc=self._get("pde", "bc"),
+                bc_value=self._get("pde", "bc_value", float, 0.0),
+                domain=domain,
+                nx=self._get("pde", "nx", int),
+                ny=ny,
+                dt=self._get("pde", "dt", float),
+                advection_scheme=self._get("pde", "advection", str, "central"),
+            )
+        except UnsupportedTermForBenchmark as exc:  # a partial_terms typo
+            raise UsageError(str(exc)) from exc
 
     def families(self, role: str):
         """IC families from the [ic.<role>.N] sections, in order."""

@@ -16,6 +16,7 @@ from .errors import (
     DatasetIoError,
     FormatVersionMismatch,
     NonFiniteState,
+    UnsupportedTermForBenchmark,
 )
 from .reliability import GrfSpec, grf_initial_conditions
 from .rng import stream
@@ -332,7 +333,7 @@ def load(path) -> Dataset:
             shape = tuple(header["shape"])
             spec = spec_from_doc(header["spec"])
             seed, family = header["seed"], header["family"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, UnsupportedTermForBenchmark) as exc:
             raise DatasetIoError(
                 f"dataset header is malformed: {type(exc).__name__}: {exc}") from exc
         (payload_len,) = struct.unpack("<Q", raw)

@@ -77,6 +77,7 @@ class EpochLog:
     grad_norm_max: float  # largest global gradient norm before clipping
     clipped_batches: int
     tape_nodes: int  # largest tape of the epoch
+    tape_bytes: int  # largest sum of node values kept for the reverse sweep
 
 
 @dataclass
@@ -189,7 +190,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
         forward_s = backward_s = optimizer_s = 0.0
         norm_max = 0.0
         clipped = 0
-        tape_nodes = 0
+        tape_nodes = tape_bytes = 0
         epoch_t0 = time.perf_counter()
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -219,7 +220,10 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
             if cfg.grad_clip_norm is not None and norm > cfg.grad_clip_norm:
                 clipped += 1
             tape_nodes = max(tape_nodes, len(tape.nodes))
+            tape_bytes = max(tape_bytes, sum(node.value.nbytes for node in tape.nodes))
             epoch_losses.append(loss_val)
+            # the next batch's forward pass must not run beside this tape
+            del tape, staged, loss
         mean_loss = float(np.mean(epoch_losses))
         losses.append(mean_loss)
         trace.append((epoch, t_steps))
@@ -227,7 +231,8 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
             wall_ms = (time.perf_counter() - epoch_t0) * 1e3
             log_sink(EpochLog(epoch, t_steps, mean_loss, wall_ms,
                               forward_s * 1e3, backward_s * 1e3,
-                              optimizer_s * 1e3, norm_max, clipped, tape_nodes))
+                              optimizer_s * 1e3, norm_max, clipped, tape_nodes,
+                              tape_bytes))
         if checkpoint_fn is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
             checkpoint_fn(epoch, model)

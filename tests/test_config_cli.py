@@ -321,6 +321,38 @@ class TestMalformedInput:
         assert key.split(".")[1] in capsys.readouterr().err
         assert calls == []
 
+    def test_unknown_benchmark_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = cli.main(["gen-data", "--preset", DESK, "--out", str(out),
+                         "--set", "run.benchmark=burgers3d"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmark 'burgers3d'" in err
+        assert all(name in err for name in ("burgers1d", "nagumo", "allen_cahn",
+                                            "burgers2d"))
+        assert not (out / "train.dpds").exists()
+
+    def test_unknown_partial_term_exits_2(self, tmp_path, capsys):
+        code = cli.main(["train", "--preset", DESK, "--data", str(tmp_path / "none"),
+                         "--out", str(tmp_path / "train"),
+                         "--set", "pde.partial_terms=advection, reaction"])
+        assert code == 2
+        assert "'reaction'" in capsys.readouterr().err
+
+    def test_unknown_benchmark_in_dataset_header_exits_4(self, tmp_path, desk_data,
+                                                         capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        raw = (desk_data / "train.dpds").read_bytes()
+        assert raw.count(b'"burgers1d"') == 1
+        (data / "train.dpds").write_bytes(raw.replace(b'"burgers1d"', b'"burgers9d"'))
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(data),
+                         "--out", str(out), *SMALL_DATA, *FAST_TRAIN])
+        assert code == 4
+        assert "burgers9d" in capsys.readouterr().err
+        assert not (out / "model.dpaw").exists()
+
     def test_undecodable_dataset_header_exits_4(self, tmp_path, desk_data, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -356,7 +388,8 @@ class TestTrainLog:
         assert code == 3
         rows = (out / "train_log.csv").read_text().splitlines()
         assert rows[0] == ("epoch,T,mean_loss,wall_ms,forward_ms,backward_ms,"
-                           "optimizer_ms,grad_norm_max,clipped_batches,tape_nodes")
+                           "optimizer_ms,grad_norm_max,clipped_batches,tape_nodes,"
+                           "tape_bytes")
         assert [row.split(",")[:2] for row in rows[1:]] == [["0", "3"], ["1", "3"]]
 
     def train_log(self, tmp_path, name, grad_clip):
@@ -387,22 +420,25 @@ class TestTrainLog:
                 assert all(ms > 0.0 for ms in phases)
                 assert sum(phases) <= float(r["wall_ms"])
                 assert 0.0 < float(r["grad_norm_max"]) < np.inf
-                assert int(r["tape_nodes"]) == tape_nodes(cfg, ds, int(r["T"]))
+                tape = batch_tape(cfg, ds, int(r["T"]))
+                assert int(r["tape_nodes"]) == len(tape.nodes)
+                assert int(r["tape_bytes"]) == sum(
+                    node.value.nbytes for node in tape.nodes)
         # the norm is read before clipping, which would cap it at 1e-9
         assert all(float(r["grad_norm_max"]) > 1e-6 for r in clipped)
         assert [int(r["clipped_batches"]) for r in clipped] == [batches] * 3
         assert [int(r["clipped_batches"]) for r in free] == [0] * 3
 
 
-def tape_nodes(cfg, ds, t_steps):
-    """Nodes on the tape of one training batch at unroll length T."""
+def batch_tape(cfg, ds, t_steps):
+    """The tape of one training batch at unroll length T, before backward."""
     model = wno.WnoModel.initialize(cfg.wno_config(), cfg.seed)
     tape = ad.Tape()
     staged = {name: tape.leaf(value) for name, value in model.params.items()}
     batch = ds.trajectories[:cfg.train_config().batch_size]
     tr.rollout_loss(model, cfg.partial_spec(), batch[:, 0], batch, t_steps,
                     params=staged)
-    return len(tape.nodes)
+    return tape
 
 
 class TestUqStepping:

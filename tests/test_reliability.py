@@ -100,6 +100,17 @@ class TestInPlaceCovariance:
         assert np.array_equal(rel.grf_covariance(spec, pts),
                               broadcast_covariance(spec, pts))
 
+    @pytest.mark.parametrize("kernel", rel.KERNELS)
+    @pytest.mark.parametrize("dims", (1, 2))
+    def test_row_blocks_equal_broadcast_expression(self, dims, kernel, monkeypatch):
+        # blocks of 5 rows: several full blocks and a ragged last one
+        spec = rel.GrfSpec(kernel, alpha=3.7, length_scale=0.45,
+                           periodicity=1.3, jitter=1e-8)
+        pts = self.grid(dims)
+        monkeypatch.setattr(rel, "_BLOCK_BYTES", 5 * 8 * len(pts))
+        assert np.array_equal(rel.grf_covariance(spec, pts),
+                              broadcast_covariance(spec, pts))
+
     def test_retries_factor_base_plus_jitter_eye(self, monkeypatch):
         received = []
         real = np.linalg.cholesky

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,64 @@ class TestBlockedAugmentedStep:
         spec, model, u = self.case("burgers2d-missing-xdiff", overrides, 3, 4)
         assert model.config.bands == "coarsest"
         self.check(spec, model, u)
+
+
+def assert_only_read_values_kept(tape):
+    """A node holds its output exactly when a recorded consumer's VJP reads it."""
+    read = set()
+    for node in tape.nodes:
+        if node.op != "leaf":
+            read.update(node.parents[i] for i in ad.PRIMITIVES[node.op][2]
+                        if node.parents[i] is not None)
+    for nid, node in enumerate(tape.nodes):
+        assert (node.value is not ad._UNSAVED) == (nid in read), (nid, node.op)
+        assert node.value.nbytes > 0 or nid not in read
+
+
+class TestTapeMemory:
+    """The tape keeps only the values its VJPs read, and training holds one
+    tape at a time."""
+
+    @staticmethod
+    def batch_tape(preset, overrides, n, t_steps):
+        cfg = cf.load_config(preset=preset, overrides=overrides)
+        ds = dg.generate(cfg.full_spec(), cfg.families("train"), n, t_steps,
+                         cfg.seed, purpose="data")
+        model = wno.WnoModel.initialize(cfg.wno_config(), cfg.seed)
+        tape = ad.Tape()
+        staged = {k: tape.leaf(v) for k, v in model.params.items()}
+        tr.rollout_loss(model, cfg.partial_spec(), ds.ics, ds.trajectories,
+                        t_steps, params=staged)
+        return tape
+
+    def test_desk_batch_keeps_read_values_only(self):
+        # B=4, T=10: 6.6 MB of values the VJPs read; every output is 22.3 MB
+        tape = self.batch_tape("burgers1d-missing-diffusion-desk",
+                               ("ic.train.1.count=2", "ic.train.2.count=2"), 4, 10)
+        assert sum(node.value.nbytes for node in tape.nodes) <= 8e6
+        assert_only_read_values_kept(tape)
+        ops = {node.op for node in tape.nodes}
+        assert {"dwt_level", "idwt_level", "add", "bias_add"} <= ops
+
+    def test_small_2d_keeps_read_values_only(self):
+        overrides = ("pde.nx=16", "pde.ny=16", "wno.width=4", "wno.fc1_dim=8",
+                     "wno.levels=2", "wno.layers=2", "ic.train.1.count=1")
+        assert_only_read_values_kept(
+            self.batch_tape("burgers2d-missing-xdiff", overrides, 1, 2))
+
+    def test_previous_batch_tape_released(self, monkeypatch):
+        full, partial, ds = burgers_setup()
+        tapes, alive = [], []
+
+        def rollout_loss(model, spec, ics, targets, t_steps, params=None,
+                         grid=None, original=tr.rollout_loss):
+            alive.append([ref() is not None for ref in tapes])
+            tapes.append(weakref.ref(next(iter(params.values())).tape))
+            return original(model, spec, ics, targets, t_steps, params=params,
+                            grid=grid)
+
+        monkeypatch.setattr(tr, "rollout_loss", rollout_loss)
+        cfg = tr.TrainConfig(epochs=2, unroll_schedule=((0, 3),), batch_size=2,
+                             learning_rate=0.01, seed=0)
+        tr.train(tiny_model(), ds, partial, cfg)
+        assert alive == [[False] * i for i in range(6)]
