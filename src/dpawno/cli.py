@@ -26,6 +26,7 @@ from . import wno as wno_mod
 from .config import PRESETS, ExperimentConfig, load_config
 from .errors import (
     ChecksumMismatch,
+    CountExceedsFamily,
     DatasetIoError,
     DpawnoError,
     FormatVersionMismatch,
@@ -33,6 +34,8 @@ from .errors import (
     NonFiniteState,
     NonFiniteValue,
     NotPositiveDefinite,
+    ScheduleExhausted,
+    SignalTooShort,
     UsageError,
 )
 
@@ -149,7 +152,7 @@ def cmd_train(args) -> int:
         return 0
     spec = cfg.data_only_spec() if args.mode == "data-only" else cfg.partial_spec()
     tcfg = cfg.train_config()
-    dataset = dg.load(os.path.join(args.data, "train.dpds"))
+    dataset = _load_dataset(cfg, args.data, "train")
 
     def checkpoint_fn(epoch, m):
         m.save(os.path.join(out, f"checkpoint_epoch{epoch + 1}.dpaw"))
@@ -180,6 +183,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_dataset(cfg, data_dir, name):
+    """The stored `name` set ("train" or "test"); one made for another
+    benchmark or grid than the configuration's is a usage error."""
+    ds = dg.load(os.path.join(data_dir, f"{name}.dpds"))
+    spec = cfg.partial_spec()
+    if (ds.spec.benchmark, ds.ics.shape[1:]) != (spec.benchmark, spec.state_shape()):
+        raise UsageError(
+            f"{name} set holds {ds.spec.benchmark} states of shape "
+            f"{ds.ics.shape[1:]}; the configuration expects {spec.benchmark} "
+            f"states of shape {spec.state_shape()}")
+    return ds
+
+
 def _surrogates(cfg, args):
     """(name -> surrogate) for the models being compared."""
     out = {}
@@ -196,15 +212,19 @@ def _surrogates(cfg, args):
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     out = _ensure_outdir(args.out)
-    test = dg.load(os.path.join(args.data, "test.dpds"))
+    # read (and so checked) before any file or checkpoint is loaded
+    eval_steps, snapshots = cfg.eval_steps, cfg.snapshots()
+    test = _load_dataset(cfg, args.data, "test")
     truth = test.trajectories
-    steps = min(cfg.eval_steps, test.n_steps)
+    steps = min(eval_steps, test.n_steps)
     horizon = test.n_steps
     surrogates = _surrogates(cfg, args)
     probe_x, _ = cfg.probes()[0]
     grid = cfg.partial_spec().grid()
     index, snapped = uq.nearest_grid_index(grid, probe_x)
-    snap_steps = [t for t in cfg.snapshots() if t <= test.n_steps]
+    # skipped, not rejected: a run that cuts data.nt_test keeps the preset's
+    # later snapshots
+    snap_steps = [t for t in snapshots if t <= test.n_steps]
 
     truth_probe = np.stack(
         [uq.probe_trajectories(truth, index, t) for t in range(1, steps + 1)])
@@ -256,7 +276,7 @@ def _density_or_delta(samples):
 def cmd_uq(args) -> int:
     cfg = _load_cfg(args)
     out = _ensure_outdir(args.out)
-    test = dg.load(os.path.join(args.data, "test.dpds"))
+    test = _load_dataset(cfg, args.data, "test")
     probes = cfg.probes()
     for _, t_star in probes:
         if not 1 <= t_star <= test.n_steps:
@@ -439,7 +459,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, ScheduleExhausted, CountExceedsFamily,
+            SignalTooShort) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteLoss, NonFiniteState, NonFiniteValue,

@@ -258,10 +258,16 @@ class ExperimentConfig:
 
     @property
     def eval_steps(self) -> int:
-        return self._get("eval", "steps", int, 100)
+        steps = self._get("eval", "steps", int, 100)
+        if steps < 1:
+            raise UsageError(f"[eval] steps must be >= 1, got {steps}")
+        return steps
 
     def snapshots(self):
-        return [int(v) for v in _parse_number_list(self._get("eval", "snapshots"))]
+        times = [int(v) for v in _parse_number_list(self._get("eval", "snapshots"))]
+        if any(t < 1 for t in times):
+            raise UsageError(f"[eval] snapshots must be steps >= 1, got {times}")
+        return times
 
 
 def load_config(preset: str = None, path=None, overrides=()) -> ExperimentConfig:

@@ -134,6 +134,8 @@ class LimitState:
     def __post_init__(self):
         if not np.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
+        if self.horizon < 0:
+            raise ValueError(f"limit-state horizon must be >= 0, got {self.horizon}")
 
 
 def evaluate_margin(trajectory, ls: LimitState) -> float:

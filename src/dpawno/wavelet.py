@@ -2,8 +2,10 @@
 
 Transforms are realized as per-level banded matrices so that adjoints are
 plain transposes; with periodic extension the matrices are orthogonal and the
-adjoint coincides with the inverse.  The trailing array axis is the transform
-axis; leading axes (batch, channels) pass through untouched.
+adjoint coincides with the inverse.  One transform serves both dimensions: it
+acts on the `dims` trailing axes (the last is x, the one before it y) and
+applies the 1D level step along each axis in turn (Mallat 1989); leading axes
+(batch, channels) pass through untouched.
 
 Every level is one :func:`autodiff.level_matmul`, so the transforms accept an
 ndarray or a tape :class:`autodiff.Tensor`: on a Tensor they record
@@ -159,34 +161,28 @@ def level_synthesis(n: int, family: str, extension: str):
     return s_lo, s_hi
 
 
-def level_lengths(n: int, spec: WaveletSpec) -> tuple:
-    """Input length at each level, finest first."""
-    if n < 2 ** spec.levels:
+def level_shapes(shape, spec: WaveletSpec) -> tuple:
+    """Input shape (one extent per transform axis) at each level, finest
+    first."""
+    shape = tuple(shape)
+    if min(shape) < 2 ** spec.levels:
         raise SignalTooShort(
-            f"signal length {n} shorter than 2^levels = {2 ** spec.levels}"
-        )
-    lengths = []
-    m = n
+            f"extents {shape} shorter than 2^levels = {2 ** spec.levels}")
+    shapes = []
     for _ in range(spec.levels):
-        lengths.append(m)
-        m = coeff_length(m, spec.family, spec.extension)
-    return tuple(lengths)
+        shapes.append(shape)
+        shape = tuple(coeff_length(n, spec.family, spec.extension) for n in shape)
+    return tuple(shapes)
 
 
 class WaveletCoeffs:
-    """Multilevel 1D coefficients: one approximation band plus per-level
-    details, coarsest first / finest last."""
-
-    def __init__(self, approx, details, original_lengths):
-        self.approx = approx
-        self.details = list(details)
-        self.original_lengths = tuple(original_lengths)
-
-
-class WaveletCoeffs2d:
-    """Multilevel separable 2D coefficients.  Each detail entry is a
-    (d_lh, d_hl, d_hh) triple; the first letter is the filter along y, the
-    second along x."""
+    """Multilevel coefficients over the `dims` trailing axes: one
+    approximation band plus, per level (coarsest first, finest last), a
+    tuple of 2^dims - 1 detail bands.  In 1D a level is ``(h,)``.  In 2D it
+    is ``(lh, hl, hh)``: the first letter is the filter along x (the last
+    axis), the second along y, so ``lh`` is low-pass along x and high-pass
+    along y.  ``original_shapes`` holds each level's input extents, finest
+    first."""
 
     def __init__(self, approx, details, original_shapes):
         self.approx = approx
@@ -194,104 +190,57 @@ class WaveletCoeffs2d:
         self.original_shapes = tuple(original_shapes)
 
 
-def _accumulate(x, mat, band, axis):
-    """x + mat . band along `axis`; a None band (or x) is zero and records
+def dwt_multilevel(x, spec: WaveletSpec, dims: int = 1) -> WaveletCoeffs:
+    """Separable forward transform over the `dims` trailing axes.
+
+    Each level splits every band along x, then y; a split emits (hi, lo), so
+    the all-low band, the next level's input, comes out last."""
+    shapes = level_shapes(ad.value_of(x).shape[-dims:], spec)
+    details = []
+    for shape in shapes:
+        bands = [x]
+        for axis in range(-1, -dims - 1, -1):
+            lo, hi = level_analysis(shape[axis], spec.family, spec.extension)
+            bands = [ad.level_matmul("dwt_level", mat, band, axis)
+                     for band in bands for mat in (hi, lo)]
+        x, *level = reversed(bands)
+        details.append(tuple(level))
+    details.reverse()
+    return WaveletCoeffs(x, details, shapes)
+
+
+def _merge(s_lo, lo, s_hi, hi, axis):
+    """S_lo . lo + S_hi . hi along `axis`; a None band is zero and records
     nothing."""
-    if band is None:
-        return x
-    up = ad.level_matmul("idwt_level", mat, band, axis)
-    return up if x is None else ad.add(x, up)
+    parts = [ad.level_matmul("idwt_level", mat, band, axis)
+             for mat, band in ((s_lo, lo), (s_hi, hi)) if band is not None]
+    if not parts:
+        return None
+    return parts[0] if len(parts) == 1 else ad.add(*parts)
 
 
-def dwt_multilevel(signal, spec: WaveletSpec) -> WaveletCoeffs:
-    """Forward multilevel transform along the trailing axis."""
-    x = signal
-    lengths = level_lengths(ad.value_of(x).shape[-1], spec)
-    details = []
-    for m in lengths:
-        lo, hi = level_analysis(m, spec.family, spec.extension)
-        details.append(ad.level_matmul("dwt_level", hi, x, -1))
-        x = ad.level_matmul("dwt_level", lo, x, -1)
-    details.reverse()
-    return WaveletCoeffs(x, details, lengths)
-
-
-def idwt_multilevel(coeffs: WaveletCoeffs, spec: WaveletSpec):
-    """Exact left inverse of :func:`dwt_multilevel`."""
-    lengths = coeffs.original_lengths
-    if len(coeffs.details) != len(lengths):
-        raise InconsistentCoeffLengths(
-            f"{len(coeffs.details)} detail bands for {len(lengths)} levels"
-        )
-    x = coeffs.approx
-    for d, m in zip(coeffs.details, reversed(lengths)):
-        k_in = coeff_length(m, spec.family, spec.extension)
-        for band in (x, d):
-            if band is not None and ad.value_of(band).shape[-1] != k_in:
-                raise InconsistentCoeffLengths(
-                    f"level input {m}: expected coefficient length {k_in}, "
-                    f"got {ad.value_of(band).shape[-1]}"
-                )
-        s_lo, s_hi = level_synthesis(m, spec.family, spec.extension)
-        x = _accumulate(ad.level_matmul("idwt_level", s_lo, x, -1), s_hi, d, -1)
-    return x
-
-
-def level_shapes_2d(shape, spec: WaveletSpec) -> tuple:
-    ny, nx = shape
-    if ny < 2 ** spec.levels or nx < 2 ** spec.levels:
-        raise SignalTooShort(
-            f"field extents {shape} shorter than 2^levels = {2 ** spec.levels}"
-        )
-    shapes = []
-    for _ in range(spec.levels):
-        shapes.append((ny, nx))
-        ny = coeff_length(ny, spec.family, spec.extension)
-        nx = coeff_length(nx, spec.family, spec.extension)
-    return tuple(shapes)
-
-
-def dwt2d_multilevel(field, spec: WaveletSpec) -> WaveletCoeffs2d:
-    """Separable forward transform over the two trailing axes."""
-    x = field
-    shapes = level_shapes_2d(ad.value_of(x).shape[-2:], spec)
-    details = []
-    for ny, nx in shapes:
-        lo_x, hi_x = level_analysis(nx, spec.family, spec.extension)
-        lo_y, hi_y = level_analysis(ny, spec.family, spec.extension)
-        l = ad.level_matmul("dwt_level", lo_x, x, -1)
-        h = ad.level_matmul("dwt_level", hi_x, x, -1)
-        ll = ad.level_matmul("dwt_level", lo_y, l, -2)
-        lh = ad.level_matmul("dwt_level", hi_y, l, -2)
-        hl = ad.level_matmul("dwt_level", lo_y, h, -2)
-        hh = ad.level_matmul("dwt_level", hi_y, h, -2)
-        details.append((lh, hl, hh))
-        x = ll
-    details.reverse()
-    return WaveletCoeffs2d(x, details, shapes)
-
-
-def idwt2d_multilevel(coeffs: WaveletCoeffs2d, spec: WaveletSpec):
-    """Exact left inverse of :func:`dwt2d_multilevel`."""
+def idwt_multilevel(coeffs: WaveletCoeffs, spec: WaveletSpec, dims: int = 1):
+    """Exact left inverse of :func:`dwt_multilevel`: merges each level's
+    (lo, hi) pairs along y, then x."""
     shapes = coeffs.original_shapes
     if len(coeffs.details) != len(shapes):
         raise InconsistentCoeffLengths(
-            f"{len(coeffs.details)} detail bands for {len(shapes)} levels"
-        )
+            f"{len(coeffs.details)} detail levels for {len(shapes)} levels")
     x = coeffs.approx
-    for (lh, hl, hh), (ny, nx) in zip(coeffs.details, reversed(shapes)):
-        ky = coeff_length(ny, spec.family, spec.extension)
-        kx = coeff_length(nx, spec.family, spec.extension)
-        for band in (x, lh, hl, hh):
-            if band is not None and ad.value_of(band).shape[-2:] != (ky, kx):
+    for level, shape in zip(coeffs.details, reversed(shapes)):
+        if len(level) != 2 ** dims - 1:
+            raise InconsistentCoeffLengths(
+                f"{len(level)} detail bands in a level, expected {2 ** dims - 1}")
+        bands = [x, *level]
+        expected = tuple(coeff_length(n, spec.family, spec.extension) for n in shape)
+        for band in bands:
+            if band is not None and ad.value_of(band).shape[-dims:] != expected:
                 raise InconsistentCoeffLengths(
-                    f"level input {(ny, nx)}: expected band shape {(ky, kx)}, "
-                    f"got {ad.value_of(band).shape[-2:]}"
-                )
-        s_lo_x, s_hi_x = level_synthesis(nx, spec.family, spec.extension)
-        s_lo_y, s_hi_y = level_synthesis(ny, spec.family, spec.extension)
-        l = _accumulate(ad.level_matmul("idwt_level", s_lo_y, x, -2), s_hi_y, lh, -2)
-        x = ad.level_matmul("idwt_level", s_lo_x, l, -1)
-        h = _accumulate(_accumulate(None, s_lo_y, hl, -2), s_hi_y, hh, -2)
-        x = _accumulate(x, s_hi_x, h, -1)
+                    f"level input {shape}: expected band shape {expected}, "
+                    f"got {ad.value_of(band).shape[-dims:]}")
+        for axis in range(-dims, 0):
+            s_lo, s_hi = level_synthesis(shape[axis], spec.family, spec.extension)
+            bands = [_merge(s_lo, lo, s_hi, hi, axis)
+                     for lo, hi in zip(bands[0::2], bands[1::2])]
+        (x,) = bands
     return x

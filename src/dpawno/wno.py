@@ -37,6 +37,10 @@ from .rng import stream
 CHECKPOINT_MAGIC = b"DPAW"
 CHECKPOINT_VERSION = 1
 
+# parameter-name stem of each detail band of a level, in the order of
+# wavelet.WaveletCoeffs.details
+DETAIL_KINDS = {1: ("detail",), 2: ("lh", "hl", "hh")}
+
 
 @dataclass(frozen=True)
 class WnoConfig:
@@ -52,7 +56,7 @@ class WnoConfig:
     def __post_init__(self):
         if self.width < 1 or self.layers < 1 or self.fc1_dim < 1:
             raise ValueError("width, layers and fc1_dim must be >= 1")
-        if self.spatial_dims not in (1, 2):
+        if self.spatial_dims not in DETAIL_KINDS:
             raise ValueError("spatial_dims must be 1 or 2")
         if self.bands not in ("coarsest", "all"):
             raise ValueError("bands must be 'coarsest' or 'all'")
@@ -60,13 +64,8 @@ class WnoConfig:
     def kernel_bands(self) -> tuple:
         """Names of the sub-bands that carry mixing weights, coarsest first."""
         levels = self.wavelet.levels if self.bands == "all" else 1
-        names = ["approx"]
-        if self.spatial_dims == 1:
-            names += [f"detail{j}" for j in range(levels)]
-        else:
-            for j in range(levels):
-                names += [f"lh{j}", f"hl{j}", f"hh{j}"]
-        return tuple(names)
+        return ("approx",) + tuple(f"{kind}{j}" for j in range(levels)
+                                   for kind in DETAIL_KINDS[self.spatial_dims])
 
     def parameter_shapes(self) -> dict:
         w, f1 = self.width, self.fc1_dim
@@ -187,20 +186,13 @@ def kernel_layer(v, layer: int, model: WnoModel, params=None, final=False):
 
     # v feeds the transform and the pointwise path; recording the transform
     # first fixes the order in which backward sums v's gradient
-    if cfg.spatial_dims == 1:
-        c = wv.dwt_multilevel(v, wspec)
-        details = [mix(f"detail{j}", d) for j, d in enumerate(c.details)]
-        x = wv.idwt_multilevel(
-            wv.WaveletCoeffs(mix("approx", c.approx), details, c.original_lengths),
-            wspec)
-    else:
-        c = wv.dwt2d_multilevel(v, wspec)
-        details = [tuple(mix(f"{kind}{j}", d)
-                         for kind, d in zip(("lh", "hl", "hh"), triple))
-                   for j, triple in enumerate(c.details)]
-        x = wv.idwt2d_multilevel(
-            wv.WaveletCoeffs2d(mix("approx", c.approx), details, c.original_shapes),
-            wspec)
+    c = wv.dwt_multilevel(v, wspec, cfg.spatial_dims)
+    kinds = DETAIL_KINDS[cfg.spatial_dims]
+    details = [tuple(mix(f"{kind}{j}", d) for kind, d in zip(kinds, level))
+               for j, level in enumerate(c.details)]
+    x = wv.idwt_multilevel(
+        wv.WaveletCoeffs(mix("approx", c.approx), details, c.original_shapes),
+        wspec, cfg.spatial_dims)
 
     w = ad.matmul(p[f"layer{layer}.pointwise.weight"], v, channel_axis=ca)
     w = ad.bias_add(w, p[f"layer{layer}.pointwise.bias"], channel_axis=ca)

@@ -237,6 +237,14 @@ class TestReliabilityCommand:
         assert "[reliability] n" in capsys.readouterr().err
         assert calls == []
 
+    def test_negative_horizon_rejected_before_factorization(self, tmp_path,
+                                                            monkeypatch, capsys):
+        calls = count_cholesky(monkeypatch)
+        assert self.run(tmp_path, "--set", "limit_state.horizon=-1") == 2
+        assert "horizon" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "rel" / "reliability.jsonl").exists()
+
 
 class TestDamagedCheckpoint:
     """A cut or non-finite checkpoint is an i/o error (exit 4), not a usage
@@ -364,6 +372,73 @@ class TestMalformedInput:
         assert code == 4
         assert "dataset header" in capsys.readouterr().err
         assert not (out / "model.dpaw").exists()
+
+
+class TestConfigErrors:
+    """A configuration the data or the grid cannot serve is a usage error
+    (exit 2), raised before any checkpoint is loaded or output written."""
+
+    def test_schedule_beyond_dataset_exits_2(self, tmp_path, desk_data, capsys):
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(desk_data),
+                         "--out", str(out), *SMALL_DATA, "--set", "train.epochs=1",
+                         "--set", "train.schedule=pairs: 0:500"])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (out / "model.dpaw").exists()
+
+    def test_count_beyond_family_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = cli.main(["gen-data", "--preset", DESK, "--out", str(out),
+                         "--set", "ic.train.1.count=2000"])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (out / "train.dpds").exists()
+
+    def test_too_many_wavelet_levels_exits_2(self, tmp_path, desk_data, capsys):
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(desk_data),
+                         "--out", str(out), *SMALL_DATA, *FAST_TRAIN,
+                         "--set", "wno.levels=9"])
+        assert code == 2
+        assert "2^levels" in capsys.readouterr().err
+        assert not (out / "model.dpaw").exists()
+
+    @pytest.mark.parametrize("key", ["eval.snapshots=0", "eval.snapshots=5, -3",
+                                     "eval.steps=0"])
+    def test_bad_evaluate_step_exits_2_before_checkpoint(self, tmp_path, desk_data,
+                                                         capsys, key):
+        # the checkpoint does not exist: reading it first would exit 4
+        out = tmp_path / "eval"
+        code = cli.main(["evaluate", "--preset", DESK, "--data", str(desk_data),
+                         "--dpa", str(tmp_path / "missing.dpaw"), "--out", str(out),
+                         *SMALL_DATA, "--set", key])
+        assert code == 2
+        assert f"[eval] {key.split('.')[1].split('=')[0]}" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_snapshots_past_the_stored_horizon_are_skipped(self, tmp_path, desk_data):
+        out = tmp_path / "eval"
+        assert cli.main(["evaluate", "--preset", DESK, "--data", str(desk_data),
+                         "--out", str(out), *SMALL_DATA,
+                         "--set", "eval.snapshots=5, 999"]) == 0
+        assert sorted(p.name for p in out.glob("snapshot_t*.csv")) == ["snapshot_t5.csv"]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "uq"])
+    @pytest.mark.parametrize("config", [
+        ["--preset", "burgers2d-missing-xdiff"],
+        ["--preset", DESK, *SMALL_DATA, "--set", "pde.nx=32"],
+    ], ids=["benchmark", "grid"])
+    def test_dataset_of_another_config_exits_2(self, tmp_path, desk_data, capsys,
+                                               command, config):
+        out = tmp_path / command
+        code = cli.main([command, *config, *FAST_TRAIN, "--data", str(desk_data),
+                         "--out", str(out)])
+        assert code == 2
+        name = "train" if command == "train" else "test"
+        assert f"{name} set holds burgers1d states of shape (1, 64)" in \
+            capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestTrainLog:

@@ -193,6 +193,11 @@ class TestMargin:
         assert rel.evaluate_margin(traj, mag) == -2.0
         assert rel.evaluate_margin(traj, signed) == 7.0
 
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            rel.LimitState(threshold=1.0, horizon=-1)
+        assert rel.LimitState(threshold=1.0, horizon=0).horizon == 0
+
     def test_horizon_truncates(self):
         ls = rel.LimitState(threshold=1.0, horizon=3)
         traj = np.zeros((11, 1, 4))

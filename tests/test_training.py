@@ -317,6 +317,10 @@ def assert_only_read_values_kept(tape):
         assert node.value.nbytes > 0 or nid not in read
 
 
+TAPE_2D = ("pde.nx=32", "pde.ny=32", "wno.width=8", "wno.fc1_dim=16",
+           "wno.levels=3", "wno.layers=2", "ic.train.1.count=1")
+
+
 class TestTapeMemory:
     """The tape keeps only the values its VJPs read, and training holds one
     tape at a time."""
@@ -347,6 +351,25 @@ class TestTapeMemory:
                      "wno.levels=2", "wno.layers=2", "ic.train.1.count=1")
         assert_only_read_values_kept(
             self.batch_tape("burgers2d-missing-xdiff", overrides, 1, 2))
+
+    @pytest.mark.parametrize("extension", ["periodic", "symmetric"])
+    @pytest.mark.parametrize("preset,overrides,n,bands,nodes,dwt,idwt", [
+        ("burgers1d-missing-diffusion-desk",
+         ("ic.train.1.count=2", "ic.train.2.count=2"), 4, "coarsest", 256, 72, 45),
+        ("burgers1d-missing-diffusion-desk",
+         ("ic.train.1.count=2", "ic.train.2.count=2"), 4, "all", 346, 72, 72),
+        ("burgers2d-missing-xdiff", TAPE_2D, 1, "coarsest", 370, 108, 60),
+        ("burgers2d-missing-xdiff", TAPE_2D, 1, "all", 502, 108, 108),
+    ], ids=["1d-coarsest", "1d-all", "2d-coarsest", "2d-all"])
+    def test_rollout_tape_node_counts(self, preset, overrides, n, bands, nodes,
+                                      dwt, idwt, extension):
+        # a 3-step rollout_loss records the same graph size as the separate
+        # 1D and 2D transforms did
+        tape = self.batch_tape(preset, overrides + (f"wno.bands={bands}",
+                                                    f"wno.extension={extension}"), n, 3)
+        ops = [node.op for node in tape.nodes]
+        assert (len(ops), ops.count("dwt_level"), ops.count("idwt_level")) == (
+            nodes, dwt, idwt)
 
     def test_previous_batch_tape_released(self, monkeypatch):
         full, partial, ds = burgers_setup()

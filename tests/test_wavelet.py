@@ -16,17 +16,13 @@ def transform_matrix(n, spec):
     return np.column_stack(cols)
 
 
-def bands_1d(c):
-    return [c.approx] + list(c.details)
+def bands(c):
+    return [c.approx] + [b for level in c.details for b in level]
 
 
 def flatten(c):
-    """1D coefficients as one vector, approximation band first."""
-    return np.concatenate([np.ravel(b) for b in bands_1d(c)])
-
-
-def bands_2d(c):
-    return [c.approx] + [b for triple in c.details for b in triple]
+    """Coefficients as one vector, approximation band first."""
+    return np.concatenate([np.ravel(b) for b in bands(c)])
 
 
 def adjoint_apply(x, y, spec):
@@ -35,7 +31,7 @@ def adjoint_apply(x, y, spec):
     tape = ad.Tape()
     leaf = tape.leaf(x)
     pairing = None
-    for band, y_band in zip(bands_1d(wv.dwt_multilevel(leaf, spec)), bands_1d(y)):
+    for band, y_band in zip(bands(wv.dwt_multilevel(leaf, spec)), bands(y)):
         term = ad.total_sum(ad.mul(band, y_band))
         pairing = term if pairing is None else ad.add(pairing, term)
     ad.backward(tape, pairing)
@@ -65,7 +61,7 @@ class TestDwt1d:
     def test_constant_signal_details_vanish(self):
         spec = wv.WaveletSpec("db6", 4, "periodic")
         c = wv.dwt_multilevel(np.full(64, 3.7), spec)
-        for d in c.details:
+        for (d,) in c.details:
             assert np.max(np.abs(d)) < 1e-13 * 3.7
         # approximation picks up 2^(levels/2) per coefficient
         assert np.allclose(c.approx, 3.7 * 2 ** (4 / 2), atol=1e-12)
@@ -74,7 +70,7 @@ class TestDwt1d:
         spec = wv.WaveletSpec("db6", 3, "periodic")
         c = wv.dwt_multilevel(np.zeros(32), spec)
         assert np.all(c.approx == 0.0)
-        assert all(np.all(d == 0.0) for d in c.details)
+        assert all(np.all(d == 0.0) for (d,) in c.details)
 
     def test_matches_matrix_oracle(self):
         spec = wv.WaveletSpec("db6", 4, "periodic")
@@ -111,45 +107,71 @@ class TestIdwt1d:
         c = wv.dwt_multilevel(np.zeros(n), spec)
         delta = np.zeros_like(c.approx)
         delta[2] = 1.0
-        c = wv.WaveletCoeffs(delta, [np.zeros_like(d) for d in c.details],
-                             c.original_lengths)
+        c = wv.WaveletCoeffs(delta, [(np.zeros_like(d),) for (d,) in c.details],
+                             c.original_shapes)
         assert np.max(np.abs(wv.idwt_multilevel(c, spec) - inv[:, 2])) < 1e-11
 
     def test_inconsistent_lengths_raise(self):
         spec = wv.WaveletSpec("db6", 2, "periodic")
         c = wv.dwt_multilevel(np.random.default_rng(2).standard_normal(32), spec)
-        broken = wv.WaveletCoeffs(c.approx[:-1], c.details, c.original_lengths)
+        broken = wv.WaveletCoeffs(c.approx[:-1], c.details, c.original_shapes)
         with pytest.raises(InconsistentCoeffLengths):
             wv.idwt_multilevel(broken, spec)
+
+    def test_wrong_band_count_raises(self):
+        spec = wv.WaveletSpec("db6", 2, "periodic")
+        c = wv.dwt_multilevel(np.random.default_rng(2).standard_normal((16, 32)), spec)
+        with pytest.raises(InconsistentCoeffLengths):
+            wv.idwt_multilevel(c, spec, dims=2)
+        c2 = wv.dwt_multilevel(np.ones((16, 16)), spec, dims=2)
+        with pytest.raises(InconsistentCoeffLengths):
+            wv.idwt_multilevel(c2, spec)
 
 
 class TestDwt2d:
     def test_constant_field_detail_bands_vanish(self):
         spec = wv.WaveletSpec("db2", 2, "periodic")
-        c = wv.dwt2d_multilevel(np.full((8, 8), 2.0), spec)
+        c = wv.dwt_multilevel(np.full((8, 8), 2.0), spec, dims=2)
         for lh, hl, hh in c.details:
             assert max(np.max(np.abs(b)) for b in (lh, hl, hh)) < 1e-13
 
     def test_round_trip_64x64(self):
         spec = wv.WaveletSpec("db6", 4, "periodic")
         f = np.random.default_rng(3).standard_normal((64, 64))
-        fr = wv.idwt2d_multilevel(wv.dwt2d_multilevel(f, spec), spec)
+        fr = wv.idwt_multilevel(wv.dwt_multilevel(f, spec, dims=2), spec, dims=2)
         assert np.max(np.abs(fr - f)) < 1e-10
 
     def test_separability_on_outer_product(self):
         spec = wv.WaveletSpec("db6", 3, "periodic")
         rng = np.random.default_rng(4)
         a, b = rng.standard_normal(64), rng.standard_normal(64)
-        c2 = wv.dwt2d_multilevel(np.outer(a, b), spec)
+        c2 = wv.dwt_multilevel(np.outer(a, b), spec, dims=2)
         ca, cb = wv.dwt_multilevel(a, spec), wv.dwt_multilevel(b, spec)
         assert np.max(np.abs(c2.approx - np.outer(ca.approx, cb.approx))) < 1e-11
+
+    @pytest.mark.parametrize("extension", wv.EXTENSIONS)
+    def test_band_names_on_outer_product(self, extension):
+        # f[y, x] = a[y] b[x] and the first letter of a band name is the
+        # filter along x: lh = hi(a) (x) lo(b), hl = lo(a) (x) hi(b) and
+        # hh = hi(a) (x) hi(b).  An L-level transform's coarsest level is
+        # level L of any deeper one, so levels 1..3 cover every level.
+        rng = np.random.default_rng(24)
+        a, b = rng.standard_normal(40), rng.standard_normal(48)
+        for levels in (1, 2, 3):
+            spec = wv.WaveletSpec("db4", levels, extension)
+            lh, hl, hh = wv.dwt_multilevel(np.outer(a, b), spec, dims=2).details[0]
+            ca, cb = wv.dwt_multilevel(a, spec), wv.dwt_multilevel(b, spec)
+            (hi_a,), (hi_b,) = ca.details[0], cb.details[0]
+            assert np.max(np.abs(lh - np.outer(hi_a, cb.approx))) < 1e-12
+            assert np.max(np.abs(hl - np.outer(ca.approx, hi_b))) < 1e-12
+            assert np.max(np.abs(hh - np.outer(hi_a, hi_b))) < 1e-12
 
     def test_channel_dims_pass_through(self):
         spec = wv.WaveletSpec("db2", 2, "periodic")
         f = np.random.default_rng(5).standard_normal((3, 2, 16, 16))
-        c = wv.dwt2d_multilevel(f, spec)
+        c = wv.dwt_multilevel(f, spec, dims=2)
         assert c.approx.shape[:2] == (3, 2)
-        assert np.max(np.abs(wv.idwt2d_multilevel(c, spec) - f)) < 1e-10
+        assert np.max(np.abs(wv.idwt_multilevel(c, spec, dims=2) - f)) < 1e-10
 
 
 class TestInvariants:
@@ -183,8 +205,8 @@ class TestInvariants:
             x = rng.standard_normal(64)
             c = wv.dwt_multilevel(x, spec)
             y = wv.WaveletCoeffs(rng.standard_normal(c.approx.shape),
-                                 [rng.standard_normal(d.shape) for d in c.details],
-                                 c.original_lengths)
+                                 [(rng.standard_normal(d.shape),) for (d,) in c.details],
+                                 c.original_shapes)
             lhs = float(np.dot(flatten(c), flatten(y)))
             rhs = float(np.dot(x, adjoint_apply(x, y, spec)))
             assert abs(lhs - rhs) < 1e-10
@@ -202,26 +224,22 @@ class TestTapeTensors:
     """The transforms the WNO records on the tape: Tensor inputs and None
     (zero) detail bands."""
 
-    @pytest.mark.parametrize("dwt,idwt,bands,shape,spec", [
-        (wv.dwt_multilevel, wv.idwt_multilevel, bands_1d, (3, 2, 64),
-         wv.WaveletSpec("db6", 3, "periodic")),
-        (wv.dwt_multilevel, wv.idwt_multilevel, bands_1d, (2, 40),
-         wv.WaveletSpec("db4", 2, "symmetric")),
-        (wv.dwt2d_multilevel, wv.idwt2d_multilevel, bands_2d, (2, 3, 32, 16),
-         wv.WaveletSpec("db6", 2, "periodic")),
-        (wv.dwt2d_multilevel, wv.idwt2d_multilevel, bands_2d, (2, 24, 40),
-         wv.WaveletSpec("db4", 2, "symmetric")),
-    ])
-    def test_tensor_path_matches_ndarray_path(self, dwt, idwt, bands, shape, spec):
+    @pytest.mark.parametrize("dims,shape,spec", [
+        (1, (3, 2, 64), wv.WaveletSpec("db6", 3, "periodic")),
+        (1, (2, 40), wv.WaveletSpec("db4", 2, "symmetric")),
+        (2, (2, 3, 32, 16), wv.WaveletSpec("db6", 2, "periodic")),
+        (2, (2, 24, 40), wv.WaveletSpec("db4", 2, "symmetric")),
+    ], ids=["1d-periodic", "1d-symmetric", "2d-periodic", "2d-symmetric"])
+    def test_tensor_path_matches_ndarray_path(self, dims, shape, spec):
         x = np.random.default_rng(20).standard_normal(shape)
         tape = ad.Tape()
         leaf = tape.leaf(x)
-        taped, plain = dwt(leaf, spec), dwt(x, spec)
+        taped, plain = wv.dwt_multilevel(leaf, spec, dims), wv.dwt_multilevel(x, spec, dims)
         for t_band, p_band in zip(bands(taped), bands(plain)):
             assert isinstance(t_band, ad.Tensor)
             assert np.array_equal(t_band.data, p_band)
-        back = idwt(taped, spec)
-        assert np.array_equal(back.data, idwt(plain, spec))
+        back = wv.idwt_multilevel(taped, spec, dims)
+        assert np.array_equal(back.data, wv.idwt_multilevel(plain, spec, dims))
         # idwt(dwt(x)) = x, so its VJP returns the cotangent unchanged
         w = np.random.default_rng(23).standard_normal(shape)
         ad.backward(tape, ad.total_sum(ad.mul(back, w)))
@@ -234,20 +252,20 @@ class TestTapeTensors:
 
         def inverse(coarsest):
             return wv.idwt_multilevel(wv.WaveletCoeffs(
-                c.approx, [coarsest] + c.details[1:], c.original_lengths), spec)
+                c.approx, [(coarsest,)] + c.details[1:], c.original_shapes), spec)
 
-        assert np.array_equal(inverse(None), inverse(np.zeros_like(c.details[0])))
+        assert np.array_equal(inverse(None), inverse(np.zeros_like(c.details[0][0])))
 
     @pytest.mark.parametrize("extension", wv.EXTENSIONS)
     def test_none_detail_band_is_a_zero_band_2d(self, extension):
         spec = wv.WaveletSpec("db4", 2, extension)
-        c = wv.dwt2d_multilevel(
-            np.random.default_rng(22).standard_normal((2, 32, 24)), spec)
+        c = wv.dwt_multilevel(
+            np.random.default_rng(22).standard_normal((2, 32, 24)), spec, dims=2)
         lh, hl, hh = c.details[-1]
 
         def inverse(finest):
-            return wv.idwt2d_multilevel(wv.WaveletCoeffs2d(
-                c.approx, c.details[:-1] + [finest], c.original_shapes), spec)
+            return wv.idwt_multilevel(wv.WaveletCoeffs(
+                c.approx, c.details[:-1] + [finest], c.original_shapes), spec, dims=2)
 
         assert np.array_equal(inverse((None, hl, None)),
                               inverse((np.zeros_like(lh), hl, np.zeros_like(hh))))
@@ -256,18 +274,18 @@ class TestTapeTensors:
         spec = wv.WaveletSpec("db6", 2, "periodic")
         tape = ad.Tape()
         c = wv.dwt_multilevel(tape.leaf(np.ones(32)), spec)
-        short = ad.slice_axis(c.details[0], -1, 0, 7)
+        short = ad.slice_axis(c.details[0][0], -1, 0, 7)
         with pytest.raises(InconsistentCoeffLengths):
             wv.idwt_multilevel(
-                wv.WaveletCoeffs(c.approx, [short] + c.details[1:],
-                                 c.original_lengths), spec)
-        c2 = wv.dwt2d_multilevel(tape.leaf(np.ones((16, 16))), spec)
+                wv.WaveletCoeffs(c.approx, [(short,)] + c.details[1:],
+                                 c.original_shapes), spec)
+        c2 = wv.dwt_multilevel(tape.leaf(np.ones((16, 16))), spec, dims=2)
         lh, hl, hh = c2.details[0]
         with pytest.raises(InconsistentCoeffLengths):
-            wv.idwt2d_multilevel(
-                wv.WaveletCoeffs2d(c2.approx,
-                                   [(lh, ad.slice_axis(hl, -2, 0, 3), hh)]
-                                   + c2.details[1:], c2.original_shapes), spec)
+            wv.idwt_multilevel(
+                wv.WaveletCoeffs(c2.approx,
+                                 [(lh, ad.slice_axis(hl, -2, 0, 3), hh)]
+                                 + c2.details[1:], c2.original_shapes), spec, dims=2)
 
 
 class TestSymmetricExtension:
@@ -286,7 +304,7 @@ class TestSymmetricExtension:
     def test_2d_round_trip(self):
         spec = wv.WaveletSpec("db4", 2, "symmetric")
         f = np.random.default_rng(12).standard_normal((24, 40))
-        fr = wv.idwt2d_multilevel(wv.dwt2d_multilevel(f, spec), spec)
+        fr = wv.idwt_multilevel(wv.dwt_multilevel(f, spec, dims=2), spec, dims=2)
         assert np.max(np.abs(fr - f)) < 1e-10
 
 
@@ -303,5 +321,5 @@ class TestSpecValidation:
         # ceil(n / 2^k) per level for the periodic lengths used here
         spec = wv.WaveletSpec("db6", 4, "periodic")
         c = wv.dwt_multilevel(np.zeros(112), spec)
-        assert [d.shape[-1] for d in c.details] == [7, 14, 28, 56]
+        assert [d.shape[-1] for (d,) in c.details] == [7, 14, 28, 56]
         assert c.approx.shape[-1] == 7

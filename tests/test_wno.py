@@ -118,7 +118,7 @@ class TestKernelLayer:
         v = np.random.default_rng(10).standard_normal((1, 4, 16))
         out = wno.kernel_layer(v, 0, m, final=True)
         coeffs = wv.dwt_multilevel(out, cfg.wavelet)
-        finest = coeffs.details[-1]
+        (finest,) = coeffs.details[-1]
         assert np.max(np.abs(finest)) < 1e-12
 
 
@@ -215,6 +215,15 @@ class TestInvariants:
         cfg = small_config(bands="all")
         assert len(cfg.kernel_bands()) == 1 + cfg.wavelet.levels
         assert cfg.parameter_count() > small_config().parameter_count()
+
+    def test_kernel_band_names(self):
+        # the names of the mixing weights in a checkpoint
+        assert small_config(bands="all").kernel_bands() == (
+            "approx", "detail0", "detail1")
+        assert small_config(spatial_dims=2, in_channels=3).kernel_bands() == (
+            "approx", "lh0", "hl0", "hh0")
+        assert small_config(spatial_dims=2, in_channels=3, bands="all").kernel_bands() == (
+            "approx", "lh0", "hl0", "hh0", "lh1", "hl1", "hh1")
 
     def test_same_seed_same_init_same_forward(self):
         cfg = small_config()
