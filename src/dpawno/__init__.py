@@ -12,7 +12,8 @@ Module map:
     autodiff     reverse-mode tape over dense float64 grid tensors
     wavelet      multilevel Daubechies transforms (1D / separable 2D)
     wno          the wavelet neural operator network and its checkpoints
-    physics      benchmark right-hand sides, term masks, Euler stepper
+    physics      benchmark right-hand sides, term masks, grid layout,
+                 Euler stepper
     datagen      initial-condition families, ground truth, dataset files
     training     Adam, progressive-unroll trainer, evaluation surrogates
     uq           KDE response densities, Hellinger distance, ensemble MSE

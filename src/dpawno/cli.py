@@ -35,6 +35,7 @@ from .errors import (
     NonFiniteValue,
     NotPositiveDefinite,
     ScheduleExhausted,
+    ShapeMismatch,
     SignalTooShort,
     UsageError,
 )
@@ -220,8 +221,8 @@ def cmd_evaluate(args) -> int:
     horizon = test.n_steps
     surrogates = _surrogates(cfg, args)
     probe_x, _ = cfg.probes()[0]
-    grid = cfg.partial_spec().grid()
-    index, snapped = uq.nearest_grid_index(grid, probe_x)
+    spec = cfg.partial_spec()
+    index, snapped = uq.nearest_grid_index(spec.grid(), probe_x)
     # skipped, not rejected: a run that cuts data.nt_test keeps the preset's
     # later snapshots
     snap_steps = [t for t in snapshots if t <= test.n_steps]
@@ -240,12 +241,10 @@ def cmd_evaluate(args) -> int:
     _write_csv(os.path.join(out, "metrics.csv"),
                ["model", "er1_mse", "er2_mean_hellinger", "diverged"], rows)
 
+    coords = spec.coordinates()
     for t_snap in snap_steps:
-        header, cols = ["x"], [np.asarray(grid[0] if isinstance(grid, tuple) else grid)]
-        if isinstance(grid, tuple):
-            x, y = grid
-            gx, gy = np.meshgrid(x, y)
-            header, cols = ["x", "y"], [gx.ravel(), gy.ravel()]
+        header = ["x", "y"][:len(coords)]
+        cols = [axis.ravel() for axis in coords]
         for i in range(min(3, truth.shape[0])):
             header.append(f"true_s{i}")
             cols.append(truth[i, t_snap, 0].ravel())
@@ -364,8 +363,6 @@ def cmd_reliability(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     names = PRESETS if args.all else (args.preset or "burgers1d-missing-diffusion-desk",)
-    if isinstance(names, str):
-        names = (names,)
     worst_overall = 0.0
     for name in names:
         cfg = load_config(preset=name, overrides=args.set or ())
@@ -459,8 +456,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UsageError, ValueError, ScheduleExhausted, CountExceedsFamily,
-            SignalTooShort) as exc:
+    except (UsageError, ValueError, ShapeMismatch, ScheduleExhausted,
+            CountExceedsFamily, SignalTooShort) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteLoss, NonFiniteState, NonFiniteValue,

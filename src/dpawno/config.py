@@ -187,8 +187,6 @@ class ExperimentConfig:
         return self._get("data", "nt_test", int)
 
     def wno_config(self) -> wno_mod.WnoConfig:
-        spatial = 2 if self.benchmark == "burgers2d" else 1
-        state_channels = 2 if self.benchmark == "burgers2d" else 1
         return wno_mod.WnoConfig(
             width=self._get("wno", "width", int),
             layers=self._get("wno", "layers", int),
@@ -198,10 +196,10 @@ class ExperimentConfig:
                 self._get("wno", "extension", str, "periodic"),
             ),
             fc1_dim=self._get("wno", "fc1_dim", int),
-            in_channels=state_channels + spatial,
-            out_channels=state_channels,
-            spatial_dims=spatial,
             bands=self._get("wno", "bands", str, "coarsest"),
+            # every term set shares one state shape; this spec reads the
+            # fewest keys
+            **wno_mod.io_fields(self.data_only_spec().state_shape()),
         )
 
     def train_config(self) -> TrainConfig:
@@ -247,14 +245,12 @@ class ExperimentConfig:
         return self._get("reliability", "diverged_as_failure", bool, True)
 
     def probes(self):
-        """(x*, t*) pairs; x* is (x, y) for 2D benchmarks."""
+        """(x*, t*) pairs; x* is a location in the order of
+        physics.PdeSpec.grid(): (x,) in 1D, (x, y) in 2D."""
         times = [int(v) for v in _parse_number_list(self._get("probe", "t"))]
-        if self.benchmark == "burgers2d":
-            x = self._get("probe", "x", float)
-            y = self._get("probe", "y", float)
-            return [((x, y), t) for t in times]
-        x = self._get("probe", "x", float)
-        return [(x, t) for t in times]
+        dims = len(self.data_only_spec().spatial_shape())
+        location = tuple(self._get("probe", axis, float) for axis in "xy"[:dims])
+        return [(location, t) for t in times]
 
     @property
     def eval_steps(self) -> int:

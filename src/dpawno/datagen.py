@@ -90,8 +90,8 @@ def _draw_params(family, count, rng):
     return arr[:, 0], arr[:, 1]
 
 
-def _plateau_mask(kind, x, y):
-    gx, gy = np.meshgrid(x, y)  # (ny, nx)
+def _plateau_mask(kind, gx, gy):
+    # gx, gy: x and y of every grid point, each (ny, nx)
     if kind == "square":
         return (gx >= 0.5) & (gx <= 1.5) & (gy >= 0.5) & (gy <= 1.5)
     if kind == "square_large":
@@ -118,7 +118,7 @@ def sample_ics(family: IcFamily, count: int, spec: ph.PdeSpec, seed: int,
     if family.kind in ("cosine", "sine"):
         if spec.is_2d:
             raise ValueError(f"{family.kind} ICs are 1D only")
-        x = spec.grid()
+        (x,) = spec.grid()
         amps, fs = _draw_params(family, count, rng)
         phase = 0.5 * np.pi * np.outer(fs, x) if family.kind == "cosine" \
             else np.pi * np.outer(fs, x)
@@ -126,9 +126,10 @@ def sample_ics(family: IcFamily, count: int, spec: ph.PdeSpec, seed: int,
         fields = amps[:, None] * wave
         return fields[:, None, :]
     if family.kind in ("square2d", "shape2d"):
-        x, y = spec.grid()
+        if not spec.is_2d:
+            raise ValueError(f"{family.kind} ICs are 2D only")
         shape = "square" if family.kind == "square2d" else family.shape
-        mask = _plateau_mask(shape, x, y)
+        mask = _plateau_mask(shape, *spec.coordinates())
         if _is_uniform(family.amplitudes):
             vals = rng.uniform(float(family.amplitudes[1]), float(family.amplitudes[2]),
                                size=count)
@@ -193,11 +194,9 @@ def _check_advective_cfl(spec: ph.PdeSpec, ics):
     if "advection" not in spec.terms:
         return
     speeds = np.abs(ics)
-    if spec.is_2d:
-        number = (float(np.max(speeds[:, 0])) * spec.dt / spec.dx
-                  + float(np.max(speeds[:, 1])) * spec.dt / spec.dy)
-    else:
-        number = float(np.max(speeds)) * spec.dt / spec.dx
+    # channel k is the velocity along axis k of spec.grid()
+    number = sum(float(np.max(speeds[:, k])) * spec.dt / h
+                 for k, h in enumerate(spec.spacing()))
     if number > 1.0:
         warnings.warn(
             f"advective CFL number {number:.3f} > 1 for {spec.benchmark} at the "

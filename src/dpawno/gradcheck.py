@@ -28,10 +28,7 @@ REDUCED_T = 3
 
 
 def reduced_spec(spec: ph.PdeSpec) -> ph.PdeSpec:
-    kw = {"nx": REDUCED_NX}
-    if spec.is_2d:
-        kw["ny"] = REDUCED_NX
-    return replace(spec, **kw)
+    return replace(spec, nx=REDUCED_NX, ny=REDUCED_NX if spec.ny else None)
 
 
 def reduced_wno_config(spec: ph.PdeSpec) -> wno_mod.WnoConfig:
@@ -40,9 +37,7 @@ def reduced_wno_config(spec: ph.PdeSpec) -> wno_mod.WnoConfig:
         layers=2,
         wavelet=wv.WaveletSpec("db6", REDUCED_LEVELS, "periodic"),
         fc1_dim=8,
-        in_channels=spec.channels + (2 if spec.is_2d else 1),
-        out_channels=spec.channels,
-        spatial_dims=2 if spec.is_2d else 1,
+        **wno_mod.io_fields(spec.state_shape()),
     )
 
 
@@ -65,7 +60,7 @@ def _reduced_ic(spec: ph.PdeSpec, seed: int) -> np.ndarray:
         base = 2.0 + np.sin(np.pi * x)[None, :] * np.sin(np.pi * y)[:, None]
         field = base + 0.3 * rng.standard_normal(base.shape)
         return np.broadcast_to(field, (1, 2) + base.shape).copy()
-    x = spec.grid()
+    (x,) = spec.grid()
     u = 2.0 * np.sin(2 * np.pi * x) + 0.3 * rng.standard_normal(len(x))
     if spec.bc == "dirichlet":
         u[0] = u[-1] = spec.bc_value
@@ -85,11 +80,11 @@ def gradient_fidelity(partial_spec: ph.PdeSpec, seed: int = 0,
     states = tr.rollout(None, full, ic, t_steps)
     targets = np.stack([ad.value_of(s) for s in states], axis=1)
     targets += 0.05 * stream(seed, "data", 8).standard_normal(targets.shape)
-    grid = spec.grid()
+    coords = spec.coordinates()
 
     def loss_with(params, ic_values):
         return tr.rollout_loss(model, spec, ic_values, targets, t_steps,
-                               params=params, grid=grid)
+                               params=params, coords=coords)
 
     # reverse-mode gradients for everything in one pass
     tape = ad.Tape()

@@ -133,6 +133,10 @@ class PdeSpec:
         span = self.domain[1] - self.domain[0]
         return span / (self.ny - 1) if self.bc == "dirichlet" else span / self.ny
 
+    def spacing(self) -> tuple:
+        """Grid steps in the order of grid(): (dx,) in 1D, (dx, dy) in 2D."""
+        return (self.dx, self.dy) if self.is_2d else (self.dx,)
+
     @property
     def full_terms(self) -> tuple:
         return BENCHMARK_TERMS[self.benchmark]
@@ -154,9 +158,7 @@ class PdeSpec:
         has_diffusion = any(t.startswith("diffusion") for t in self.terms)
         if not has_diffusion:
             return
-        number = self.diffusivity() * self.dt / self.dx ** 2
-        if self.is_2d:
-            number += self.diffusivity() * self.dt / self.dy ** 2
+        number = sum(self.diffusivity() * self.dt / h ** 2 for h in self.spacing())
         if number > 0.5:
             warnings.warn(
                 f"explicit diffusion CFL number {number:.3f} > 0.5 for "
@@ -165,20 +167,17 @@ class PdeSpec:
                 stacklevel=3,
             )
 
-    def grid(self):
-        """Spatial coordinates: x for 1D, (x, y) for 2D."""
+    def grid(self) -> tuple:
+        """Axis coordinates, x first: (x,) in 1D, (x, y) in 2D."""
         lo, hi = self.domain
-        if self.bc == "dirichlet":
-            x = np.linspace(lo, hi, self.nx)
-        else:
-            x = lo + (hi - lo) * np.arange(self.nx) / self.nx
-        if not self.is_2d:
-            return x
-        if self.bc == "dirichlet":
-            y = np.linspace(lo, hi, self.ny)
-        else:
-            y = lo + (hi - lo) * np.arange(self.ny) / self.ny
-        return x, y
+        return tuple(np.linspace(lo, hi, n) if self.bc == "dirichlet"
+                     else lo + (hi - lo) * np.arange(n) / n
+                     for n in reversed(self.spatial_shape()))
+
+    def coordinates(self) -> np.ndarray:
+        """Coordinate of every grid point, (dims,) + spatial_shape(): the x
+        channel first, then y."""
+        return np.stack(np.meshgrid(*self.grid()))
 
     def spatial_shape(self) -> tuple:
         return (self.ny, self.nx) if self.is_2d else (self.nx,)
@@ -190,11 +189,8 @@ class PdeSpec:
         """Boolean mask over (C,) + spatial shape, True on Dirichlet entries."""
         mask = np.zeros(self.state_shape(), dtype=bool)
         if self.bc == "dirichlet":
-            mask[..., 0] = True
-            mask[..., -1] = True
-            if self.is_2d:
-                mask[..., 0, :] = True
-                mask[..., -1, :] = True
+            for axis in range(1, mask.ndim):  # both ends of every spatial axis
+                np.moveaxis(mask, axis, 0)[[0, -1]] = True
         return mask
 
 

@@ -240,13 +240,10 @@ def estimate_reliability(surrogate, ics, ls: LimitState, seed: int,
 
 def grf_initial_conditions(grf_spec: GrfSpec, spec, n: int, seed: int,
                            stream_index: int = 0) -> np.ndarray:
-    """GRF draws shaped as solver states (n,) + spec.state_shape()."""
-    if spec.is_2d:
-        x, y = spec.grid()
-        gx, gy = np.meshgrid(x, y)
-        points = np.column_stack([gx.ravel(), gy.ravel()])
-        draws = sample_grf(grf_spec, points, n, seed, stream_index)
-        fields = draws.reshape(n, 1, len(y), len(x))
-        return np.broadcast_to(fields, (n, 2, len(y), len(x))).copy()
-    draws = sample_grf(grf_spec, spec.grid(), n, seed, stream_index)
-    return draws[:, None, :]
+    """GRF draws shaped as solver states (n,) + spec.state_shape(); every
+    channel holds the same field."""
+    coords = spec.coordinates()
+    points = coords.reshape(len(coords), -1).T  # one row per grid point
+    draws = sample_grf(grf_spec, points, n, seed, stream_index)
+    fields = draws.reshape((n, 1) + spec.spatial_shape())
+    return np.broadcast_to(fields, (n,) + spec.state_shape()).copy()

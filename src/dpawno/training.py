@@ -14,7 +14,13 @@ import numpy as np
 from . import autodiff as ad
 from . import physics as ph
 from . import wno as wno_mod
-from .errors import NonFiniteLoss, NonFiniteState, NonFiniteValue, ScheduleExhausted
+from .errors import (
+    NonFiniteLoss,
+    NonFiniteState,
+    NonFiniteValue,
+    ScheduleExhausted,
+    ShapeMismatch,
+)
 from .rng import stream
 
 
@@ -85,7 +91,6 @@ class TrainReport:
     losses: list
     schedule_trace: list  # (epoch, T) actually used
     wall_time_s: float
-    model: object
 
 
 class Adam:
@@ -125,19 +130,21 @@ def clip_gradients(grads: dict, max_norm) -> tuple:
 # rollouts
 
 def rollout(model, spec: ph.PdeSpec, ic, t_steps: int, params=None,
-            grid=None, correction_fn=None):
+            coords=None, correction_fn=None):
     """T+1 states starting from `ic`; differentiable when inputs are Tensors.
 
+    `coords` is spec.coordinates(), built here when not given.
     `correction_fn` overrides the model (e.g. to inject an oracle correction);
     pass model=None with correction_fn=None for a pure known-physics rollout.
     """
     if t_steps < 1:
         raise ValueError("t_steps must be >= 1")
-    if grid is None:
-        grid = spec.grid()
     if correction_fn is None and model is not None:
+        if coords is None:
+            coords = spec.coordinates()
+
         def correction_fn(state):
-            return wno_mod.wno_forward(state, grid, model, params)
+            return wno_mod.wno_forward(state, coords, model, params)
     states = [ic]
     u = ic
     for _ in range(t_steps):
@@ -148,13 +155,14 @@ def rollout(model, spec: ph.PdeSpec, ic, t_steps: int, params=None,
 
 
 def rollout_loss(model, spec: ph.PdeSpec, batch_ics, batch_targets,
-                 t_steps: int, params=None, grid=None):
+                 t_steps: int, params=None, coords=None):
     """Mean squared rollout error over (batch, T, space)."""
     targets = np.asarray(batch_targets, dtype=np.float64)
     if targets.shape[1] < t_steps + 1:
         raise ValueError(
             f"batch stores {targets.shape[1] - 1} steps, rollout needs {t_steps}")
-    states = rollout(model, spec, batch_ics, t_steps, params=params, grid=grid)
+    states = rollout(model, spec, batch_ics, t_steps, params=params,
+                     coords=coords)
     acc = None
     for t in range(1, t_steps + 1):
         sq = ad.total_sum(ad.square(ad.sub(states[t], targets[:, t])))
@@ -173,7 +181,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
     """
     if dataset.spec.benchmark != partial_spec.benchmark:
         raise ValueError("dataset and training spec target different benchmarks")
-    grid = partial_spec.grid()
+    coords = partial_spec.coordinates()
     opt = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
     shuffle_rng = stream(cfg.seed, "shuffle")
     n = dataset.n_samples
@@ -200,7 +208,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
             t_forward = time.perf_counter()
             try:
                 loss = rollout_loss(model, partial_spec, batch[:, 0], batch,
-                                    t_steps, params=staged, grid=grid)
+                                    t_steps, params=staged, coords=coords)
                 loss_val = float(loss.data)
                 t_backward = time.perf_counter()
                 ad.backward(tape, loss)
@@ -236,7 +244,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
         if checkpoint_fn is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
             checkpoint_fn(epoch, model)
-    return TrainReport(losses, trace, time.perf_counter() - t0, model)
+    return TrainReport(losses, trace, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +260,8 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
     evaluation pipeline needs is accumulated per step:
 
       max_response  running per-sample max of |u| (or signed u), IC included
-      probe         (steps, B) channel-0 values at `probe_index` when given
+      probe         (steps, B) channel-0 values at `probe_index`, a spatial
+                    index such as uq.nearest_grid_index returns, when given
       snapshots     {t: state copy} for the requested step indices
       sse / count   squared error against `truth` over min(steps, mse_steps)
       diverged      per-sample blow-up flags (frozen at last finite state)
@@ -267,6 +276,7 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
     max_response = np.max(np.abs(flat) if magnitude else flat, axis=1)
     diverged_at = np.where(alive, -1, 0)
     probe = np.zeros((steps, n)) if probe_index is not None else None
+    at = (slice(None), 0) + tuple(probe_index or ())  # channel 0 at the probe
     snaps = {}
     sse = 0.0
     count = 0
@@ -277,10 +287,7 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
         max_response = np.maximum(max_response, np.max(response, axis=1))
         diverged_at[~alive & (diverged_at < 0)] = t
         if probe is not None:
-            if isinstance(probe_index, tuple):
-                probe[t - 1] = u[:, 0, probe_index[0], probe_index[1]]
-            else:
-                probe[t - 1] = u[:, 0, probe_index]
+            probe[t - 1] = u[at]
         if t in snapshots:
             snaps[t] = u.copy()
         if truth is not None and t <= limit:
@@ -319,6 +326,8 @@ _BLOCK_BYTES = 1 << 20
 class AugmentedSurrogate:
     """Rolls spec physics plus the model's learned correction.
 
+    A model made for another state shape than `spec`'s (another number of
+    spatial axes or channels) is a ShapeMismatch here, before any rollout.
     The correction is evaluated in blocks of samples (at least one) whose
     widest activation, max(width, fc1_dim) channels over the grid, fits in
     _BLOCK_BYTES; every WNO operation acts on each sample alone, so the
@@ -326,15 +335,23 @@ class AugmentedSurrogate:
     """
 
     def __init__(self, spec: ph.PdeSpec, model):
+        expected = wno_mod.io_fields(spec.state_shape())
+        found = {key: getattr(model.config, key) for key in expected}
+        if found != expected:
+            def fields(doc):
+                return ", ".join(f"{k}={v}" for k, v in doc.items())
+            raise ShapeMismatch(
+                f"model has {fields(found)}; {spec.benchmark} states of shape "
+                f"{spec.state_shape()} need {fields(expected)}")
         self.spec = spec
         self.model = model
-        self.grid = spec.grid()
+        self.coords = spec.coordinates()
         widest = max(model.config.width, model.config.fc1_dim)
         points = int(np.prod(spec.spatial_shape()))
         self.block = max(1, _BLOCK_BYTES // (widest * points * 8))
 
     def step(self, u):
         corr = np.concatenate([
-            wno_mod.wno_forward(u[i:i + self.block], self.grid, self.model)
+            wno_mod.wno_forward(u[i:i + self.block], self.coords, self.model)
             for i in range(0, len(u), self.block)])
         return ph.euler_step_values(u, self.spec, corr, check_blowup=False)

@@ -73,29 +73,25 @@ def hellinger(p: Density, q: Density) -> float:
 def nearest_grid_index(grid, x_star):
     """Snap a probe location to the grid; returns (index, coordinate).
 
-    1D: index into the x grid.  2D: pass (x*, y*) and a (x, y) grid pair;
-    returns ((iy, ix), (x, y))."""
-    if isinstance(grid, tuple):
-        x, y = grid
-        xs, ys = x_star
-        ix = int(np.argmin(np.abs(np.asarray(x) - xs)))
-        iy = int(np.argmin(np.abs(np.asarray(y) - ys)))
-        return (iy, ix), (float(x[ix]), float(y[iy]))
-    g = np.asarray(grid)
-    ix = int(np.argmin(np.abs(g - x_star)))
-    return ix, float(g[ix])
+    `grid` is physics.PdeSpec.grid(), (x,) or (x, y), and `x_star` a
+    location in the same order.  The index is in spatial order, (ix,) or
+    (iy, ix), and the coordinate is the snapped location, (x,) or (x, y)."""
+    if len(grid) != len(x_star):
+        raise ShapeMismatch(
+            f"probe location {tuple(x_star)} against a {len(grid)}-axis grid")
+    picks = [int(np.argmin(np.abs(np.asarray(axis) - s)))
+             for axis, s in zip(grid, x_star)]
+    snapped = tuple(float(axis[i]) for axis, i in zip(grid, picks))
+    return tuple(reversed(picks)), snapped
 
 
 def probe_trajectories(trajectories: np.ndarray, index, t_star: int) -> np.ndarray:
     """u(x*, t*) of channel 0 per sample from stored trajectories
-    (B, T+1, C) + spatial."""
+    (B, T+1, C) + spatial, at the spatial index `index`."""
     if t_star >= trajectories.shape[1]:
         raise ValueError(
             f"probe step {t_star} beyond stored {trajectories.shape[1] - 1}")
-    if isinstance(index, tuple):
-        iy, ix = index
-        return trajectories[:, t_star, 0, iy, ix]
-    return trajectories[:, t_star, 0, index]
+    return trajectories[(slice(None), t_star, 0) + tuple(index)]
 
 
 def ensemble_mse(pred_trajectories, true_trajectories, steps: int = 100) -> float:

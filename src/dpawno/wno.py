@@ -88,6 +88,15 @@ class WnoConfig:
         return sum(int(np.prod(s)) for s in self.parameter_shapes().values())
 
 
+def io_fields(state_shape) -> dict:
+    """The WnoConfig fields fixed by states shaped (C,) + spatial: the lift
+    reads the C state channels and one coordinate channel per spatial axis,
+    the downlift writes C channels."""
+    channels, dims = state_shape[0], len(state_shape) - 1
+    return {"spatial_dims": dims, "in_channels": channels + dims,
+            "out_channels": channels}
+
+
 class WnoModel:
     """Parameter store for one network; values are float64 ndarrays."""
 
@@ -135,22 +144,10 @@ def _channel_axis(x, spatial_dims):
     return ad.value_of(x).ndim - spatial_dims - 1
 
 
-def grid_channels(grid, like_shape, spatial_dims):
-    """Coordinate channels broadcast to the state's leading axes."""
-    lead = like_shape[: len(like_shape) - spatial_dims - 1]
-    if spatial_dims == 1:
-        gx = np.asarray(grid, dtype=np.float64)
-        return np.broadcast_to(gx, lead + (1,) + gx.shape).copy()
-    x, y = grid
-    ny, nx = len(y), len(x)
-    gx = np.broadcast_to(np.asarray(x)[None, :], (ny, nx))
-    gy = np.broadcast_to(np.asarray(y)[:, None], (ny, nx))
-    g = np.stack([gx, gy])
-    return np.broadcast_to(g, lead + (2, ny, nx)).copy()
-
-
-def lift(u, grid, model: WnoModel, params=None):
-    """Pointwise affine map of (state, coordinates) into the width channels."""
+def lift(u, coords, model: WnoModel, params=None):
+    """Pointwise affine map of (state, coordinates) into the width channels;
+    `coords` is the (dims,) + spatial coordinate array of
+    physics.PdeSpec.coordinates()."""
     p = params if params is not None else model.params
     cfg = model.config
     ca = _channel_axis(u, cfg.spatial_dims)
@@ -160,12 +157,11 @@ def lift(u, grid, model: WnoModel, params=None):
         raise ShapeMismatch(
             f"state has {state_channels} channels; config expects "
             f"{cfg.in_channels - cfg.spatial_dims}")
-    coords = grid_channels(grid, shape, cfg.spatial_dims)
-    if coords.shape[-cfg.spatial_dims:] != shape[-cfg.spatial_dims:]:
+    expected = (cfg.spatial_dims,) + shape[ca + 1:]
+    if np.shape(coords) != expected:
         raise ShapeMismatch(
-            f"grid {coords.shape[-cfg.spatial_dims:]} vs state "
-            f"{shape[-cfg.spatial_dims:]}")
-    x = ad.concat(u, coords, ca)
+            f"coordinates {np.shape(coords)} vs state {shape}; expected {expected}")
+    x = ad.concat(u, np.broadcast_to(coords, shape[:ca] + expected), ca)
     v = ad.matmul(p["lift.weight"], x, channel_axis=ca)
     return ad.bias_add(v, p["lift.bias"], channel_axis=ca)
 
@@ -210,10 +206,11 @@ def downlift(v, model: WnoModel, params=None):
     return ad.bias_add(v, p["downlift2.bias"], channel_axis=ca)
 
 
-def wno_forward(u, grid, model: WnoModel, params=None):
-    """Correction field for state `u`; shaped like `u`, differentiable when
-    `u` or any parameter is a Tensor."""
-    v = lift(u, grid, model, params)
+def wno_forward(u, coords, model: WnoModel, params=None):
+    """Correction field for state `u` on the grid whose coordinate array is
+    `coords` (see lift); shaped like `u`, differentiable when `u` or any
+    parameter is a Tensor."""
+    v = lift(u, coords, model, params)
     last = model.config.layers - 1
     for layer in range(model.config.layers):
         v = kernel_layer(v, layer, model, params, final=(layer == last))
@@ -278,7 +275,8 @@ def _read(fh, size: int, what: str) -> bytes:
 
 def load_checkpoint(path) -> WnoModel:
     """Read a checkpoint; a short read raises ChecksumMismatch, and a
-    malformed header or a non-finite parameter DatasetIoError."""
+    malformed header, a non-finite parameter or parameter blocks that do not
+    match the header DatasetIoError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -306,4 +304,8 @@ def load_checkpoint(path) -> WnoModel:
             if not np.all(np.isfinite(data)):
                 raise DatasetIoError(f"checkpoint parameter {name} is not finite")
             params[name] = data.reshape(shape).astype(np.float64)
-    return WnoModel(config, params)
+    try:
+        return WnoModel(config, params)
+    except ShapeMismatch as exc:
+        raise DatasetIoError(
+            f"checkpoint blocks do not match its header: {exc}") from exc

@@ -120,7 +120,7 @@ class TestCriterion3:
         nu, nx = 0.05, 257
         spec = ph.PdeSpec("burgers1d", {"nu": nu}, ("diffusion",), "dirichlet",
                           0.0, (-1.0, 1.0), nx=nx, dt=2.4e-4)
-        x = spec.grid()
+        (x,) = spec.grid()
         u0 = np.sin(2 * np.pi * x)[None, :]
         u = u0.copy()
         for _ in range(50):
@@ -147,7 +147,7 @@ class TestCriterion3:
             nxt[..., -1] = bspec.bc_value
             return nxt
 
-        xb = bspec.grid()
+        (xb,) = bspec.grid()
         a = (4.0 * np.sin(2 * np.pi * xb))[None, :]
         b = a.copy()
         exact_steps = True

@@ -9,6 +9,8 @@ from dpawno import autodiff as ad
 from dpawno import cli
 from dpawno import config as cf
 from dpawno import datagen as dg
+from dpawno import errors
+from dpawno import reliability as rel
 from dpawno import training as tr
 from dpawno import wno
 from dpawno.errors import NonFiniteLoss, UsageError
@@ -46,6 +48,13 @@ class TestConfig:
         assert c.grf_spec().alpha > 0
         assert c.limit_state().threshold > 0
         assert c.probes()
+        # a probe location has one coordinate per spatial axis, x first,
+        # and the WNO reads the state plus one coordinate channel per axis
+        dims = len(full.spatial_shape())
+        assert all(len(x_star) == dims for x_star, _ in c.probes())
+        w = c.wno_config()
+        assert (w.spatial_dims, w.in_channels, w.out_channels) == (
+            dims, full.channels + dims, full.channels)
 
     def test_unknown_preset(self):
         with pytest.raises(UsageError):
@@ -290,6 +299,16 @@ class TestDamagedCheckpoint:
             edit=lambda raw: raw.replace(b'"bands"', b'"bandz"', 1)) == 4
         err = capsys.readouterr().err
         assert "checkpoint header" in err and "bands" in err
+        assert calls == []
+
+    def test_blocks_not_matching_header_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a header edited from width 24 to 25 still parses; the blocks do not
+        # fit it, which is damage, not a checkpoint for another state shape
+        calls = count_cholesky(monkeypatch)
+        assert self.reliability(
+            tmp_path, self.model(),
+            edit=lambda raw: raw.replace(b'"width": 24', b'"width": 25', 1)) == 4
+        assert "checkpoint blocks do not match its header" in capsys.readouterr().err
         assert calls == []
 
 
@@ -560,3 +579,92 @@ class TestGradcheckCommand:
     def test_single_preset(self, capsys):
         assert cli.main(["gradcheck", "--preset", DESK]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+
+class TestCheckpointForAnotherState:
+    """A checkpoint made for another state shape (here a 2D Burgers model
+    against the 1D desk preset) is a usage error named before any rollout."""
+
+    @pytest.fixture
+    def model_2d(self, tmp_path):
+        path = tmp_path / "model2d.dpaw"
+        cfg = cf.load_config(preset="burgers2d-missing-xdiff").wno_config()
+        wno.WnoModel.initialize(cfg, 0).save(path)
+        return str(path)
+
+    @staticmethod
+    def assert_names_both_shapes(err):
+        assert "Traceback" not in err
+        assert "usage error: model has spatial_dims=2, in_channels=4, " \
+            "out_channels=2" in err
+        assert "burgers1d states of shape (1, 64) need spatial_dims=1, " \
+            "in_channels=2, out_channels=1" in err
+
+    def test_evaluate_exits_2(self, tmp_path, desk_data, model_2d, capsys):
+        out = tmp_path / "eval"
+        code = cli.main(["evaluate", "--preset", DESK, "--data", str(desk_data),
+                         "--dpa", model_2d, "--out", str(out), *SMALL_DATA])
+        assert code == 2
+        self.assert_names_both_shapes(capsys.readouterr().err)
+        assert not (out / "metrics.csv").exists()
+
+    def test_reliability_exits_2_before_the_grf_draw(self, tmp_path, model_2d,
+                                                      capsys, monkeypatch):
+        drawn = []
+        real = rel.grf_initial_conditions
+        monkeypatch.setattr(rel, "grf_initial_conditions",
+                            lambda *a, **k: drawn.append(a) or real(*a, **k))
+        out = tmp_path / "rel"
+        code = cli.main(["reliability", "--preset", DESK, "--dpa", model_2d,
+                         "--out", str(out), *SMALL_DATA])
+        assert code == 2
+        self.assert_names_both_shapes(capsys.readouterr().err)
+        assert drawn == []
+        assert not (out / "reliability.jsonl").exists()
+
+
+# every error class cli.main maps, with its documented exit code and the
+# prefix of the one-line message it prints
+EXIT_CODES = [
+    (errors.UsageError, 2, "usage error"),
+    (errors.ShapeMismatch, 2, "usage error"),
+    (errors.ScheduleExhausted, 2, "usage error"),
+    (errors.CountExceedsFamily, 2, "usage error"),
+    (errors.SignalTooShort, 2, "usage error"),
+    (errors.NonFiniteLoss, 3, "numerical failure"),
+    (errors.NonFiniteState, 3, "numerical failure"),
+    (errors.NonFiniteValue, 3, "numerical failure"),
+    (errors.NotPositiveDefinite, 3, "numerical failure"),
+    (errors.DatasetIoError, 4, "i/o error"),
+    (errors.ChecksumMismatch, 4, "i/o error"),
+    (errors.FormatVersionMismatch, 4, "i/o error"),
+]
+# raised only by misuse of the library API, or turned into a mapped class
+# before they reach cli.main (UnsupportedTermForBenchmark becomes a usage
+# error in config and an i/o error in datagen.load; DegenerateSamples falls
+# back to a point mass in uq)
+UNMAPPED = {errors.UnknownPrimitive, errors.NonScalarSeed, errors.EmptyTape,
+            errors.InconsistentCoeffLengths, errors.UnsupportedTermForBenchmark,
+            errors.DegenerateSamples}
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("error,code,prefix", EXIT_CODES,
+                             ids=[e.__name__ for e, _, _ in EXIT_CODES])
+    def test_error_maps_to_documented_exit_code(self, error, code, prefix,
+                                                monkeypatch, capsys):
+        def command(args):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", command)
+        assert cli.main(["gradcheck"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{prefix}: injected\n"
+        assert captured.out == ""
+
+    def test_every_error_class_is_mapped_or_listed(self):
+        defined = {obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and issubclass(obj, errors.DpawnoError)
+                   and obj is not errors.DpawnoError}
+        mapped = {e for e, _, _ in EXIT_CODES}
+        assert defined - UNMAPPED == mapped

@@ -31,7 +31,7 @@ class TestSampleIcs:
         ics = dg.sample_families(benchmark_families(), spec, seed=1)
         assert ics.shape == (32, 1, 112)
         # cosine block is even in x for these grids, sine block odd
-        x = spec.grid()
+        (x,) = spec.grid()
         assert np.allclose(ics[:16, 0], ics[:16, 0][:, ::-1], atol=1e-12)
         assert np.allclose(ics[16:, 0], -ics[16:, 0][:, ::-1], atol=1e-12)
 
@@ -73,6 +73,12 @@ class TestSampleIcs:
             areas[shape] = int(np.sum(ics[0, 0] == 3.0))
         assert areas["square_large"] > areas["circle"] > 0
         assert areas["triangle"] > 0
+
+    @pytest.mark.parametrize("kind", ["square2d", "shape2d"])
+    def test_2d_families_rejected_on_a_1d_grid(self, kind):
+        fam = dg.IcFamily(kind, 1, amplitudes=(3.0,))
+        with pytest.raises(ValueError, match="2D only"):
+            dg.sample_ics(fam, 1, burgers_spec(), seed=0)
 
     def test_grf_family_zero_mean(self):
         from dpawno.reliability import GrfSpec

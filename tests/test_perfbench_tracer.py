@@ -19,14 +19,15 @@ tracer.install()
 import numpy as np
 from dpawno import wavelet as wv
 from dpawno import wno
-for dims, shape, grid in [
-        (1, (1, 1, 16), np.linspace(0, 1, 16)),
-        (2, (1, 2, 16, 16), (np.linspace(0, 1, 16), np.linspace(0, 1, 16)))]:
+axis = np.linspace(0, 1, 16)
+for dims, shape, coords in [
+        (1, (1, 1, 16), axis[None]),
+        (2, (1, 2, 16, 16), np.stack(np.meshgrid(axis, axis)))]:
     before = tracer.calls["autodiff.level_matmul"]
     cfg = wno.WnoConfig(width=2, layers=1, wavelet=wv.WaveletSpec("db2", 2),
                         fc1_dim=2, in_channels=shape[1] + dims,
                         out_channels=shape[1], spatial_dims=dims)
-    wno.wno_forward(np.zeros(shape), grid, wno.WnoModel.initialize(cfg, 0))
+    wno.wno_forward(np.zeros(shape), coords, wno.WnoModel.initialize(cfg, 0))
     assert tracer.calls["autodiff.level_matmul"] > before, dims
 """
 

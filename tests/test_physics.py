@@ -36,7 +36,7 @@ class TestRhs:
         nu = 0.05
         spec = ph.PdeSpec("allen_cahn", {"gamma": nu}, ("diffusion",),
                           "periodic", domain=(0.0, 1.0), nx=256, dt=1e-5)
-        x = spec.grid()
+        (x,) = spec.grid()
         u = np.sin(2 * np.pi * x)[None, :]
         r = ph.rhs_values(u, spec)
         expected = -nu * (2 * np.pi) ** 2 * u
@@ -94,7 +94,7 @@ class TestEulerStep:
             nxt[..., -1] = spec.bc_value
             return nxt
 
-        x = spec.grid()
+        (x,) = spec.grid()
         u = (3.0 * np.sin(2 * np.pi * x))[None, :]
         v = u.copy()
         for _ in range(50):
@@ -171,7 +171,7 @@ class TestInvariants:
         nu, nx = 0.05, 257
         spec = ph.PdeSpec("burgers1d", {"nu": nu}, ("diffusion",), "dirichlet",
                           0.0, (-1.0, 1.0), nx=nx, dt=2.4e-4)
-        x = spec.grid()
+        (x,) = spec.grid()
         u0 = np.sin(2 * np.pi * x)[None, :]
         u = u0.copy()
         for _ in range(50):
@@ -184,7 +184,7 @@ class TestInvariants:
         spec = burgers()
         partial = spec.with_terms(("advection",))
         missing = spec.with_terms(partial.missing_terms)
-        x = spec.grid()
+        (x,) = spec.grid()
         u_full = (4.0 * np.sin(2 * np.pi * x))[None, :]
         u_inj = u_full.copy()
         for _ in range(50):
@@ -214,6 +214,37 @@ class TestSpecValidation:
         assert abs(d.dx - 2.0 / 64) < 1e-15
         p = nagumo()
         assert abs(p.dx - 1.0 / 64) < 1e-15
+
+    def test_grid_and_spacing_are_tuples_x_first(self):
+        (x,) = burgers(nx=65).grid()
+        assert np.array_equal(x, np.linspace(-1.0, 1.0, 65))
+        (x,) = nagumo().grid()
+        assert np.array_equal(x, np.arange(64) / 64)
+        spec = ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "periodic",
+                          domain=(0.0, 2.0), nx=8, ny=4)
+        x, y = spec.grid()
+        assert np.array_equal(x, 2.0 * np.arange(8) / 8)
+        assert np.array_equal(y, 2.0 * np.arange(4) / 4)
+        assert spec.spacing() == (spec.dx, spec.dy) == (0.25, 0.5)
+        assert burgers(nx=65).spacing() == (2.0 / 64,)
+        x, y = burgers2d(nx=16).grid()
+        assert np.array_equal(x, np.linspace(0.0, 2.0, 16))
+        assert np.array_equal(y, x)
+
+    @pytest.mark.parametrize("spec", [
+        burgers(nx=16),
+        ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "dirichlet", nx=8, ny=4),
+    ], ids=["1d", "2d"])
+    def test_coordinates_hold_every_point_x_first(self, spec):
+        coords = spec.coordinates()
+        grid = spec.grid()
+        assert coords.shape == (len(grid),) + spec.spatial_shape()
+        for axis, (values, channel) in enumerate(zip(grid, coords)):
+            # channel k varies along spatial axis -1-k only
+            shape = [1] * len(grid)
+            shape[-1 - axis] = len(values)
+            assert np.array_equal(
+                channel, np.broadcast_to(values.reshape(shape), spec.spatial_shape()))
 
     def test_unknown_benchmark(self):
         with pytest.raises(UnsupportedTermForBenchmark):

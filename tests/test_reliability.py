@@ -205,6 +205,31 @@ class TestMargin:
         assert rel.evaluate_margin(traj, ls) == 1.0
 
 
+class TestGrfInitialConditions:
+    """The GRF points are the spec's coordinate array, one row per point; the
+    draws equal the per-dimension construction they replaced byte for byte."""
+
+    def test_2d_matches_column_stack_of_meshgrid(self):
+        spec = ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "periodic",
+                          domain=(0.0, 2.0), nx=8, ny=6)
+        grf = rel.GrfSpec("rbf", alpha=1.0, length_scale=0.4)
+        ics = rel.grf_initial_conditions(grf, spec, 5, seed=7)
+        x, y = spec.grid()
+        gx, gy = np.meshgrid(x, y)
+        points = np.column_stack([gx.ravel(), gy.ravel()])
+        fields = rel.sample_grf(grf, points, 5, 7).reshape(5, 1, len(y), len(x))
+        old = np.broadcast_to(fields, (5, 2, len(y), len(x)))
+        assert ics.shape == (5,) + spec.state_shape()
+        assert ics.tobytes() == np.ascontiguousarray(old).tobytes()
+
+    def test_1d_matches_draws_on_the_axis(self):
+        spec = burgers_full(nx=32)
+        ics = rel.grf_initial_conditions(PERIODIC_GRF, spec, 4, seed=3)
+        (x,) = spec.grid()
+        old = rel.sample_grf(PERIODIC_GRF, x, 4, 3)[:, None, :]
+        assert ics.tobytes() == np.ascontiguousarray(old).tobytes()
+
+
 def draws(full, n, seed):
     return rel.grf_initial_conditions(PERIODIC_GRF, full, n, seed=seed)
 

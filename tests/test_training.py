@@ -11,7 +11,7 @@ from dpawno import reliability as rel
 from dpawno import training as tr
 from dpawno import wavelet as wv
 from dpawno import wno
-from dpawno.errors import NonFiniteLoss, ScheduleExhausted
+from dpawno.errors import NonFiniteLoss, ScheduleExhausted, ShapeMismatch
 
 
 def burgers_setup(nx=32, n=6, nt=20, seed=42):
@@ -136,11 +136,11 @@ class TestRolloutLoss:
         loss = float(ad.value_of(tr.rollout_loss(
             model, partial, ds.ics, ds.trajectories, 2)))
         # recompute by hand from stored trajectories
-        grid = partial.grid()
+        coords = partial.coordinates()
         u = ds.ics
         total = 0.0
         for t in (1, 2):
-            u = ph.euler_step_values(u, partial, wno.wno_forward(u, grid, model))
+            u = ph.euler_step_values(u, partial, wno.wno_forward(u, coords, model))
             total += np.sum((u - ds.trajectories[:, t]) ** 2)
         count = ds.n_samples * 2 * np.prod(ds.trajectories.shape[2:])
         assert abs(loss - total / count) < 1e-12
@@ -270,6 +270,22 @@ class TestSurrogates:
         assert np.array_equal(stats["final"], ad.value_of(states[-1]))
         assert not stats["diverged"].any()
 
+    @pytest.mark.parametrize("fields,found", [
+        (dict(in_channels=4, out_channels=2, spatial_dims=2),
+         "spatial_dims=2, in_channels=4, out_channels=2"),
+        (dict(in_channels=3, out_channels=2, spatial_dims=1),
+         "spatial_dims=1, in_channels=3, out_channels=2"),
+    ], ids=["2d-model", "two-channel-model"])
+    def test_model_for_another_state_shape_rejected(self, fields, found):
+        full, partial, ds = burgers_setup()
+        cfg = wno.WnoConfig(width=6, layers=2, fc1_dim=12,
+                            wavelet=wv.WaveletSpec("db6", 2, "periodic"), **fields)
+        with pytest.raises(ShapeMismatch) as err:
+            tr.AugmentedSurrogate(partial, wno.WnoModel.initialize(cfg, 0))
+        assert found in str(err.value)
+        assert "shape (1, 32) need spatial_dims=1, in_channels=2, " \
+            "out_channels=1" in str(err.value)
+
 
 class TestBlockedAugmentedStep:
     """AugmentedSurrogate.step evaluates the WNO in sample blocks; the result
@@ -288,7 +304,7 @@ class TestBlockedAugmentedStep:
 
     def check(self, spec, model, u):
         got = tr.AugmentedSurrogate(spec, model).step(u)
-        corr = wno.wno_forward(u, spec.grid(), model)
+        corr = wno.wno_forward(u, spec.coordinates(), model)
         want = ph.euler_step_values(u, spec, corr, check_blowup=False)
         assert np.any(corr != 0.0)
         assert np.array_equal(got, want)
@@ -376,11 +392,11 @@ class TestTapeMemory:
         tapes, alive = [], []
 
         def rollout_loss(model, spec, ics, targets, t_steps, params=None,
-                         grid=None, original=tr.rollout_loss):
+                         coords=None, original=tr.rollout_loss):
             alive.append([ref() is not None for ref in tapes])
             tapes.append(weakref.ref(next(iter(params.values())).tape))
             return original(model, spec, ics, targets, t_steps, params=params,
-                            grid=grid)
+                            coords=coords)
 
         monkeypatch.setattr(tr, "rollout_loss", rollout_loss)
         cfg = tr.TrainConfig(epochs=2, unroll_schedule=((0, 3),), batch_size=2,

@@ -119,27 +119,35 @@ class TestProbeEnsemble:
 
     def test_truth_surrogate_reproduces_stored_values(self):
         sur = tr.PhysicsSurrogate(self.spec)
-        index, snapped = uq.nearest_grid_index(self.spec.grid(), -0.35)
+        index, snapped = uq.nearest_grid_index(self.spec.grid(), (-0.35,))
+        (ix,) = index
         probe = tr.rollout_statistics(sur, self.ds.ics, 7,
                                       probe_index=index)["probe"]
         assert probe.shape == (7, 4)
         for t in range(1, 8):
             assert np.array_equal(probe[t - 1],
-                                  self.ds.trajectories[:, t, 0, index])
-        assert abs(snapped - (-0.35)) <= self.spec.dx / 2
+                                  self.ds.trajectories[:, t, 0, ix])
+            assert np.array_equal(
+                uq.probe_trajectories(self.ds.trajectories, index, t),
+                self.ds.trajectories[:, t, 0, ix])
+        assert abs(snapped[0] - (-0.35)) <= self.spec.dx / 2
 
     def test_frozen_dynamics_returns_ic_values(self):
         frozen = self.spec.with_terms(())
         sur = tr.PhysicsSurrogate(frozen)
-        index, _ = uq.nearest_grid_index(self.spec.grid(), 0.11)
+        index, _ = uq.nearest_grid_index(self.spec.grid(), (0.11,))
         probe = tr.rollout_statistics(sur, self.ds.ics, 5,
                                       probe_index=index)["probe"]
         for row in probe:
-            assert np.array_equal(row, self.ds.ics[:, 0, index])
+            assert np.array_equal(row, self.ds.ics[(slice(None), 0) + index])
 
     def test_probe_beyond_rollout_raises(self):
         with pytest.raises(ValueError):
-            uq.probe_trajectories(self.ds.trajectories, 3, 99)
+            uq.probe_trajectories(self.ds.trajectories, (3,), 99)
+
+    def test_location_must_match_grid_axes(self):
+        with pytest.raises(ShapeMismatch):
+            uq.nearest_grid_index(self.spec.grid(), (0.1, 0.2))
 
     def test_2d_probe_snapping(self):
         x = np.linspace(0, 2, 16)
@@ -154,12 +162,15 @@ class TestProbeEnsemble:
                                       probe_index=(iy, ix))["probe"]
         for row in probe:
             assert np.array_equal(row, ics[:, 0, iy, ix])
+        stored = ics[:, None]  # (B, T+1 = 1, C, Y, X)
+        assert np.array_equal(uq.probe_trajectories(stored, (iy, ix), 0),
+                              ics[:, 0, iy, ix])
 
 
 class TestMeanHellinger:
     @staticmethod
     def probe(trajectories):
-        return np.stack([uq.probe_trajectories(trajectories, 3, s)
+        return np.stack([uq.probe_trajectories(trajectories, (3,), s)
                          for s in range(1, 6)])
 
     def test_identical_trajectories_zero(self):

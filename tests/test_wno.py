@@ -34,7 +34,8 @@ def randomized(config, seed=0, scale=0.3):
     return model
 
 
-GRID16 = np.linspace(-1.0, 1.0, 16)
+# the coordinate array of a 16-point 1D grid, (dims,) + spatial
+COORDS16 = np.linspace(-1.0, 1.0, 16)[None]
 
 
 class TestLift:
@@ -44,7 +45,7 @@ class TestLift:
         m.params["lift.weight"][:] = 0.0
         m.params["lift.bias"][:] = 2.5
         u = np.random.default_rng(1).standard_normal((3, 1, 16))
-        out = wno.lift(u, GRID16, m)
+        out = wno.lift(u, COORDS16, m)
         assert np.all(out == 2.5)
 
     def test_identity_weights_copy_channels(self):
@@ -53,17 +54,17 @@ class TestLift:
         m.params["lift.weight"] = np.eye(2)
         m.params["lift.bias"][:] = 0.0
         u = np.random.default_rng(2).standard_normal((1, 1, 16))
-        out = wno.lift(u, GRID16, m)
+        out = wno.lift(u, COORDS16, m)
         assert np.array_equal(out[:, 0], u[:, 0])
-        assert np.allclose(out[:, 1], GRID16)
+        assert np.allclose(out[:, 1], COORDS16[0])
 
     def test_matches_pointwise_matmul(self):
         cfg = small_config()
         m = randomized(cfg, 3)
         u = np.random.default_rng(4).standard_normal((2, 1, 16))
-        out = wno.lift(u, GRID16, m)
+        out = wno.lift(u, COORDS16, m)
         stacked = np.concatenate(
-            [u, np.broadcast_to(GRID16, (2, 1, 16))], axis=1)
+            [u, np.broadcast_to(COORDS16, (2, 1, 16))], axis=1)
         expected = np.einsum("wc,bcx->bwx", m.params["lift.weight"], stacked) \
             + m.params["lift.bias"][None, :, None]
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -72,7 +73,28 @@ class TestLift:
         cfg = small_config()
         m = wno.WnoModel.initialize(cfg, 0)
         with pytest.raises(ShapeMismatch):
-            wno.lift(np.zeros((1, 1, 16)), np.linspace(0, 1, 8), m)
+            wno.lift(np.zeros((1, 1, 16)), np.linspace(0, 1, 8)[None], m)
+        # the coordinate array carries its (dims,) axis
+        with pytest.raises(ShapeMismatch):
+            wno.lift(np.zeros((1, 1, 16)), np.linspace(0, 1, 16), m)
+
+    def test_2d_coordinate_channels_follow_the_state(self):
+        # identity lift: state channels, then x, then y of every point
+        from dpawno import physics as ph
+        spec = ph.PdeSpec("burgers2d", {"nu": 0.01}, ("advection",),
+                          "periodic", nx=8, ny=4)
+        cfg = small_config(width=4, in_channels=4, out_channels=2,
+                           spatial_dims=2)
+        m = wno.WnoModel.initialize(cfg, 0)
+        m.params["lift.weight"] = np.eye(4)
+        u = np.random.default_rng(5).standard_normal((3, 2, 4, 8))
+        out = wno.lift(u, spec.coordinates(), m)
+        x, y = spec.grid()
+        assert np.array_equal(out[:, :2], u)
+        assert np.array_equal(out[:, 2], np.broadcast_to(x, (3, 4, 8)))
+        assert np.array_equal(out[:, 3], np.broadcast_to(y[:, None], (3, 4, 8)))
+        with pytest.raises(ShapeMismatch):  # (y, x) order swapped
+            wno.lift(u, spec.coordinates().transpose(0, 2, 1), m)
 
 
 class TestKernelLayer:
@@ -127,7 +149,7 @@ class TestWnoForward:
         cfg = small_config()
         m = wno.WnoModel.initialize(cfg, 1)
         u = np.random.default_rng(11).standard_normal((4, 1, 16))
-        assert np.all(wno.wno_forward(u, GRID16, m) == 0.0)
+        assert np.all(wno.wno_forward(u, COORDS16, m) == 0.0)
 
     @pytest.mark.parametrize("nx", [112, 64])
     def test_shape_contract_1d(self, nx):
@@ -137,7 +159,7 @@ class TestWnoForward:
                             spatial_dims=1)
         m = randomized(cfg, 12)
         u = np.random.default_rng(nx).standard_normal((2, 1, nx))
-        out = wno.wno_forward(u, np.linspace(-1, 1, nx), m)
+        out = wno.wno_forward(u, np.linspace(-1, 1, nx)[None], m)
         assert out.shape == u.shape
 
     def test_shape_contract_2d(self):
@@ -147,8 +169,9 @@ class TestWnoForward:
                             spatial_dims=2)
         m = randomized(cfg, 13)
         u = np.random.default_rng(14).standard_normal((2, 2, 64, 64))
-        g = (np.linspace(0, 2, 64), np.linspace(0, 2, 64))
-        assert wno.wno_forward(u, g, m).shape == u.shape
+        axis = np.linspace(0, 2, 64)
+        coords = np.stack(np.meshgrid(axis, axis))
+        assert wno.wno_forward(u, coords, m).shape == u.shape
 
     def test_one_euler_step_mse_through_wno_gradient(self):
         from dpawno import physics as ph
@@ -158,19 +181,19 @@ class TestWnoForward:
                           nx=8, dt=3e-4)
         cfg = small_config()
         m = randomized(cfg, 30)
-        grid = spec.grid()
+        coords = spec.coordinates()
         rng = np.random.default_rng(31)
         u0 = rng.uniform(0.5, 1.5, size=(1, 1, 8))
         target = rng.standard_normal((1, 1, 8))
 
         def loss_wrt_param(t):
             stepped = ph.euler_step_values(
-                u0, spec, wno.wno_forward(u0, grid, m, params={
+                u0, spec, wno.wno_forward(u0, coords, m, params={
                     **m.params, "downlift2.weight": t}))
             return mean(ad.square(ad.sub(stepped, target)))
 
         def loss_wrt_state(t):
-            stepped = ph.euler_step_values(t, spec, wno.wno_forward(t, grid, m))
+            stepped = ph.euler_step_values(t, spec, wno.wno_forward(t, coords, m))
             return mean(ad.square(ad.sub(stepped, target)))
 
         # parameter influence is dt-suppressed through a single step; the
@@ -191,11 +214,11 @@ class TestWnoForward:
             def loss_fn(t, name=name):
                 p = dict(m.params)
                 p[name] = t
-                out = wno.wno_forward(u, GRID16, m, params=p)
+                out = wno.wno_forward(u, COORDS16, m, params=p)
                 return mean(ad.square(ad.sub(out, target)))
             worst = max(worst, ad.check_gradient(loss_fn, m.params[name], 1e-5))
         def loss_u(t):
-            out = wno.wno_forward(t, GRID16, m)
+            out = wno.wno_forward(t, COORDS16, m)
             return mean(ad.square(ad.sub(out, target)))
         worst = max(worst, ad.check_gradient(loss_u, u, 1e-5))
         assert worst < 1e-5
@@ -207,7 +230,7 @@ class TestInvariants:
         m = randomized(cfg, 17)
         for nx in (64, 112):
             u = np.zeros((1, 1, nx))
-            out = wno.wno_forward(u, np.linspace(-1, 1, nx), m)
+            out = wno.wno_forward(u, np.linspace(-1, 1, nx)[None], m)
             assert out.shape == u.shape
         assert cfg.parameter_count() == sum(v.size for v in m.params.values())
 
@@ -233,18 +256,18 @@ class TestInvariants:
         a.params["downlift2.weight"] += 0.5  # same perturbation both sides
         b.params["downlift2.weight"] += 0.5
         u = np.random.default_rng(18).standard_normal((2, 1, 16))
-        out_a = wno.wno_forward(u, GRID16, a)
-        out_b = wno.wno_forward(u, GRID16, b)
+        out_a = wno.wno_forward(u, COORDS16, a)
+        out_b = wno.wno_forward(u, COORDS16, b)
         assert np.array_equal(out_a, out_b)
 
     def test_taped_forward_matches_plain(self):
         cfg = small_config()
         m = randomized(cfg, 19)
         u = np.random.default_rng(20).standard_normal((2, 1, 16))
-        plain = wno.wno_forward(u, GRID16, m)
+        plain = wno.wno_forward(u, COORDS16, m)
         tape = ad.Tape()
         staged = {k: tape.leaf(v) for k, v in m.params.items()}
-        taped = wno.wno_forward(tape.leaf(u), GRID16, m, params=staged)
+        taped = wno.wno_forward(tape.leaf(u), COORDS16, m, params=staged)
         assert np.array_equal(plain, taped.data)
 
 
