@@ -16,7 +16,7 @@ Module map:
                  Euler stepper
     datagen      initial-condition families, ground truth, dataset files
     training     Adam, progressive-unroll trainer, evaluation surrogates
-    uq           KDE response densities, Hellinger distance, ensemble MSE
+    uq           KDE response densities, Hellinger distance
     reliability  Gaussian random fields, limit states, failure probability
     config/cli   experiment presets and the command-line runner
 """

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     EmptyTape,
-    NonFiniteLoss,
     NonFiniteValue,
     NonScalarSeed,
     ShapeMismatch,
@@ -576,41 +575,3 @@ def central_differences(fn, point, step: float) -> np.ndarray:
         numeric[i] = (hi - lo) / (2.0 * step)
     return numeric.reshape(point.shape)
 
-
-def check_gradient(loss_fn, point, step: float) -> float:
-    """Max relative disagreement between reverse-mode and central differences.
-
-    `loss_fn` maps a Tensor to a scalar Tensor.  Relative error per coordinate
-    is |autodiff - central| / (|central| + 1e-12).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    point = np.asarray(point, dtype=np.float64)
-
-    def eval_loss(values):
-        tape = Tape()
-        try:
-            out = loss_fn(tape.leaf(values))
-        except NonFiniteValue as exc:
-            raise NonFiniteLoss(str(exc)) from exc
-        val = float(value_of(out))
-        if not np.isfinite(val):
-            raise NonFiniteLoss("loss function returned a non-finite value")
-        return val
-
-    tape = Tape()
-    x = tape.leaf(point)
-    try:
-        out = loss_fn(x)
-    except NonFiniteValue as exc:
-        raise NonFiniteLoss(str(exc)) from exc
-    if out.data.size != 1:
-        raise NonScalarSeed("loss function must return a scalar")
-    if not np.isfinite(float(out.data)):
-        raise NonFiniteLoss("loss function returned a non-finite value")
-    backward(tape, out)
-    auto = grad_of(tape, x)
-
-    numeric = central_differences(eval_loss, point, step)
-    rel = np.abs(auto - numeric) / (np.abs(numeric) + 1e-12)
-    return float(np.max(rel)) if rel.size else 0.0

@@ -46,7 +46,7 @@ configuration keys (INI sections):
   [pde]         nu | epsilon, alpha | gamma;  nx, ny, dt, bc, bc_value,
                 domain, partial_terms, advection (central|upwind)
   [data]        n_train, nt_train, n_test, nt_test
-  [ic.train.N]  kind (cosine|sine|square2d|shape2d|grf|explicit), count,
+  [ic.train.N]  kind (cosine|sine|square2d|shape2d|grf), count,
   [ic.test.N]   amplitudes / value (list, lo..hi grid, uniform: lo, hi),
                 frequencies, shape, kernel-fields for grf
   [wno]         width, layers, family, levels, extension, fc1_dim, bands
@@ -296,10 +296,7 @@ def cmd_uq(args) -> int:
             uq.probe_trajectories(test.trajectories, index, t_star))}
         for name, probe in predicted.items():
             densities[name] = _density_or_delta(probe[t_star - 1])
-        lo = min(d.support[0] for d in densities.values())
-        hi = max(d.support[-1] for d in densities.values())
-        bins = max(len(d.support) for d in densities.values())
-        rebinned = {n: uq.rebin(d, lo, hi, bins) for n, d in densities.items()}
+        rebinned = dict(zip(densities, uq.on_shared_support(densities.values())))
         support = rebinned["truth"].support
         _write_csv(
             os.path.join(out, f"pdf_probe{k}.csv"),

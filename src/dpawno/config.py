@@ -87,7 +87,10 @@ class ExperimentConfig:
             if default is not None:
                 return default
             raise UsageError(f"missing config key [{section}] {key}")
-        raw = self.parser.get(section, key)
+        try:
+            raw = self.parser.get(section, key)
+        except configparser.Error as exc:  # e.g. a lone '%' in the value
+            raise UsageError(f"[{section}] {key}: {exc}") from exc
         if cast is bool:
             word = raw.strip().lower()
             if word not in self.parser.BOOLEAN_STATES:
@@ -148,19 +151,19 @@ class ExperimentConfig:
             (s for s in self.parser.sections() if s.startswith(f"ic.{role}.")),
             key=lambda s: int(s.rsplit(".", 1)[1]))
         for section in sections:
-            kind = self.parser.get(section, "kind")
-            count = self.parser.getint(section, "count")
+            kind = self._get(section, "kind")
+            count = self._get(section, "count", int)
             if kind in ("cosine", "sine"):
                 out.append(IcFamily(
                     kind, count,
-                    amplitudes=parse_amplitudes(self.parser.get(section, "amplitudes")),
-                    frequencies=_parse_number_list(self.parser.get(section, "frequencies")),
+                    amplitudes=parse_amplitudes(self._get(section, "amplitudes")),
+                    frequencies=_parse_number_list(self._get(section, "frequencies")),
                 ))
             elif kind in ("square2d", "shape2d"):
                 out.append(IcFamily(
                     kind, count,
-                    amplitudes=parse_amplitudes(self.parser.get(section, "value")),
-                    shape=self.parser.get(section, "shape", fallback="square"),
+                    amplitudes=parse_amplitudes(self._get(section, "value")),
+                    shape=self._get(section, "shape", str, "square"),
                 ))
             elif kind == "grf":
                 out.append(IcFamily(kind, count, grf=self._grf_from(section)))
@@ -216,11 +219,11 @@ class ExperimentConfig:
 
     def _grf_from(self, section) -> GrfSpec:
         return GrfSpec(
-            kernel=self.parser.get(section, "kernel"),
-            alpha=self.parser.getfloat(section, "alpha"),
-            length_scale=self.parser.getfloat(section, "length_scale"),
-            periodicity=self.parser.getfloat(section, "periodicity", fallback=1.0),
-            jitter=self.parser.getfloat(section, "jitter", fallback=1e-8),
+            kernel=self._get(section, "kernel"),
+            alpha=self._get(section, "alpha", float),
+            length_scale=self._get(section, "length_scale", float),
+            periodicity=self._get(section, "periodicity", float, 1.0),
+            jitter=self._get(section, "jitter", float, 1e-8),
         )
 
     def grf_spec(self) -> GrfSpec:
@@ -279,6 +282,8 @@ def load_config(preset: str = None, path=None, overrides=()) -> ExperimentConfig
                 parser.read_file(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
+        except configparser.Error as exc:  # a duplicate section, bad syntax
+            raise UsageError(f"malformed config {path}: {exc}") from exc
         name = str(path)
     else:
         raise UsageError("either a preset name or a config path is required")
@@ -286,8 +291,8 @@ def load_config(preset: str = None, path=None, overrides=()) -> ExperimentConfig
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise UsageError(f"override {item!r} is not SECTION.KEY=VALUE")
         key, value = item.split("=", 1)
-        section, option = key.rsplit(".", 1)
+        section, option = (part.strip() for part in key.rsplit(".", 1))
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), option.strip(), value.strip())
+        parser.set(section, option, value.strip())
     return ExperimentConfig(parser, name)

@@ -5,7 +5,7 @@ import hashlib
 import json
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .rng import stream
 DATASET_MAGIC = b"DPDS"
 DATASET_VERSION = 1
 
-IC_KINDS = ("cosine", "sine", "square2d", "shape2d", "grf", "explicit")
+IC_KINDS = ("cosine", "sine", "square2d", "shape2d", "grf")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class IcFamily:
                 square2d: plateau value on [0.5, 1.5]^2, background 1
                 shape2d:  square / triangle / circle plateau, background 1
                 grf:      zero-mean Gaussian random field draw
-                explicit: fixed array of fields
     count       how many fields this family contributes
     amplitudes  tuple of values (enumerated grid) or ("uniform", lo, hi)
     frequencies tuple of z / e values to pair with the amplitudes
@@ -48,7 +47,6 @@ class IcFamily:
     frequencies: tuple = ()
     shape: str = "square"
     grf: GrfSpec = None
-    values: tuple = ()
 
     def __post_init__(self):
         if self.kind not in IC_KINDS:
@@ -62,9 +60,7 @@ class IcFamily:
             return f"square2d(count={self.count}, value={self.amplitudes})"
         if self.kind == "shape2d":
             return f"shape2d(count={self.count}, shape={self.shape}, value={self.amplitudes})"
-        if self.kind == "grf":
-            return f"grf(count={self.count}, kernel={self.grf.kernel})"
-        return f"explicit(count={self.count})"
+        return f"grf(count={self.count}, kernel={self.grf.kernel})"
 
 
 def _is_uniform(amplitudes):
@@ -141,14 +137,7 @@ def sample_ics(family: IcFamily, count: int, spec: ph.PdeSpec, seed: int,
             vals = np.asarray(family.amplitudes[:count], dtype=np.float64)
         fields = np.where(mask[None], vals[:, None, None], 1.0)
         return np.broadcast_to(fields[:, None], (count, 2) + mask.shape).copy()
-    if family.kind == "grf":
-        return grf_initial_conditions(family.grf, spec, count, seed, stream_index)
-    # explicit
-    vals = np.asarray(family.values, dtype=np.float64)
-    if count > vals.shape[0]:
-        raise CountExceedsFamily(
-            f"explicit family has {vals.shape[0]} members, requested {count}")
-    return vals[:count].reshape((count,) + spec.state_shape()).copy()
+    return grf_initial_conditions(family.grf, spec, count, seed, stream_index)
 
 
 def sample_families(families, spec: ph.PdeSpec, seed: int,
@@ -207,27 +196,20 @@ def _check_advective_cfl(spec: ph.PdeSpec, ics):
 
 
 def generate(spec: ph.PdeSpec, families, n: int, nt: int, seed: int,
-             purpose: str = "data", substeps: int = 1) -> Dataset:
+             purpose: str = "data") -> Dataset:
     """Solve the complete physics for every sampled IC, storing all steps."""
     if tuple(spec.terms) != spec.full_terms:
         raise ValueError(
             f"ground truth needs the full term set {spec.full_terms}, got {spec.terms}")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     if isinstance(families, IcFamily):
         families = [families]
     ics = sample_families(families, spec, seed, purpose=purpose)
     if ics.shape[0] != n:
         raise ValueError(f"families yield {ics.shape[0]} ICs, expected n={n}")
-    # substeps > 1 is the fine-reference mode: integrate at dt/substeps and
-    # store every substeps-th state
-    step_spec = spec if substeps == 1 else replace(spec, dt=spec.dt / substeps)
-    _check_advective_cfl(step_spec, ics)
+    _check_advective_cfl(spec, ics)
 
     def step(u):
-        for _ in range(substeps):
-            u = ph.euler_step_values(u, step_spec, check_blowup=False)
-        return u
+        return ph.euler_step_values(u, spec)
 
     states = np.empty((n, nt + 1) + spec.state_shape())
     for t, u, alive in ph.masked_steps(step, ics, nt):

@@ -138,15 +138,6 @@ class LimitState:
             raise ValueError(f"limit-state horizon must be >= 0, got {self.horizon}")
 
 
-def evaluate_margin(trajectory, ls: LimitState) -> float:
-    """min_t (threshold - max_x response); negative means failure."""
-    traj = np.asarray(trajectory, dtype=np.float64)
-    upto = min(ls.horizon, traj.shape[0] - 1)
-    states = traj[: upto + 1].reshape(upto + 1, -1)
-    response = np.abs(states) if ls.use_magnitude else states
-    return float(np.min(ls.threshold - np.max(response, axis=1)))
-
-
 # two-sided 95% standard normal quantile
 _Z95 = 1.959963984540054
 
@@ -176,7 +167,7 @@ class ReliabilityReport:
     reliability: float
     stderr: float
     seed: int
-    margins: np.ndarray = None
+    margins: np.ndarray  # per sample: threshold - max response; < 0 fails
     # sidecar-only fields (not in to_json): the 95% Wilson interval of p_f
     # and the step at which each diverged sample diverged, as (index, step)
     p_f_interval: tuple = None
@@ -197,8 +188,7 @@ class ReliabilityReport:
 
 
 def estimate_reliability(surrogate, ics, ls: LimitState, seed: int,
-                         diverged_as_failure: bool = True,
-                         keep_margins: bool = False) -> ReliabilityReport:
+                         diverged_as_failure: bool = True) -> ReliabilityReport:
     """Indicator-based Monte Carlo failure probability over the initial
     conditions `ics` (one sample per row, e.g. from grf_initial_conditions;
     never written to, so several surrogates can share one draw).  `seed` is
@@ -231,7 +221,7 @@ def estimate_reliability(surrogate, ics, ls: LimitState, seed: int,
         reliability=1.0 - p_f,
         stderr=stderr,
         seed=seed,
-        margins=margins if keep_margins else None,
+        margins=margins,
         p_f_interval=wilson_interval(failures, n_eff),
         diverged_at=[(int(i), int(stats["diverged_at"][i]))
                      for i in np.flatnonzero(diverged)],

@@ -54,14 +54,15 @@ class TrainConfig:
     unroll_schedule: tuple = field(default_factory=default_schedule)
     batch_size: int = 8
     learning_rate: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 0
     grad_clip_norm: float = 10.0  # None disables clipping
 
     def __post_init__(self):
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(
+                    f"[train] {key} must be >= 1, got {getattr(self, key)}")
         sched = tuple((int(e), int(t)) for e, t in self.unroll_schedule)
         object.__setattr__(self, "unroll_schedule", sched)
         for (e0, t0), (e1, t1) in zip(sched, sched[1:]):
@@ -93,27 +94,31 @@ class TrainReport:
     wall_time_s: float
 
 
-class Adam:
-    """Standard Adam with bias correction over a name -> array parameter dict."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: dict, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Standard Adam with bias correction over a name -> array parameter dict,
+    with the moment decays ADAM_BETA1/ADAM_BETA2 and denominator ADAM_EPS."""
+
+    def __init__(self, params: dict, learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads: dict):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, g in grads.items():
             self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             m_hat = self.m[name] / (1.0 - b1 ** self.t)
             v_hat = self.v[name] / (1.0 - b2 ** self.t)
-            self.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_gradients(grads: dict, max_norm) -> tuple:
@@ -133,7 +138,9 @@ def rollout(model, spec: ph.PdeSpec, ic, t_steps: int, params=None,
             coords=None, correction_fn=None):
     """T+1 states starting from `ic`; differentiable when inputs are Tensors.
 
-    `coords` is spec.coordinates(), built here when not given.
+    A state that turns non-finite or exceeds physics.BLOWUP_LIMIT raises
+    NonFiniteState.  `coords` is spec.coordinates(), built here when not
+    given.
     `correction_fn` overrides the model (e.g. to inject an oracle correction);
     pass model=None with correction_fn=None for a pure known-physics rollout.
     """
@@ -150,6 +157,10 @@ def rollout(model, spec: ph.PdeSpec, ic, t_steps: int, params=None,
     for _ in range(t_steps):
         corr = correction_fn(u) if correction_fn is not None else None
         u = ph.euler_step_values(u, spec, corr)
+        peak = float(np.max(np.abs(ad.value_of(u))))
+        if not np.isfinite(peak) or peak > ph.BLOWUP_LIMIT:
+            raise NonFiniteState(
+                f"state magnitude {peak:.3e} exceeds {ph.BLOWUP_LIMIT:.0e}")
         states.append(u)
     return states
 
@@ -182,7 +193,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
     if dataset.spec.benchmark != partial_spec.benchmark:
         raise ValueError("dataset and training spec target different benchmarks")
     coords = partial_spec.coordinates()
-    opt = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = Adam(model.params, cfg.learning_rate)
     shuffle_rng = stream(cfg.seed, "shuffle")
     n = dataset.n_samples
     losses = []
@@ -314,7 +325,7 @@ class PhysicsSurrogate:
         self.spec = spec
 
     def step(self, u):
-        return ph.euler_step_values(u, self.spec, check_blowup=False)
+        return ph.euler_step_values(u, self.spec)
 
 
 # Bytes of one widest WNO activation per sample block: about half of a
@@ -354,4 +365,4 @@ class AugmentedSurrogate:
         corr = np.concatenate([
             wno_mod.wno_forward(u[i:i + self.block], self.coords, self.model)
             for i in range(0, len(u), self.block)])
-        return ph.euler_step_values(u, self.spec, corr, check_blowup=False)
+        return ph.euler_step_values(u, self.spec, corr)

@@ -1,5 +1,5 @@
 """Uncertainty-propagation diagnostics: probe-point ensembles, Gaussian KDE
-response densities, Hellinger distance, and ensemble mean squared error."""
+response densities and the Hellinger distance."""
 
 from dataclasses import dataclass
 
@@ -59,14 +59,20 @@ def rebin(density: Density, lo: float, hi: float, bins: int) -> Density:
     return Density(new_support, mass, density.bandwidth)
 
 
+def on_shared_support(densities) -> list:
+    """The densities re-binned onto one support: their union span (min of
+    the support starts to max of the support ends) with the largest bin
+    count among them."""
+    lo = min(d.support[0] for d in densities)
+    hi = max(d.support[-1] for d in densities)
+    bins = max(len(d.support) for d in densities)
+    return [rebin(d, lo, hi, bins) for d in densities]
+
+
 def hellinger(p: Density, q: Density) -> float:
     """(1/sqrt 2) L2 distance between square roots of the masses, after
-    re-binning both densities to a shared support (union span)."""
-    lo = min(p.support[0], q.support[0])
-    hi = max(p.support[-1], q.support[-1])
-    bins = max(len(p.support), len(q.support))
-    pm = rebin(p, lo, hi, bins).mass
-    qm = rebin(q, lo, hi, bins).mass
+    re-binning both densities to a shared support (on_shared_support)."""
+    pm, qm = (d.mass for d in on_shared_support((p, q)))
     return float(np.linalg.norm(np.sqrt(pm) - np.sqrt(qm)) / np.sqrt(2.0))
 
 
@@ -94,21 +100,10 @@ def probe_trajectories(trajectories: np.ndarray, index, t_star: int) -> np.ndarr
     return trajectories[(slice(None), t_star, 0) + tuple(index)]
 
 
-def ensemble_mse(pred_trajectories, true_trajectories, steps: int = 100) -> float:
-    """Mean squared error over samples x first `steps` steps x space."""
-    pred = np.asarray(pred_trajectories, dtype=np.float64)
-    true = np.asarray(true_trajectories, dtype=np.float64)
-    if pred.shape != true.shape:
-        raise ShapeMismatch(f"{pred.shape} vs {true.shape}")
-    upto = min(steps, pred.shape[1] - 1)
-    diff = pred[:, 1:upto + 1] - true[:, 1:upto + 1]
-    return float(np.mean(diff * diff))
-
-
-def mean_hellinger_from_samples(pred_probe, true_probe,
-                                grid_points: int = 256) -> float:
+def mean_hellinger_from_samples(pred_probe, true_probe) -> float:
     """Arithmetic mean over steps of the Hellinger distance between the
-    predicted and true response densities; inputs are (steps, samples)."""
+    predicted and true response densities, each estimated on 256 points;
+    inputs are (steps, samples)."""
     pred_probe = np.asarray(pred_probe, dtype=np.float64)
     true_probe = np.asarray(true_probe, dtype=np.float64)
     if pred_probe.shape != true_probe.shape:
@@ -116,8 +111,8 @@ def mean_hellinger_from_samples(pred_probe, true_probe,
     values = []
     for p, q in zip(pred_probe, true_probe):
         try:
-            dp = estimate_pdf(p, grid_points)
-            dq = estimate_pdf(q, grid_points)
+            dp = estimate_pdf(p, 256)
+            dq = estimate_pdf(q, 256)
         except DegenerateSamples:
             # an ensemble still sitting on a single value (early steps)
             values.append(0.0 if np.array_equal(p, q) else 1.0)

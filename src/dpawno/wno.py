@@ -84,9 +84,6 @@ class WnoConfig:
         shapes["downlift2.bias"] = (self.out_channels,)
         return shapes
 
-    def parameter_count(self) -> int:
-        return sum(int(np.prod(s)) for s in self.parameter_shapes().values())
-
 
 def io_fields(state_shape) -> dict:
     """The WnoConfig fields fixed by states shaped (C,) + spatial: the lift
@@ -125,9 +122,6 @@ class WnoModel:
                 limit = np.sqrt(6.0 / (fan_in + fan_out))
                 params[name] = rng.uniform(-limit, limit, size=shape)
         return cls(config, params)
-
-    def copy(self) -> "WnoModel":
-        return WnoModel(self.config, {k: v.copy() for k, v in self.params.items()})
 
     def save(self, path):
         save_checkpoint(self, path)

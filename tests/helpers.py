@@ -1,0 +1,38 @@
+"""Helpers shared by the test modules: a gradient check built from a tape
+and `autodiff.central_differences`, and a surrogate that replays stored
+trajectories."""
+
+import numpy as np
+
+from dpawno import autodiff as ad
+
+
+def gradient_error(loss_fn, point, step: float) -> float:
+    """Largest per-coordinate |ad - fd| / (|fd| + 1e-12) between the
+    reverse-mode gradient of `loss_fn` (Tensor -> scalar Tensor) at `point`
+    and central differences with `step`."""
+    point = np.asarray(point, dtype=np.float64)
+    tape = ad.Tape()
+    x = tape.leaf(point)
+    ad.backward(tape, loss_fn(x))
+    auto = ad.grad_of(tape, x)
+
+    def value(values):
+        return float(ad.value_of(loss_fn(ad.Tape().leaf(values))))
+
+    fd = ad.central_differences(value, point, step)
+    return float(np.max(np.abs(auto - fd) / (np.abs(fd) + 1e-12)))
+
+
+class Replay:
+    """Surrogate whose t-th step returns state t of the stored trajectories
+    (B, T+1, C) + spatial, whatever state it is handed; roll it from
+    trajectories[:, 0]."""
+
+    def __init__(self, trajectories):
+        self.trajectories = np.asarray(trajectories, dtype=np.float64)
+        self.t = 0
+
+    def step(self, u):
+        self.t += 1
+        return self.trajectories[:, self.t]

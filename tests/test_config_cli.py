@@ -42,7 +42,7 @@ class TestConfig:
         partial = c.partial_spec()
         assert set(partial.terms) < set(full.terms)
         assert c.data_only_spec().terms == ()
-        assert c.wno_config().parameter_count() > 0
+        assert c.wno_config().parameter_shapes()
         assert c.train_config().epochs > 0
         assert c.families("train") and c.families("test")
         assert c.grf_spec().alpha > 0
@@ -55,6 +55,14 @@ class TestConfig:
         w = c.wno_config()
         assert (w.spatial_dims, w.in_channels, w.out_channels) == (
             dims, full.channels + dims, full.channels)
+
+    @pytest.mark.parametrize("kind", dg.IC_KINDS)
+    def test_every_ic_kind_is_configurable(self, kind):
+        keys = ("count=1", "amplitudes=1", "frequencies=1", "value=2",
+                "kernel=rbf", "alpha=1", "length_scale=0.5", f"kind={kind}")
+        c = cf.load_config(preset=DESK,
+                           overrides=[f"ic.train.9.{key}" for key in keys])
+        assert c.families("train")[-1].kind == kind
 
     def test_unknown_preset(self):
         with pytest.raises(UsageError):
@@ -405,6 +413,64 @@ class TestConfigErrors:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
         assert not (out / "model.dpaw").exists()
+
+    @pytest.mark.parametrize("key", ["epochs=0", "epochs=-1", "batch_size=0"])
+    def test_nonpositive_train_sizes_exit_2_before_the_dataset(self, tmp_path,
+                                                               capsys, key):
+        # the dataset does not exist: reading it first would exit 4
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(tmp_path / "none"),
+                         "--out", str(out), "--set", f"train.{key}"])
+        assert code == 2
+        assert f"[train] {key.split('=')[0]} must be >= 1" in capsys.readouterr().err
+        assert not (out / "train_log.csv").exists()
+
+    @pytest.mark.parametrize("section,key", [("ic.train.1", "count"),
+                                             ("ic.test.2", "amplitudes"),
+                                             ("grf", "alpha")])
+    def test_missing_family_or_grf_key_exits_2(self, tmp_path, capsys, section,
+                                               key):
+        text = cf.preset_text(DESK)
+        start = text.index(f"[{section}]")
+        line = text.index(f"\n{key} =", start)
+        path = tmp_path / "missing.ini"
+        path.write_text(text[:line] + text[text.index("\n", line + 1):])
+        command = "reliability" if section == "grf" else "gen-data"
+        code = cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"usage error: missing config key [{section}] {key}\n"
+
+    def test_missing_key_in_an_override_section_exits_2(self, tmp_path, capsys):
+        code = cli.main(["gen-data", "--preset", DESK, "--out", str(tmp_path / "d"),
+                         "--set", "ic.train.9.kind=sine"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "usage error: missing config key [ic.train.9] count\n"
+
+    def test_duplicate_section_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "duplicate.ini"
+        path.write_text(cf.preset_text(DESK) + "\n[run]\nseed = 1\n")
+        code = cli.main(["gen-data", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: malformed config {path}")
+        assert "section 'run' already exists" in err
+
+    def test_lone_percent_in_a_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "percent.ini"
+        path.write_text(cf.preset_text(DESK).replace("seed = ", "seed = 5%", 1))
+        code = cli.main(["gen-data", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: [run] seed: '%'")
+
+    def test_override_section_name_is_stripped(self):
+        c = cf.load_config(preset=DESK, overrides=["ic.train.9 .kind = sine",
+                                                   "ic.train.9. count=1"])
+        assert c.parser.get("ic.train.9", "count") == "1"
 
     def test_count_beyond_family_exits_2(self, tmp_path, capsys):
         out = tmp_path / "data"

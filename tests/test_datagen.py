@@ -170,15 +170,6 @@ class TestGenerate:
             stepped = ph.euler_step_values(ds.trajectories[:, t], spec)
             assert np.array_equal(stepped, ds.trajectories[:, t + 1])
 
-    def test_fine_reference_substeps(self):
-        spec = burgers_spec(nx=64)
-        fams = [dg.IcFamily("sine", 2, amplitudes=(1.0, 2.0), frequencies=(2,))]
-        coarse = dg.generate(spec, fams, 2, 10, seed=7)
-        fine = dg.generate(spec, fams, 2, 10, seed=7, substeps=4)
-        assert fine.trajectories.shape == coarse.trajectories.shape
-        assert np.array_equal(fine.ics, coarse.ics)
-        assert not np.array_equal(fine.trajectories[:, 1:], coarse.trajectories[:, 1:])
-
 
 class TestFileFormat:
     def make_dataset(self):

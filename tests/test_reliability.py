@@ -9,6 +9,7 @@ from dpawno import reliability as rel
 from dpawno import training as tr
 from dpawno import wno
 from dpawno.errors import NotPositiveDefinite
+from helpers import Replay
 
 PERIODIC_GRF = rel.GrfSpec("exp_sine_squared", alpha=4.0, length_scale=0.5,
                         periodicity=1.0)
@@ -170,28 +171,44 @@ class TestSampleGrf:
 
 
 class TestMargin:
+    """The per-sample margin estimate_reliability computes, min over the
+    steps 0..horizon of (threshold - spatial max response), read off a
+    surrogate that replays one stored trajectory (T+1, C) + spatial."""
+
+    @staticmethod
+    def margin(trajectory, ls):
+        traj = np.asarray(trajectory, dtype=np.float64)[None]
+        rep = rel.estimate_reliability(Replay(traj), traj[:, 0], ls, seed=0)
+        return float(rep.margins[0])
+
     def test_huge_threshold_is_safe(self):
         ls = rel.LimitState(threshold=1e12, horizon=10)
         traj = np.random.default_rng(4).standard_normal((11, 1, 8))
-        assert rel.evaluate_margin(traj, ls) > 0
+        assert self.margin(traj, ls) > 0
 
     def test_breach_arithmetic(self):
         ls = rel.LimitState(threshold=5.0, horizon=10)
         traj = np.zeros((11, 1, 8))
         traj[4, 0, 3] = 6.0
-        assert rel.evaluate_margin(traj, ls) == -1.0
+        assert self.margin(traj, ls) == -1.0
+
+    def test_initial_condition_included(self):
+        ls = rel.LimitState(threshold=5.0, horizon=10)
+        traj = np.zeros((11, 1, 8))
+        traj[0, 0, 2] = -8.0
+        assert self.margin(traj, ls) == -3.0
 
     def test_constant_zero_trajectory(self):
         ls = rel.LimitState(threshold=7.0, horizon=10)
-        assert rel.evaluate_margin(np.zeros((11, 1, 8)), ls) == 7.0
+        assert self.margin(np.zeros((11, 1, 8)), ls) == 7.0
 
     def test_magnitude_vs_signed(self):
         traj = np.zeros((3, 1, 4))
         traj[1, 0, 0] = -9.0
         mag = rel.LimitState(threshold=7.0, horizon=2, use_magnitude=True)
         signed = rel.LimitState(threshold=7.0, horizon=2, use_magnitude=False)
-        assert rel.evaluate_margin(traj, mag) == -2.0
-        assert rel.evaluate_margin(traj, signed) == 7.0
+        assert self.margin(traj, mag) == -2.0
+        assert self.margin(traj, signed) == 7.0
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -202,7 +219,7 @@ class TestMargin:
         ls = rel.LimitState(threshold=1.0, horizon=3)
         traj = np.zeros((11, 1, 4))
         traj[9] = 50.0  # beyond the horizon
-        assert rel.evaluate_margin(traj, ls) == 1.0
+        assert self.margin(traj, ls) == 1.0
 
 
 class TestGrfInitialConditions:
@@ -243,7 +260,8 @@ class TestEstimateReliability:
         rep = rel.estimate_reliability(sur, ics, ls, seed=5)
         # direct ground-truth computation over the same draws
         trajs = np.stack(tr.rollout(None, full, ics, ls.horizon), axis=1)
-        margins = np.array([rel.evaluate_margin(t, ls) for t in trajs])
+        margins = ls.threshold - np.max(np.abs(trajs).reshape(len(trajs), -1),
+                                        axis=1)
         assert rep.failures == int(np.sum(margins < 0))
         assert rep.reliability == 1.0 - rep.failures / 200
 
@@ -286,8 +304,7 @@ class TestEstimateReliability:
         full = burgers_full()
         ls = rel.LimitState(5.5, horizon=20)
         rep = rel.estimate_reliability(tr.PhysicsSurrogate(full),
-                                       draws(full, 100, 10), ls, seed=10,
-                                       keep_margins=True)
+                                       draws(full, 100, 10), ls, seed=10)
         assert rep.failures == int(np.sum(rep.margins < 0))
 
     def test_json_record_fields(self):
@@ -314,11 +331,9 @@ class TestEstimateReliability:
         ls = rel.LimitState(6.0, horizon=8)
         for sur in (tr.PhysicsSurrogate(full),
                     tr.AugmentedSurrogate(full.with_terms(("advection",)), model)):
-            shared = rel.estimate_reliability(sur, ics, ls, seed=12,
-                                              keep_margins=True)
+            shared = rel.estimate_reliability(sur, ics, ls, seed=12)
             assert np.array_equal(ics, before)
-            fresh = rel.estimate_reliability(sur, before.copy(), ls, seed=12,
-                                             keep_margins=True)
+            fresh = rel.estimate_reliability(sur, before.copy(), ls, seed=12)
             assert np.array_equal(shared.margins, fresh.margins)
             assert shared.diverged == 2
             assert [i for i, _ in shared.diverged_at] == [0, 1]

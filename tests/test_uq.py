@@ -6,6 +6,7 @@ from dpawno import physics as ph
 from dpawno import training as tr
 from dpawno import uq
 from dpawno.errors import DegenerateSamples, ShapeMismatch
+from helpers import Replay
 
 
 def gaussian_density(mu, sigma=1.0, n=2001, span=8.0):
@@ -89,23 +90,29 @@ class TestHellinger:
 
 
 class TestEnsembleMse:
+    """er1, the ensemble MSE that evaluate writes to metrics.csv:
+    rollout_statistics' mse against `truth` over steps 1..mse_steps."""
+
+    @staticmethod
+    def mse(pred, truth, mse_steps=100):
+        stats = tr.rollout_statistics(Replay(pred), pred[:, 0], pred.shape[1] - 1,
+                                      truth=truth, mse_steps=mse_steps)
+        return stats["mse"]
+
     def test_identical_zero(self):
         t = np.random.default_rng(7).standard_normal((4, 11, 1, 8))
-        assert uq.ensemble_mse(t, t) == 0.0
+        assert self.mse(t, t) == 0.0
 
     def test_unit_offset_gives_one(self):
         t = np.random.default_rng(8).standard_normal((4, 11, 1, 8))
-        assert abs(uq.ensemble_mse(t + 1.0, t) - 1.0) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            uq.ensemble_mse(np.zeros((2, 3, 1, 4)), np.zeros((2, 3, 1, 5)))
+        assert abs(self.mse(t + 1.0, t) - 1.0) < 1e-12
 
     def test_only_first_steps_counted(self):
         t = np.zeros((2, 11, 1, 4))
         p = t.copy()
         p[:, 6:] = 100.0  # beyond the 5-step window
-        assert uq.ensemble_mse(p, t, steps=5) == 0.0
+        assert self.mse(p, t, mse_steps=5) == 0.0
+        assert self.mse(p, t, mse_steps=6) > 0.0
 
 
 class TestProbeEnsemble:
