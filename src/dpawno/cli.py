@@ -118,13 +118,21 @@ def _add_common(p):
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
-    out = _ensure_outdir(args.out)
     full = cfg.full_spec()
-    train = dg.generate(full, cfg.families("train"), cfg.n_train, cfg.nt_train,
-                        cfg.seed, purpose="data")
+    # both roles are read and checked before anything is generated, and both
+    # sets are generated before either is written, so a bad test section
+    # leaves no fresh train.dpds next to a stale test.dpds
+    roles = {"train": (cfg.families("train"), cfg.n_train, cfg.nt_train, "data"),
+             "test": (cfg.families("test"), cfg.n_test, cfg.nt_test, "test")}
+    for role, (families, n, _, _) in roles.items():
+        yielded = sum(f.count for f in families)
+        if yielded != n:
+            raise UsageError(f"[ic.{role}.N] families yield {yielded} ICs; "
+                             f"[data] n_{role} is {n}")
+    out = _ensure_outdir(args.out)
+    train, test = [dg.generate(full, families, n, nt, cfg.seed, purpose=purpose)
+                   for families, n, nt, purpose in roles.values()]
     dg.save(train, os.path.join(out, "train.dpds"))
-    test = dg.generate(full, cfg.families("test"), cfg.n_test, cfg.nt_test,
-                       cfg.seed, purpose="test")
     dg.save(test, os.path.join(out, "test.dpds"))
     _write_sidecar(os.path.join(out, "gen-data.meta.json"), {
         "config": cfg.name,
@@ -315,6 +323,21 @@ def cmd_uq(args) -> int:
     return 0
 
 
+def _paired(exact, dpa) -> dict:
+    """How two candidates' per-sample margins on the same draws disagree:
+    the samples where dpa-wno fails and exact is safe, the reverse, and the
+    paired p_f difference (dpa-wno minus exact) over the samples that both
+    count (a NaN margin is a diverged sample left out of the count)."""
+    counted = ~(np.isnan(exact) | np.isnan(dpa))
+    exact_fails, dpa_fails = exact[counted] < 0.0, dpa[counted] < 0.0
+    dpa_only = int(np.sum(dpa_fails & ~exact_fails))
+    exact_only = int(np.sum(exact_fails & ~dpa_fails))
+    n = int(np.sum(counted))
+    return {"n": n, "dpa_fails_exact_safe": dpa_only,
+            "exact_fails_dpa_safe": exact_only,
+            "p_f_difference": (dpa_only - exact_only) / n if n else 0.0}
+
+
 def cmd_reliability(args) -> int:
     # validate the sample count and load every checkpoint before the costly
     # GRF factorization, so a bad setting or checkpoint fails fast
@@ -334,11 +357,13 @@ def cmd_reliability(args) -> int:
     meta = {"config": cfg.name, "n": n, "horizon": ls.horizon,
             "grf_s": time.perf_counter() - t0, "models": {}}
     lines = []
+    margins = {}
     for name in sorted(candidates):
         t0 = time.perf_counter()
         report = rel.estimate_reliability(
             candidates[name], ics, ls, cfg.seed,
             diverged_as_failure=diverged_as_failure)
+        margins[name] = report.margins
         meta["models"][name] = {
             "rollout_s": time.perf_counter() - t0,
             "failures": report.failures,
@@ -352,6 +377,8 @@ def cmd_reliability(args) -> int:
             g_t=ls.threshold, horizon=ls.horizon))
         print(f"{name}: reliability {report.reliability * 100:.2f}% "
               f"({report.failures}/{n} failures, {report.diverged} diverged)")
+    if "dpa-wno" in margins:
+        meta["paired"] = _paired(margins["exact"], margins["dpa-wno"])
     with open(os.path.join(out, "reliability.jsonl"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_sidecar(os.path.join(out, "reliability.meta.json"), meta)

@@ -109,13 +109,39 @@ def _cholesky(spec: GrfSpec, points) -> np.ndarray:
         f"covariance not positive definite even with jitter {_MAX_JITTER:g}")
 
 
-def sample_grf(spec: GrfSpec, points, count: int, seed: int,
+def _factors(spec: GrfSpec, axes) -> list:
+    """Cholesky factors, outermost grid axis first, whose Kronecker product
+    factors the covariance over the tensor grid `axes` (x first).
+
+    A kernel that separates over the axes (any kernel in 1D, rbf in any
+    dimension) gets one factor per axis: the x factor is the plain 1D one,
+    and every other axis uses the unit-variance kernel with jitter
+    jitter/alpha, so each factor carries the same relative jitter.  A
+    kernel that does not separate gets one dense factor over every grid
+    point, in meshgrid order.
+    """
+    if len(axes) == 1 or spec.kernel == "rbf":
+        unit = replace(spec, alpha=1.0, jitter=spec.jitter / spec.alpha)
+        return [_cholesky(unit, axis) for axis in reversed(axes[1:])] \
+            + [_cholesky(spec, axes[0])]
+    points = np.stack(np.meshgrid(*axes)).reshape(len(axes), -1).T
+    return [_cholesky(spec, points)]
+
+
+def sample_grf(spec: GrfSpec, axes, count: int, seed: int,
                stream_index: int = 0) -> np.ndarray:
-    """`count` zero-mean draws, one row per draw."""
-    chol = _cholesky(spec, points)
+    """`count` zero-mean draws over the tensor grid `axes` (x first, as
+    PdeSpec.grid() gives them), one row per draw in meshgrid order."""
+    factors = _factors(spec, axes)
     rng = stream(seed, "grf", stream_index)
-    z = rng.standard_normal((count, chol.shape[0]))
-    return z @ chol.T
+    shape = tuple(len(chol) for chol in factors)
+    z = rng.standard_normal((count, int(np.prod(shape))))
+    # L_y Z L_x^T for the Kronecker factor L_y (x) L_x: each factor acts
+    # along its own axis, the last axis as the plain z @ L.T
+    u = z.reshape((count,) + shape)
+    for axis, chol in enumerate(factors, 1):
+        u = np.swapaxes(np.swapaxes(u, axis, -1) @ chol.T, axis, -1)
+    return u.reshape(count, -1)
 
 
 @dataclass(frozen=True)
@@ -232,8 +258,6 @@ def grf_initial_conditions(grf_spec: GrfSpec, spec, n: int, seed: int,
                            stream_index: int = 0) -> np.ndarray:
     """GRF draws shaped as solver states (n,) + spec.state_shape(); every
     channel holds the same field."""
-    coords = spec.coordinates()
-    points = coords.reshape(len(coords), -1).T  # one row per grid point
-    draws = sample_grf(grf_spec, points, n, seed, stream_index)
+    draws = sample_grf(grf_spec, spec.grid(), n, seed, stream_index)
     fields = draws.reshape((n, 1) + spec.spatial_shape())
     return np.broadcast_to(fields, (n,) + spec.state_shape()).copy()

@@ -230,22 +230,46 @@ class TestReliabilityCommand:
         assert self.run(tmp_path) == 0
         assert calls == [(64, 64)]
 
+    def test_2d_rbf_factors_one_matrix_per_axis(self, tmp_path, monkeypatch):
+        calls = count_cholesky(monkeypatch)
+        assert cli.main(["reliability", "--preset", "burgers2d-missing-xdiff",
+                         "--out", str(tmp_path / "rel"), "--set", "pde.nx=16",
+                         "--set", "pde.ny=8", "--set", "reliability.n=2",
+                         "--set", "limit_state.horizon=1"]) == 0
+        assert calls == [(8, 8), (16, 16)]
+
     def test_sidecar_matches_report(self, tmp_path):
-        assert self.run(tmp_path) == 0
+        # a threshold inside the spread of the desk draws' peaks, so both
+        # candidates fail on some samples and the paired counts are not void
+        assert self.run(tmp_path, "--set", "limit_state.threshold=4.0") == 0
         rel_dir = tmp_path / "rel"
-        records = [json.loads(line) for line in
-                   (rel_dir / "reliability.jsonl").read_text().splitlines()]
+        records = {r["model"]: r for r in (
+            json.loads(line) for line in
+            (rel_dir / "reliability.jsonl").read_text().splitlines())}
         meta = json.loads((rel_dir / "reliability.meta.json").read_text())
         assert (meta["n"], meta["horizon"]) == (40, 20)
         assert meta["grf_s"] >= 0.0
-        assert set(meta["models"]) == {r["model"] for r in records}
-        for r in records:
-            m = meta["models"][r["model"]]
+        assert set(meta["models"]) == set(records)
+        for name, r in records.items():
+            m = meta["models"][name]
             assert (m["failures"], m["diverged"]) == (r["failures"], r["diverged"])
             assert len(m["diverged_at"]) == r["diverged"]
             lo, hi = m["p_f_wilson95"]
             assert lo <= r["p_f"] <= hi and hi > lo
             assert m["rollout_s"] >= 0.0
+        paired = meta["paired"]
+        assert paired["n"] == 40
+        assert 0 < records["exact"]["failures"] < 40
+        assert (paired["dpa_fails_exact_safe"] - paired["exact_fails_dpa_safe"]
+                == records["dpa-wno"]["failures"] - records["exact"]["failures"])
+        assert paired["p_f_difference"] == pytest.approx(
+            records["dpa-wno"]["p_f"] - records["exact"]["p_f"], abs=1e-15)
+
+    def test_paired_block_needs_both_candidates(self, tmp_path):
+        assert cli.main(["reliability", "--preset", DESK,
+                         "--out", str(tmp_path / "rel"), *SMALL_DATA]) == 0
+        meta = json.loads((tmp_path / "rel" / "reliability.meta.json").read_text())
+        assert "paired" not in meta
 
     def test_zero_samples_rejected_before_factorization(self, tmp_path,
                                                          monkeypatch, capsys):
@@ -261,6 +285,17 @@ class TestReliabilityCommand:
         assert "horizon" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "rel" / "reliability.jsonl").exists()
+
+
+def test_paired_disagreement_counts():
+    exact = np.array([1.0, -1.0, 0.5, -2.0, 3.0, 0.0, np.nan, 2.0])
+    dpa = np.array([-0.5, 2.0, -np.inf, -1.0, 1.0, -0.1, -3.0, np.nan])
+    # counted: samples 0-5; dpa fails where exact is safe on 0, 2 and 5,
+    # exact fails where dpa is safe on 1, both fail on 3
+    assert cli._paired(exact, dpa) == {
+        "n": 6, "dpa_fails_exact_safe": 3, "exact_fails_dpa_safe": 1,
+        "p_f_difference": 2 / 6}
+    assert cli._paired(np.full(3, np.nan), dpa[:3])["p_f_difference"] == 0.0
 
 
 class TestDamagedCheckpoint:
@@ -365,6 +400,19 @@ class TestMalformedInput:
         assert "unknown benchmark 'burgers3d'" in err
         assert all(name in err for name in ("burgers1d", "nagumo", "allen_cahn",
                                             "burgers2d"))
+        assert not (out / "train.dpds").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("ic.test.2.kind=bogus", "unknown IC kind 'bogus' in [ic.test.2]"),
+        ("data.n_test=7", "[ic.test.N] families yield 100 ICs; [data] n_test is 7"),
+    ])
+    def test_bad_test_role_exits_2_before_any_write(self, tmp_path, capsys,
+                                                   override, message):
+        out = tmp_path / "data"
+        code = cli.main(["gen-data", "--preset", DESK, "--set", override,
+                         "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (out / "train.dpds").exists()
 
     def test_unknown_partial_term_exits_2(self, tmp_path, capsys):

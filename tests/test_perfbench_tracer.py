@@ -29,6 +29,16 @@ for dims, shape, coords in [
                         out_channels=shape[1], spatial_dims=dims)
     wno.wno_forward(np.zeros(shape), coords, wno.WnoModel.initialize(cfg, 0))
     assert tracer.calls["autodiff.level_matmul"] > before, dims
+
+# the 2D GRF draw reaches sample_grf through the module, so the traced
+# reliability.sample_grf.s measures it
+from dpawno import physics as ph
+from dpawno import reliability as rel
+before = tracer.calls["reliability.sample_grf"]
+spec = ph.PdeSpec("burgers2d", dict(nu=0.01), (), "periodic", domain=(0.0, 2.0),
+                  nx=8, ny=6)
+rel.grf_initial_conditions(rel.GrfSpec("rbf"), spec, 2, 0)
+assert tracer.calls["reliability.sample_grf"] == before + 1
 """
 
 

@@ -9,6 +9,7 @@ from dpawno import reliability as rel
 from dpawno import training as tr
 from dpawno import wno
 from dpawno.errors import NotPositiveDefinite
+from dpawno.rng import stream
 from helpers import Replay
 
 PERIODIC_GRF = rel.GrfSpec("exp_sine_squared", alpha=4.0, length_scale=0.5,
@@ -63,7 +64,7 @@ class TestCovariance:
             raise np.linalg.LinAlgError("forced")
         monkeypatch.setattr(np.linalg, "cholesky", always_fail)
         with pytest.raises(NotPositiveDefinite):
-            rel.sample_grf(PERIODIC_GRF, np.linspace(0, 1, 8), 1, seed=0)
+            rel.sample_grf(PERIODIC_GRF, (np.linspace(0, 1, 8),), 1, seed=0)
 
 
 def broadcast_covariance(spec, points):
@@ -124,7 +125,7 @@ class TestInPlaceCovariance:
 
         monkeypatch.setattr(np.linalg, "cholesky", fails_twice)
         pts = np.linspace(0.0, 1.0, 12)
-        rel.sample_grf(PERIODIC_GRF, pts, 1, seed=0)
+        rel.sample_grf(PERIODIC_GRF, (pts,), 1, seed=0)
         base = broadcast_covariance(
             dataclasses.replace(PERIODIC_GRF, jitter=0.0), pts)
         # the jitter grows tenfold per retry, as the factorization computes it
@@ -153,7 +154,7 @@ class TestInPlaceCovariance:
 class TestSampleGrf:
     def test_empirical_covariance_matches(self):
         pts = np.array([0.1, 0.35])
-        draws = rel.sample_grf(PERIODIC_GRF, pts, 50_000, seed=1)
+        draws = rel.sample_grf(PERIODIC_GRF, (pts,), 50_000, seed=1)
         emp = draws.T @ draws / len(draws)
         want = rel.grf_covariance(PERIODIC_GRF, pts)
         assert np.max(np.abs(emp - want) / np.abs(want)) < 0.05
@@ -161,13 +162,77 @@ class TestSampleGrf:
     def test_degenerate_variance_limit(self):
         tiny = rel.GrfSpec("exp_sine_squared", alpha=1e-12, length_scale=0.5,
                            periodicity=1.0, jitter=1e-16)
-        draws = rel.sample_grf(tiny, np.linspace(0, 1, 16), 100, seed=2)
+        draws = rel.sample_grf(tiny, (np.linspace(0, 1, 16),), 100, seed=2)
         assert np.max(np.abs(draws)) < 1e-4
 
     def test_same_seed_identical(self):
-        a = rel.sample_grf(PERIODIC_GRF, np.linspace(0, 1, 16), 10, seed=3)
-        b = rel.sample_grf(PERIODIC_GRF, np.linspace(0, 1, 16), 10, seed=3)
+        a = rel.sample_grf(PERIODIC_GRF, (np.linspace(0, 1, 16),), 10, seed=3)
+        b = rel.sample_grf(PERIODIC_GRF, (np.linspace(0, 1, 16),), 10, seed=3)
         assert np.array_equal(a, b)
+
+
+def unit_variance(spec):
+    return dataclasses.replace(spec, alpha=1.0, jitter=spec.jitter / spec.alpha)
+
+
+class TestPerAxisFactors:
+    """A kernel that separates over the grid axes is factored one axis at a
+    time; the x factor is the 1D one and every other axis carries the unit
+    kernel with the same relative jitter."""
+
+    RBF = rel.GrfSpec("rbf", alpha=4.0, length_scale=0.3)
+
+    def test_kron_of_axis_factors_factors_kron_covariance(self):
+        x, y = np.linspace(0.0, 2.0, 8), np.linspace(0.0, 1.5, 6)
+        k_x = rel.grf_covariance(self.RBF, x)
+        k_y = rel.grf_covariance(unit_variance(self.RBF), y)
+        l_y, l_x = rel._factors(self.RBF, (x, y))
+        assert np.array_equal(l_x, np.linalg.cholesky(k_x))
+        assert np.array_equal(l_y, np.linalg.cholesky(k_y))
+        assert np.allclose(np.kron(l_y, l_x), np.linalg.cholesky(np.kron(k_y, k_x)),
+                           rtol=0.0, atol=1e-12)
+
+    def test_2d_rbf_empirical_covariance_matches(self):
+        x, y = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3)
+        spec = rel.GrfSpec("rbf", alpha=4.0, length_scale=0.8)
+        draws = rel.sample_grf(spec, (x, y), 10_000, seed=11)
+        gx, gy = np.meshgrid(x, y)
+        want = rel.grf_covariance(spec, np.column_stack([gx.ravel(), gy.ravel()]))
+        emp = draws.T @ draws / len(draws)
+        assert np.max(np.abs(emp - want)) < 0.05 * spec.alpha
+
+    def test_1d_draws_are_z_times_factor_transposed(self):
+        x = np.linspace(-1.0, 1.0, 64)
+        z = stream(3, "grf", 2).standard_normal((100, len(x)))
+        chol = np.linalg.cholesky(rel.grf_covariance(PERIODIC_GRF, x))
+        draws = rel.sample_grf(PERIODIC_GRF, (x,), 100, seed=3, stream_index=2)
+        assert draws.tobytes() == (z @ chol.T).tobytes()
+
+    def test_2d_exp_sine_squared_uses_one_dense_factor(self, monkeypatch):
+        shapes = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: shapes.append(a.shape) or real(a))
+        # every separation below one period, so the matrix is well conditioned
+        x, y = np.linspace(0.0, 0.35, 8), np.linspace(0.0, 0.25, 6)
+        draws = rel.sample_grf(PERIODIC_GRF, (x, y), 5, seed=4)
+        assert shapes == [(48, 48)]
+        gx, gy = np.meshgrid(x, y)
+        points = np.column_stack([gx.ravel(), gy.ravel()])
+        z = stream(4, "grf", 0).standard_normal((5, 48))
+        chol = real(rel.grf_covariance(PERIODIC_GRF, points))
+        assert draws.tobytes() == (z @ chol.T).tobytes()
+
+    def test_2d_rbf_draw_builds_no_grid_sized_matrix(self):
+        # one 4096 x 4096 matrix would be 134 MB
+        axis = np.arange(64) * 2.0 / 64
+        tracemalloc.start()
+        try:
+            rel.sample_grf(self.RBF, (axis, axis), 1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestMargin:
@@ -223,8 +288,9 @@ class TestMargin:
 
 
 class TestGrfInitialConditions:
-    """The GRF points are the spec's coordinate array, one row per point; the
-    draws equal the per-dimension construction they replaced byte for byte."""
+    """The GRF draws run over the spec's grid axes in the order of its
+    coordinate array; in 1D they equal the construction they replaced byte
+    for byte."""
 
     def test_2d_matches_column_stack_of_meshgrid(self):
         spec = ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "periodic",
@@ -234,16 +300,25 @@ class TestGrfInitialConditions:
         x, y = spec.grid()
         gx, gy = np.meshgrid(x, y)
         points = np.column_stack([gx.ravel(), gy.ravel()])
-        fields = rel.sample_grf(grf, points, 5, 7).reshape(5, 1, len(y), len(x))
+        # the factor of the draws is one over the column-stacked meshgrid
+        # points: its product with its transpose is their covariance
+        chol = np.kron(*rel._factors(grf, (x, y)))
+        assert np.allclose(chol @ chol.T, rel.grf_covariance(grf, points),
+                           rtol=0.0, atol=1e-7)
+        z = stream(7, "grf", 0).standard_normal((5, len(points)))
+        fields = (z @ chol.T).reshape(5, 1, len(y), len(x))
         old = np.broadcast_to(fields, (5, 2, len(y), len(x)))
         assert ics.shape == (5,) + spec.state_shape()
-        assert ics.tobytes() == np.ascontiguousarray(old).tobytes()
+        assert np.allclose(ics, old, rtol=0.0, atol=1e-12)
+        assert ics.tobytes() == np.ascontiguousarray(np.broadcast_to(
+            rel.sample_grf(grf, (x, y), 5, 7).reshape(5, 1, len(y), len(x)),
+            ics.shape)).tobytes()
 
     def test_1d_matches_draws_on_the_axis(self):
         spec = burgers_full(nx=32)
         ics = rel.grf_initial_conditions(PERIODIC_GRF, spec, 4, seed=3)
         (x,) = spec.grid()
-        old = rel.sample_grf(PERIODIC_GRF, x, 4, 3)[:, None, :]
+        old = rel.sample_grf(PERIODIC_GRF, (x,), 4, 3)[:, None, :]
         assert ics.tobytes() == np.ascontiguousarray(old).tobytes()
 
 
