@@ -46,19 +46,22 @@ configuration keys (INI sections):
   [pde]         nu | epsilon, alpha | gamma;  nx, ny, dt, bc, bc_value,
                 domain, partial_terms, advection (central|upwind)
   [data]        n_train, nt_train, n_test, nt_test
-  [ic.train.N]  kind (cosine|sine|square2d|shape2d|grf), count,
-  [ic.test.N]   amplitudes / value (list, lo..hi grid, uniform: lo, hi),
-                frequencies, shape, kernel-fields for grf
-  [wno]         width, layers, family, levels, extension, fc1_dim, bands
+  [ic.train.N], [ic.test.N]
+                kind (cosine|sine|square2d|shape2d|grf), count,
+                amplitudes / value (list, lo..hi grid, uniform: lo, hi),
+                frequencies, shape; for grf: kernel, alpha, length_scale,
+                periodicity, jitter
+  [wno]         width, layers, family, levels, fc1_dim, bands
   [train]       epochs, learning_rate, batch_size, schedule
                 (auto: T0 @ HOLD, TMAX @ REACH  or  pairs: E:T ...),
                 grad_clip, checkpoint_every
   [probe]       x (, y), t (list of step indices)
   [eval]        steps, snapshots
-  [grf]         kernel (exp_sine_squared|rbf), alpha, length_scale,
-                periodicity, jitter
-  [limit_state] threshold, horizon, use_magnitude
-  [reliability] n, diverged_as_failure
+  [grf]         kernel (exp_sine_squared|rbf; rbf on 2D grids), alpha,
+                length_scale, periodicity, jitter
+  [limit_state] threshold, horizon
+  [reliability] n
+Any other section or key, [DEFAULT] included, is a usage error.
 Override any key with --set SECTION.KEY=VALUE (repeatable).
 """
 
@@ -154,7 +157,7 @@ def cmd_train(args) -> int:
     ckpt = os.path.join(out, "model.dpaw")
     if args.mode == "physics-only":
         # the zero-initialized model is exactly the known-physics solver
-        model.save(ckpt)
+        wno_mod.save_checkpoint(model, ckpt)
         _write_sidecar(os.path.join(out, "train.meta.json"),
                        {"config": cfg.name, "mode": args.mode, "epochs": 0})
         print(f"wrote identity checkpoint {ckpt}")
@@ -164,7 +167,8 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(cfg, args.data, "train")
 
     def checkpoint_fn(epoch, m):
-        m.save(os.path.join(out, f"checkpoint_epoch{epoch + 1}.dpaw"))
+        wno_mod.save_checkpoint(
+            m, os.path.join(out, f"checkpoint_epoch{epoch + 1}.dpaw"))
 
     # wall_ms makes the log a sidecar, not a primary output; one row is
     # flushed per epoch so a failed or killed run keeps its history
@@ -179,7 +183,7 @@ def cmd_train(args) -> int:
 
         report = tr.train(model, dataset, spec, tcfg, log_sink=log_sink,
                           checkpoint_fn=checkpoint_fn)
-    model.save(ckpt)
+    wno_mod.save_checkpoint(model, ckpt)
     _write_sidecar(os.path.join(out, "train.meta.json"), {
         "config": cfg.name,
         "mode": args.mode,
@@ -210,10 +214,10 @@ def _surrogates(cfg, args):
     out = {}
     if args.dpa:
         out["dpa-wno"] = tr.AugmentedSurrogate(cfg.partial_spec(),
-                                               wno_mod.WnoModel.load(args.dpa))
+                                               wno_mod.load_checkpoint(args.dpa))
     if getattr(args, "data_only", None):
         out["data-only"] = tr.AugmentedSurrogate(cfg.data_only_spec(),
-                                                 wno_mod.WnoModel.load(args.data_only))
+                                                 wno_mod.load_checkpoint(args.data_only))
     out["physics-only"] = tr.PhysicsSurrogate(cfg.partial_spec())
     return out
 
@@ -326,16 +330,14 @@ def cmd_uq(args) -> int:
 def _paired(exact, dpa) -> dict:
     """How two candidates' per-sample margins on the same draws disagree:
     the samples where dpa-wno fails and exact is safe, the reverse, and the
-    paired p_f difference (dpa-wno minus exact) over the samples that both
-    count (a NaN margin is a diverged sample left out of the count)."""
-    counted = ~(np.isnan(exact) | np.isnan(dpa))
-    exact_fails, dpa_fails = exact[counted] < 0.0, dpa[counted] < 0.0
+    paired p_f difference (dpa-wno minus exact)."""
+    exact_fails, dpa_fails = exact < 0.0, dpa < 0.0
     dpa_only = int(np.sum(dpa_fails & ~exact_fails))
     exact_only = int(np.sum(exact_fails & ~dpa_fails))
-    n = int(np.sum(counted))
+    n = len(exact)
     return {"n": n, "dpa_fails_exact_safe": dpa_only,
             "exact_fails_dpa_safe": exact_only,
-            "p_f_difference": (dpa_only - exact_only) / n if n else 0.0}
+            "p_f_difference": (dpa_only - exact_only) / n}
 
 
 def cmd_reliability(args) -> int:
@@ -346,12 +348,11 @@ def cmd_reliability(args) -> int:
     out = _ensure_outdir(args.out)
     grf = cfg.grf_spec()
     ls = cfg.limit_state()
-    diverged_as_failure = cfg.diverged_as_failure
     full = cfg.full_spec()
     candidates = {"exact": tr.PhysicsSurrogate(full)}
     if args.dpa:
         candidates["dpa-wno"] = tr.AugmentedSurrogate(
-            cfg.partial_spec(), wno_mod.WnoModel.load(args.dpa))
+            cfg.partial_spec(), wno_mod.load_checkpoint(args.dpa))
     t0 = time.perf_counter()
     ics = rel.grf_initial_conditions(grf, full, n, cfg.seed)
     meta = {"config": cfg.name, "n": n, "horizon": ls.horizon,
@@ -360,9 +361,7 @@ def cmd_reliability(args) -> int:
     margins = {}
     for name in sorted(candidates):
         t0 = time.perf_counter()
-        report = rel.estimate_reliability(
-            candidates[name], ics, ls, cfg.seed,
-            diverged_as_failure=diverged_as_failure)
+        report = rel.estimate_reliability(candidates[name], ics, ls, cfg.seed)
         margins[name] = report.margins
         meta["models"][name] = {
             "rollout_s": time.perf_counter() - t0,

@@ -7,12 +7,13 @@ Grammar (values by example):
     distributions amplitudes = uniform: -10, 10
     schedules     schedule = auto: 10 @ 100, 50 @ 400
                   schedule = pairs: 0:10 100:20 200:40
-    booleans      use_magnitude = true
 
-Every key is documented in the README and in `dpawno <cmd> --help`.
+Every key is listed in KEYS, documented in the README and in
+`dpawno <cmd> --help`; load_config rejects any other section or key.
 """
 
 import configparser
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -35,6 +36,45 @@ PRESETS = (
     "burgers2d-missing-xdiff",
     "burgers1d-missing-diffusion-desk",
 )
+
+_GRF_KEYS = ("kernel", "alpha", "length_scale", "periodicity", "jitter")
+_IC_KEYS = ("kind", "count", "amplitudes", "value", "frequencies",
+            "shape") + _GRF_KEYS
+# Every section and key the program reads; load_config rejects any other.
+# [ic.train.N] and [ic.test.N] stand for every numbered family section.
+KEYS = {
+    "run": ("seed", "benchmark"),
+    "pde": ("nu", "epsilon", "alpha", "gamma", "nx", "ny", "dt", "bc",
+            "bc_value", "domain", "partial_terms", "advection"),
+    "data": ("n_train", "nt_train", "n_test", "nt_test"),
+    "ic.train.N": _IC_KEYS,
+    "ic.test.N": _IC_KEYS,
+    "wno": ("width", "layers", "family", "levels", "fc1_dim", "bands"),
+    "train": ("epochs", "learning_rate", "batch_size", "schedule",
+              "grad_clip", "checkpoint_every"),
+    "probe": ("x", "y", "t"),
+    "eval": ("steps", "snapshots"),
+    "grf": _GRF_KEYS,
+    "limit_state": ("threshold", "horizon"),
+    "reliability": ("n",),
+}
+
+
+def _check_keys(parser: configparser.ConfigParser):
+    """UsageError naming every [DEFAULT] entry, section and key that KEYS
+    does not list: the program would silently ignore them."""
+    defaults = parser.defaults()
+    unknown = [f"[DEFAULT] {key}" for key in defaults]
+    for section in parser.sections():
+        entry = re.sub(r"\.\d+$", ".N", section)
+        # the placeholder itself names no section
+        if entry not in KEYS or section.endswith(".N"):
+            unknown.append(f"[{section}]")
+            continue
+        unknown += [f"[{section}] {key}" for key in parser.options(section)
+                    if key not in defaults and key not in KEYS[entry]]
+    if unknown:
+        raise UsageError(f"unknown config section or key: {', '.join(unknown)}")
 
 
 def preset_text(name: str) -> str:
@@ -91,12 +131,6 @@ class ExperimentConfig:
             raw = self.parser.get(section, key)
         except configparser.Error as exc:  # e.g. a lone '%' in the value
             raise UsageError(f"[{section}] {key}: {exc}") from exc
-        if cast is bool:
-            word = raw.strip().lower()
-            if word not in self.parser.BOOLEAN_STATES:
-                raise UsageError(f"[{section}] {key} must be one of "
-                                 f"{'/'.join(self.parser.BOOLEAN_STATES)}, got {raw!r}")
-            return self.parser.BOOLEAN_STATES[word]
         return cast(raw)
 
     @property
@@ -196,7 +230,6 @@ class ExperimentConfig:
             wavelet=wv.WaveletSpec(
                 self._get("wno", "family", str, "db6"),
                 self._get("wno", "levels", int),
-                self._get("wno", "extension", str, "periodic"),
             ),
             fc1_dim=self._get("wno", "fc1_dim", int),
             bands=self._get("wno", "bands", str, "coarsest"),
@@ -233,7 +266,6 @@ class ExperimentConfig:
         return LimitState(
             threshold=self._get("limit_state", "threshold", float),
             horizon=self._get("limit_state", "horizon", int),
-            use_magnitude=self._get("limit_state", "use_magnitude", bool, True),
         )
 
     @property
@@ -242,10 +274,6 @@ class ExperimentConfig:
         if n < 1:
             raise UsageError(f"[reliability] n must be >= 1, got {n}")
         return n
-
-    @property
-    def diverged_as_failure(self) -> bool:
-        return self._get("reliability", "diverged_as_failure", bool, True)
 
     def probes(self):
         """(x*, t*) pairs; x* is a location in the order of
@@ -295,4 +323,5 @@ def load_config(preset: str = None, path=None, overrides=()) -> ExperimentConfig
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, option, value.strip())
+    _check_keys(parser)
     return ExperimentConfig(parser, name)

@@ -35,7 +35,7 @@ def reduced_wno_config(spec: ph.PdeSpec) -> wno_mod.WnoConfig:
     return wno_mod.WnoConfig(
         width=REDUCED_WIDTH,
         layers=2,
-        wavelet=wv.WaveletSpec("db6", REDUCED_LEVELS, "periodic"),
+        wavelet=wv.WaveletSpec("db6", REDUCED_LEVELS),
         fc1_dim=8,
         **wno_mod.io_fields(spec.state_shape()),
     )

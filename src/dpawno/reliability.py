@@ -1,6 +1,9 @@
 """Monte Carlo reliability analysis over Gaussian-random-field initial
-conditions: covariance kernels, Cholesky sampling, limit-state margins and
-failure-probability estimation.
+conditions: covariance kernels, Cholesky sampling with one factor per grid
+axis, limit-state margins and failure-probability estimation.
+
+A sample fails when the spatial maximum of |u| exceeds the threshold at
+any step up to the horizon, or when its trajectory diverges.
 
 The surrogate handed to :func:`estimate_reliability` only needs a
 ``step(u)`` method mapping a batch of states (B, C) + spatial to the next
@@ -28,6 +31,9 @@ class GrfSpec:
 
     exp_sine_squared:  k(x, x') = alpha * exp(-(2/l^2) sin^2(pi ||x-x'|| / p))
     rbf:               k(x, x') = alpha * exp(-||x-x'||^2 / (2 l^2))
+
+    Draws factor the covariance one grid axis at a time, so over a 2D grid
+    the kernel must be rbf, the one that separates over the axes.
     """
 
     kernel: str = "exp_sine_squared"
@@ -43,66 +49,27 @@ class GrfSpec:
             raise ValueError("alpha, length_scale and periodicity must be positive")
 
 
-# Bytes of one row block of the covariance under construction: the block
-# and its separation temporary stay in a 2 MiB L2 cache through the whole
-# elementwise sequence.
-_BLOCK_BYTES = 2 << 20
-
-
-def grf_covariance(spec: GrfSpec, points) -> np.ndarray:
-    """Dense covariance matrix with the diagonal jitter already added.
-
-    Built block of rows by block of rows into one n x n buffer: the squared
-    separations are summed per coordinate and the kernel is applied in
-    place, in the order of the closed forms above, so the values equal the
-    broadcast expressions bit for bit while the peak memory stays at one
-    matrix plus one block.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.size == 0:
+def grf_covariance(spec: GrfSpec, axis) -> np.ndarray:
+    """Covariance matrix over the points of one grid axis, with the
+    diagonal jitter already added; the kernel is applied in the order of
+    the closed forms above."""
+    x = np.asarray(axis, dtype=np.float64)
+    if x.size == 0:
         raise ValueError("empty grid")
-    n = len(pts)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    k = np.empty((n, n))
-    sep = np.empty((min(rows, n), n))
-    for r0 in range(0, n, rows):
-        block = k[r0:r0 + rows]
-        np.subtract.outer(pts[r0:r0 + rows, 0], pts[:, 0], out=block)
-        np.square(block, out=block)
-        for x in pts.T[1:]:
-            part = sep[:len(block)]
-            np.subtract.outer(x[r0:r0 + rows], x, out=part)
-            np.square(part, out=part)
-            block += part
-        np.sqrt(block, out=block)  # the distance ||x - x'||
-        if spec.kernel == "exp_sine_squared":
-            block *= np.pi
-            block /= spec.periodicity
-            np.sin(block, out=block)
-            np.square(block, out=block)
-            block *= -(2.0 / spec.length_scale ** 2)
-        else:
-            np.square(block, out=block)
-            np.negative(block, out=block)
-            block /= 2.0 * spec.length_scale ** 2
-        np.exp(block, out=block)
-        block *= spec.alpha
-    k.flat[::n + 1] += spec.jitter
-    return k
+    dist = np.sqrt(np.square(np.subtract.outer(x, x)))  # ||x - x'||
+    if spec.kernel == "exp_sine_squared":
+        k = spec.alpha * np.exp(np.square(np.sin(dist * np.pi / spec.periodicity))
+                                * -(2.0 / spec.length_scale ** 2))
+    else:
+        k = spec.alpha * np.exp(-np.square(dist) / (2.0 * spec.length_scale ** 2))
+    return k + spec.jitter * np.eye(len(x))
 
 
-def _cholesky(spec: GrfSpec, points) -> np.ndarray:
-    # each attempt jitters the base in place from its saved diagonal: a
-    # jittered copy would be a third n x n matrix next to the base and factor
-    base = grf_covariance(replace(spec, jitter=0.0), points)
-    diag = base.diagonal().copy()
+def _cholesky(spec: GrfSpec, axis) -> np.ndarray:
     jitter = spec.jitter
     while jitter <= _MAX_JITTER:
-        base.flat[::len(base) + 1] = diag + jitter
         try:
-            return np.linalg.cholesky(base)
+            return np.linalg.cholesky(grf_covariance(replace(spec, jitter=jitter), axis))
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NotPositiveDefinite(
@@ -113,25 +80,25 @@ def _factors(spec: GrfSpec, axes) -> list:
     """Cholesky factors, outermost grid axis first, whose Kronecker product
     factors the covariance over the tensor grid `axes` (x first).
 
-    A kernel that separates over the axes (any kernel in 1D, rbf in any
-    dimension) gets one factor per axis: the x factor is the plain 1D one,
-    and every other axis uses the unit-variance kernel with jitter
-    jitter/alpha, so each factor carries the same relative jitter.  A
-    kernel that does not separate gets one dense factor over every grid
-    point, in meshgrid order.
+    The x factor is the plain 1D one, and every other axis uses the
+    unit-variance kernel with jitter jitter/alpha, so each factor carries
+    the same relative jitter.  Only rbf separates over the axes: the
+    exp_sine_squared kernel of the Euclidean distance does not, so over
+    more than one axis it is a ValueError, raised before any factorization.
     """
-    if len(axes) == 1 or spec.kernel == "rbf":
-        unit = replace(spec, alpha=1.0, jitter=spec.jitter / spec.alpha)
-        return [_cholesky(unit, axis) for axis in reversed(axes[1:])] \
-            + [_cholesky(spec, axes[0])]
-    points = np.stack(np.meshgrid(*axes)).reshape(len(axes), -1).T
-    return [_cholesky(spec, points)]
+    if len(axes) > 1 and spec.kernel != "rbf":
+        raise ValueError(f"the {spec.kernel} GRF kernel does not separate over "
+                         f"{len(axes)} grid axes; use kernel = rbf")
+    unit = replace(spec, alpha=1.0, jitter=spec.jitter / spec.alpha)
+    return [_cholesky(unit, axis) for axis in reversed(axes[1:])] \
+        + [_cholesky(spec, axes[0])]
 
 
 def sample_grf(spec: GrfSpec, axes, count: int, seed: int,
                stream_index: int = 0) -> np.ndarray:
     """`count` zero-mean draws over the tensor grid `axes` (x first, as
-    PdeSpec.grid() gives them), one row per draw in meshgrid order."""
+    PdeSpec.grid() gives them), one row per draw with x varying fastest,
+    as in a flattened spatial field."""
     factors = _factors(spec, axes)
     rng = stream(seed, "grf", stream_index)
     shape = tuple(len(chol) for chol in factors)
@@ -146,16 +113,14 @@ def sample_grf(spec: GrfSpec, axes, count: int, seed: int,
 
 @dataclass(frozen=True)
 class LimitState:
-    """Failure when min over time of (threshold - max-response) goes negative.
+    """Failure when min over time of (threshold - max |u|) goes negative.
 
-    The response functional is the spatial maximum of |u| (of signed u when
-    use_magnitude is off); all states up to `horizon` steps are scanned,
-    the initial condition included.
+    The response functional is the spatial maximum of |u|; all states up to
+    `horizon` steps are scanned, the initial condition included.
     """
 
     threshold: float
     horizon: int
-    use_magnitude: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.threshold):
@@ -213,42 +178,36 @@ class ReliabilityReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def estimate_reliability(surrogate, ics, ls: LimitState, seed: int,
-                         diverged_as_failure: bool = True) -> ReliabilityReport:
+def estimate_reliability(surrogate, ics, ls: LimitState,
+                         seed: int) -> ReliabilityReport:
     """Indicator-based Monte Carlo failure probability over the initial
     conditions `ics` (one sample per row, e.g. from grf_initial_conditions;
     never written to, so several surrogates can share one draw).  `seed` is
     the seed the draws came from, recorded in the report.
 
-    Diverged surrogate trajectories count as failures by default (their
-    margin is set to -inf); pass diverged_as_failure=False to exclude them
-    from the failure count instead.
+    A diverged surrogate trajectory counts as a failure: its margin is -inf.
     """
     n = len(ics)
     if n < 1:
         raise ValueError("n must be >= 1")
     # streaming reduction: full trajectory storage for thousands of samples
     # over long horizons does not fit in memory at 2D scale
-    stats = rollout_statistics(surrogate, ics, ls.horizon,
-                               magnitude=ls.use_magnitude)
+    stats = rollout_statistics(surrogate, ics, ls.horizon)
     diverged = stats["diverged"]
     margins = ls.threshold - stats["max_response"]
-    margins[diverged] = -np.inf if diverged_as_failure else np.nan
-    valid = ~np.isnan(margins)
-    failures = int(np.sum(margins[valid] < 0.0))
-    n_eff = int(np.sum(valid))
-    p_f = failures / n_eff if n_eff else 0.0
-    stderr = float(np.sqrt(p_f * (1.0 - p_f) / n_eff)) if n_eff else float("nan")
+    margins[diverged] = -np.inf
+    failures = int(np.sum(margins < 0.0))
+    p_f = failures / n
     return ReliabilityReport(
         n_samples=n,
         failures=failures,
         diverged=int(np.sum(diverged)),
         p_f=p_f,
         reliability=1.0 - p_f,
-        stderr=stderr,
+        stderr=float(np.sqrt(p_f * (1.0 - p_f) / n)),
         seed=seed,
         margins=margins,
-        p_f_interval=wilson_interval(failures, n_eff),
+        p_f_interval=wilson_interval(failures, n),
         diverged_at=[(int(i), int(stats["diverged_at"][i]))
                      for i in np.flatnonzero(diverged)],
     )

@@ -262,15 +262,14 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
 # evaluation-time surrogates (no tape, batched, blow-up masked)
 
 def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
-                       snapshots=(), truth=None, mse_steps: int = None,
-                       magnitude: bool = True):
+                       snapshots=(), truth=None, mse_steps: int = None):
     """Stream a masked rollout (physics.masked_steps) of `surrogate.step`,
     keeping reductions instead of trajectories.
 
     Full-scale predicted trajectories run to gigabytes; everything the
     evaluation pipeline needs is accumulated per step:
 
-      max_response  running per-sample max of |u| (or signed u), IC included
+      max_response  running per-sample max of |u|, IC included
       probe         (steps, B) channel-0 values at `probe_index`, a spatial
                     index such as uq.nearest_grid_index returns, when given
       snapshots     {t: state copy} for the requested step indices
@@ -284,7 +283,7 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
     _, u, alive = next(rolled)
     n = u.shape[0]
     flat = u.reshape(n, -1)
-    max_response = np.max(np.abs(flat) if magnitude else flat, axis=1)
+    max_response = np.max(np.abs(flat), axis=1)
     diverged_at = np.where(alive, -1, 0)
     probe = np.zeros((steps, n)) if probe_index is not None else None
     at = (slice(None), 0) + tuple(probe_index or ())  # channel 0 at the probe
@@ -294,8 +293,7 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
     limit = steps if mse_steps is None else min(steps, mse_steps)
     for t, u, alive in rolled:
         flat = u.reshape(n, -1)
-        response = np.abs(flat) if magnitude else flat
-        max_response = np.maximum(max_response, np.max(response, axis=1))
+        max_response = np.maximum(max_response, np.max(np.abs(flat), axis=1))
         diverged_at[~alive & (diverged_at < 0)] = t
         if probe is not None:
             probe[t - 1] = u[at]

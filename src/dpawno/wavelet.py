@@ -1,11 +1,12 @@
 """Multilevel Daubechies wavelet transforms for 1D signals and 2D fields.
 
-Transforms are realized as per-level banded matrices so that adjoints are
-plain transposes; with periodic extension the matrices are orthogonal and the
-adjoint coincides with the inverse.  One transform serves both dimensions: it
-acts on the `dims` trailing axes (the last is x, the one before it y) and
-applies the 1D level step along each axis in turn (Mallat 1989); leading axes
-(batch, channels) pass through untouched.
+Transforms are realized as per-level banded matrices with periodic
+extension, so every level matrix is orthogonal: its adjoint (the transpose)
+is its inverse, and the synthesis matrices are the analysis matrices
+transposed.  One transform serves both dimensions: it acts on the `dims`
+trailing axes (the last is x, the one before it y) and applies the 1D level
+step along each axis in turn (Mallat 1989); leading axes (batch, channels)
+pass through untouched.
 
 Every level is one :func:`autodiff.level_matmul`, so the transforms accept an
 ndarray or a tape :class:`autodiff.Tensor`: on a Tensor they record
@@ -63,22 +64,18 @@ _REC_LO = {
 }
 
 FAMILIES = tuple(_REC_LO)
-EXTENSIONS = ("periodic", "symmetric")
 
 
 @dataclass(frozen=True)
 class WaveletSpec:
     family: str = "db6"
     levels: int = 4
-    extension: str = "periodic"
 
     def __post_init__(self):
         if self.family not in _REC_LO:
             raise ValueError(f"unknown wavelet family {self.family!r}; choose from {FAMILIES}")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
-        if self.extension not in EXTENSIONS:
-            raise ValueError(f"unknown extension {self.extension!r}; choose from {EXTENSIONS}")
 
 
 def filters(family: str):
@@ -89,76 +86,37 @@ def filters(family: str):
     return h, g
 
 
-def coeff_length(n: int, family: str, extension: str) -> int:
-    taps = len(_REC_LO[family])
-    if extension == "periodic":
-        return n // 2
-    return (n + taps - 1) // 2
-
-
-def _reflect(i: int, n: int) -> int:
-    # numpy 'symmetric' pad: reflection including the edge sample, period 2n
-    j = i % (2 * n)
-    return j if j < n else 2 * n - 1 - j
+def coeff_length(n: int) -> int:
+    return n // 2
 
 
 @lru_cache(maxsize=None)
-def level_analysis(n: int, family: str, extension: str):
-    """Single-level analysis matrices (A_lo, A_hi), each (K, n)."""
+def level_analysis(n: int, family: str):
+    """Single-level analysis matrices (A_lo, A_hi), each (n/2, n)."""
+    if n % 2:
+        raise SignalTooShort(
+            f"periodic extension needs an even length at every level, got {n}")
     h, g = filters(family)
-    taps = len(h)
-    if extension == "periodic":
-        if n % 2:
-            raise SignalTooShort(
-                f"periodic extension needs an even length at every level, got {n}"
-            )
-        k_out = n // 2
-        lo = np.zeros((k_out, n))
-        hi = np.zeros((k_out, n))
-        for k in range(k_out):
-            for m in range(taps):
-                col = (2 * k + m) % n
-                lo[k, col] += h[m]
-                hi[k, col] += g[m]
-    else:
-        # window k covers source positions 2k+2-taps .. 2k+1, symmetric-reflected
-        k_out = (n + taps - 1) // 2
-        lo = np.zeros((k_out, n))
-        hi = np.zeros((k_out, n))
-        for k in range(k_out):
-            for m in range(taps):
-                col = _reflect(2 * k + 2 - taps + m, n)
-                lo[k, col] += h[m]
-                hi[k, col] += g[m]
+    k_out = n // 2
+    lo = np.zeros((k_out, n))
+    hi = np.zeros((k_out, n))
+    for k in range(k_out):
+        for m in range(len(h)):
+            col = (2 * k + m) % n
+            lo[k, col] += h[m]
+            hi[k, col] += g[m]
     lo.setflags(write=False)
     hi.setflags(write=False)
     return lo, hi
 
 
 @lru_cache(maxsize=None)
-def level_synthesis(n: int, family: str, extension: str):
-    """Single-level synthesis matrices (S_lo, S_hi), each (n, K).
-
-    S_lo @ approx + S_hi @ detail reconstructs the level input exactly.
-    """
-    h, g = filters(family)
-    taps = len(h)
-    if extension == "periodic":
-        lo, hi = level_analysis(n, family, extension)
-        return lo.T.copy(), hi.T.copy()
-    # upsample by 2, full convolution, crop [taps-2 : taps-2+n]
-    k_in = (n + taps - 1) // 2
-    s_lo = np.zeros((n, k_in))
-    s_hi = np.zeros((n, k_in))
-    for c in range(n):
-        for k in range(k_in):
-            m = taps - 2 + c - 2 * k
-            if 0 <= m < taps:
-                s_lo[c, k] += h[m]
-                s_hi[c, k] += g[m]
-    s_lo.setflags(write=False)
-    s_hi.setflags(write=False)
-    return s_lo, s_hi
+def level_synthesis(n: int, family: str):
+    """Single-level synthesis matrices (S_lo, S_hi), each (n, n/2): the
+    analysis matrices transposed, so S_lo @ approx + S_hi @ detail
+    reconstructs the level input exactly."""
+    lo, hi = level_analysis(n, family)
+    return lo.T.copy(), hi.T.copy()
 
 
 def level_shapes(shape, spec: WaveletSpec) -> tuple:
@@ -171,7 +129,7 @@ def level_shapes(shape, spec: WaveletSpec) -> tuple:
     shapes = []
     for _ in range(spec.levels):
         shapes.append(shape)
-        shape = tuple(coeff_length(n, spec.family, spec.extension) for n in shape)
+        shape = tuple(coeff_length(n) for n in shape)
     return tuple(shapes)
 
 
@@ -200,7 +158,7 @@ def dwt_multilevel(x, spec: WaveletSpec, dims: int = 1) -> WaveletCoeffs:
     for shape in shapes:
         bands = [x]
         for axis in range(-1, -dims - 1, -1):
-            lo, hi = level_analysis(shape[axis], spec.family, spec.extension)
+            lo, hi = level_analysis(shape[axis], spec.family)
             bands = [ad.level_matmul("dwt_level", mat, band, axis)
                      for band in bands for mat in (hi, lo)]
         x, *level = reversed(bands)
@@ -232,14 +190,14 @@ def idwt_multilevel(coeffs: WaveletCoeffs, spec: WaveletSpec, dims: int = 1):
             raise InconsistentCoeffLengths(
                 f"{len(level)} detail bands in a level, expected {2 ** dims - 1}")
         bands = [x, *level]
-        expected = tuple(coeff_length(n, spec.family, spec.extension) for n in shape)
+        expected = tuple(coeff_length(n) for n in shape)
         for band in bands:
             if band is not None and ad.value_of(band).shape[-dims:] != expected:
                 raise InconsistentCoeffLengths(
                     f"level input {shape}: expected band shape {expected}, "
                     f"got {ad.value_of(band).shape[-dims:]}")
         for axis in range(-dims, 0):
-            s_lo, s_hi = level_synthesis(shape[axis], spec.family, spec.extension)
+            s_lo, s_hi = level_synthesis(shape[axis], spec.family)
             bands = [_merge(s_lo, lo, s_hi, hi, axis)
                      for lo, hi in zip(bands[0::2], bands[1::2])]
         (x,) = bands

@@ -123,13 +123,6 @@ class WnoModel:
                 params[name] = rng.uniform(-limit, limit, size=shape)
         return cls(config, params)
 
-    def save(self, path):
-        save_checkpoint(self, path)
-
-    @classmethod
-    def load(cls, path) -> "WnoModel":
-        return load_checkpoint(path)
-
 
 # ---------------------------------------------------------------------------
 # forward pass
@@ -220,7 +213,8 @@ def _config_header(config: WnoConfig) -> bytes:
         "layers": config.layers,
         "wavelet_family": config.wavelet.family,
         "wavelet_levels": config.wavelet.levels,
-        "wavelet_extension": config.wavelet.extension,
+        # the only extension; kept so checkpoint bytes stay unchanged
+        "wavelet_extension": "periodic",
         "fc1_dim": config.fc1_dim,
         "in_channels": config.in_channels,
         "out_channels": config.out_channels,
@@ -231,11 +225,13 @@ def _config_header(config: WnoConfig) -> bytes:
 
 
 def config_from_header(doc: dict) -> WnoConfig:
+    if doc["wavelet_extension"] != "periodic":
+        raise ValueError(f"unsupported wavelet extension "
+                         f"{doc['wavelet_extension']!r}; only 'periodic' is read")
     return WnoConfig(
         width=doc["width"],
         layers=doc["layers"],
-        wavelet=wv.WaveletSpec(doc["wavelet_family"], doc["wavelet_levels"],
-                               doc["wavelet_extension"]),
+        wavelet=wv.WaveletSpec(doc["wavelet_family"], doc["wavelet_levels"]),
         fc1_dim=doc["fc1_dim"],
         in_channels=doc["in_channels"],
         out_channels=doc["out_channels"],

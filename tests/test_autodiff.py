@@ -80,8 +80,8 @@ class TestBackwardExamples:
         assert np.array_equal(ad.grad_of(t, x), [0.25, 0.25, 0.25, 0.25])
 
     def test_dwt_gradient_equals_matrix_column_sums(self):
-        spec = wv.WaveletSpec("db2", 1, "periodic")
-        lo, hi = wv.level_analysis(8, "db2", "periodic")
+        spec = wv.WaveletSpec("db2", 1)
+        lo, hi = wv.level_analysis(8, "db2")
         full = np.vstack([lo, hi])
         t = ad.Tape()
         x = t.leaf(RNG.standard_normal(8))
@@ -128,7 +128,7 @@ class TestPrimitiveGradients:
         c = away_from_zero((2, 3, 8), 1.0, 2.0)
         w = away_from_zero((4, 3))
         b = away_from_zero((3,))
-        lo, _ = wv.level_analysis(8, "db2", "periodic")
+        lo, _ = wv.level_analysis(8, "db2")
         mask = np.zeros((1, 1, 8), dtype=bool)
         mask[..., 0] = mask[..., -1] = True
         quad = lambda y: ad.total_sum(ad.square(y))  # noqa: E731
@@ -210,7 +210,7 @@ class TestInvariants:
         c = away_from_zero((2, 4, 16))
         w = away_from_zero((3, 4))
         b = away_from_zero((4,))
-        lo, _ = wv.level_analysis(16, "db6", "periodic")
+        lo, _ = wv.level_analysis(16, "db6")
         mask = np.zeros((1, 1, 16), dtype=bool)
         mask[..., 0] = True
         taps = [(1, 2.0), (0, -1.0), (-1, 3.0)]

@@ -1,6 +1,10 @@
+import configparser
 import json
 import os
+import re
+import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ SMALL_DATA = [
     "--set", "reliability.n=40",
 ]
 DESK = "burgers1d-missing-diffusion-desk"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConfig:
@@ -55,6 +60,36 @@ class TestConfig:
         w = c.wno_config()
         assert (w.spatial_dims, w.in_channels, w.out_channels) == (
             dims, full.channels + dims, full.channels)
+
+    @pytest.mark.parametrize("name", cf.PRESETS)
+    def test_preset_sets_only_known_keys(self, name):
+        parser = configparser.ConfigParser()
+        parser.read_string(cf.preset_text(name))
+        assert not parser.defaults()
+        for section in parser.sections():
+            entry = re.sub(r"\.\d+$", ".N", section)
+            assert set(parser.options(section)) <= set(cf.KEYS[entry]), section
+
+    def test_every_key_is_documented(self):
+        """Every key of config.KEYS is listed under its section in the
+        --help epilog and in the README's "Sections and keys" list."""
+        readme = (ROOT / "README.md").read_text()
+        readme = readme[readme.index("Sections and keys"):readme.index("## File formats")]
+        # one entry per section: an indented help block, a README bullet
+        help_entries = re.findall(r"^  (\[.*\n(?: {4,}.*\n)*)", cli.CONFIG_KEYS_HELP,
+                                  re.MULTILINE)
+        readme_entries = re.findall(r"^- (`\[.*\n(?:  .*\n)*)", readme, re.MULTILINE)
+        for entries, quote in ((help_entries, ""), (readme_entries, "`")):
+            by_section = {}
+            for entry in entries:
+                head = re.match(r"((?:`?\[[\w.]+\]`?(?:, )?)+)", entry).group(1)
+                for section in re.findall(r"\[([\w.]+)\]", head):
+                    by_section[section] = entry[len(head):]
+            assert set(by_section) == set(cf.KEYS)
+            for section, keys in cf.KEYS.items():
+                for key in keys:
+                    assert re.search(rf"{quote}\b{key}\b{quote}", by_section[section]), \
+                        (section, key)
 
     @pytest.mark.parametrize("kind", dg.IC_KINDS)
     def test_every_ic_kind_is_configurable(self, kind):
@@ -221,7 +256,8 @@ def count_cholesky(monkeypatch):
 class TestReliabilityCommand:
     def run(self, tmp_path, *extra):
         path = tmp_path / "model.dpaw"
-        wno.WnoModel.initialize(cf.load_config(preset=DESK).wno_config(), 0).save(path)
+        wno.save_checkpoint(
+            wno.WnoModel.initialize(cf.load_config(preset=DESK).wno_config(), 0), path)
         return cli.main(["reliability", "--preset", DESK, "--dpa", str(path),
                          "--out", str(tmp_path / "rel"), *SMALL_DATA, *extra])
 
@@ -288,14 +324,13 @@ class TestReliabilityCommand:
 
 
 def test_paired_disagreement_counts():
-    exact = np.array([1.0, -1.0, 0.5, -2.0, 3.0, 0.0, np.nan, 2.0])
-    dpa = np.array([-0.5, 2.0, -np.inf, -1.0, 1.0, -0.1, -3.0, np.nan])
-    # counted: samples 0-5; dpa fails where exact is safe on 0, 2 and 5,
+    exact = np.array([1.0, -1.0, 0.5, -2.0, 3.0, 0.0])
+    dpa = np.array([-0.5, 2.0, -np.inf, -1.0, 1.0, -0.1])
+    # dpa fails where exact is safe on 0, 2 (diverged, margin -inf) and 5,
     # exact fails where dpa is safe on 1, both fail on 3
     assert cli._paired(exact, dpa) == {
         "n": 6, "dpa_fails_exact_safe": 3, "exact_fails_dpa_safe": 1,
         "p_f_difference": 2 / 6}
-    assert cli._paired(np.full(3, np.nan), dpa[:3])["p_f_difference"] == 0.0
 
 
 class TestDamagedCheckpoint:
@@ -304,7 +339,7 @@ class TestDamagedCheckpoint:
 
     def reliability(self, tmp_path, model, keep=1.0, edit=lambda raw: raw):
         path = tmp_path / "model.dpaw"
-        model.save(path)
+        wno.save_checkpoint(model, path)
         raw = path.read_bytes()
         path.write_bytes(edit(raw[:int(len(raw) * keep)]))
         return cli.main(["reliability", "--preset", DESK, "--dpa", str(path),
@@ -354,6 +389,38 @@ class TestDamagedCheckpoint:
         assert "checkpoint blocks do not match its header" in capsys.readouterr().err
         assert calls == []
 
+    def test_symmetric_extension_header_exits_4(self, tmp_path, capsys, monkeypatch):
+        # periodic is the only wavelet extension the transforms implement
+        def symmetric(raw):
+            (size,) = struct.unpack("<I", raw[8:12])
+            doc = json.loads(raw[12:12 + size])
+            doc["wavelet_extension"] = "symmetric"
+            header = json.dumps(doc, sort_keys=True).encode()
+            return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + size:]
+
+        calls = count_cholesky(monkeypatch)
+        assert self.reliability(tmp_path, self.model(), edit=symmetric) == 4
+        err = capsys.readouterr().err
+        assert "checkpoint header is malformed" in err and "'symmetric'" in err
+        assert calls == []
+
+
+# (overrides or config-file text, the name the error gives): keys the
+# program no longer reads, a typo, an unknown section and a [DEFAULT] entry
+UNKNOWN_KEYS = [
+    pytest.param(["--set", "wno.extension=symmetric"], "[wno] extension",
+                 id="extension"),
+    pytest.param(["--set", "limit_state.use_magnitude=false"],
+                 "[limit_state] use_magnitude", id="use_magnitude"),
+    pytest.param(["--set", "reliability.diverged_as_failure=true"],
+                 "[reliability] diverged_as_failure",
+                 id="diverged"),
+    pytest.param(["--set", "train.grad_clp=0"], "[train] grad_clp",
+                 id="grad_clp"),
+    pytest.param("[plot]\ncolor = red\n", "[plot]", id="section"),
+    pytest.param("[DEFAULT]\nseed = 1\n", "[DEFAULT] seed", id="DEFAULT"),
+]
+
 
 @pytest.fixture(scope="module")
 def desk_data(tmp_path_factory):
@@ -379,17 +446,58 @@ class TestMalformedInput:
         assert "cannot parse schedule" in capsys.readouterr().err
         assert not (out / "model.dpaw").exists()
 
-    @pytest.mark.parametrize("key", ["limit_state.use_magnitude",
-                                     "reliability.diverged_as_failure"])
-    def test_boolean_typo_exits_2_before_factorization(self, tmp_path, monkeypatch,
-                                                       capsys, key):
+    @staticmethod
+    def source(tmp_path, extra):
+        """--set overrides on the desk preset, or a config file holding the
+        desk preset plus the text `extra`."""
+        if isinstance(extra, list):
+            return ["--preset", DESK, *extra]
+        path = tmp_path / "config.ini"
+        path.write_text(cf.preset_text(DESK) + "\n" + extra)
+        return ["--config", str(path)]
+
+    @pytest.mark.parametrize("extra, name", UNKNOWN_KEYS)
+    def test_unknown_key_exits_2_before_cholesky(self, tmp_path, monkeypatch,
+                                                 capsys, extra, name):
         calls = count_cholesky(monkeypatch)
-        code = cli.main(["reliability", "--preset", DESK,
-                         "--out", str(tmp_path / "rel"), *SMALL_DATA,
-                         "--set", f"{key}=ture"])
+        out = tmp_path / "rel"
+        code = cli.main(["reliability", *self.source(tmp_path, extra),
+                         "--out", str(out)])
         assert code == 2
-        assert key.split(".")[1] in capsys.readouterr().err
+        assert f"unknown config section or key: {name}\n" in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, name", UNKNOWN_KEYS)
+    def test_unknown_key_exits_2_before_any_write(self, tmp_path, capsys, extra,
+                                                  name):
+        out = tmp_path / "data"
+        code = cli.main(["gen-data", *self.source(tmp_path, extra),
+                         "--out", str(out)])
+        assert code == 2
+        assert f"unknown config section or key: {name}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reliability", "gen-data"])
+    def test_2d_exp_sine_squared_exits_2(self, tmp_path, monkeypatch, capsys,
+                                         command):
+        # that kernel of the Euclidean distance does not separate over the
+        # axes, and over a 2D grid its covariance is not positive definite
+        calls = count_cholesky(monkeypatch)
+        kernel = {"reliability": ["--set", "grf.kernel=exp_sine_squared"],
+                  "gen-data": ["--set", "ic.train.1.kind=grf",
+                               "--set", "ic.train.1.kernel=exp_sine_squared",
+                               "--set", "ic.train.1.alpha=4",
+                               "--set", "ic.train.1.length_scale=0.5"]}[command]
+        out = tmp_path / "out"
+        code = cli.main([command, "--preset", "burgers2d-missing-xdiff",
+                         "--set", "pde.nx=16", "--set", "pde.ny=16",
+                         "--set", "reliability.n=2", *kernel, "--out", str(out)])
+        assert code == 2
+        assert "exp_sine_squared GRF kernel does not separate" in \
+            capsys.readouterr().err
+        assert calls == []
+        assert list(out.iterdir()) == []
 
     def test_unknown_benchmark_exits_2(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -703,7 +811,7 @@ class TestCheckpointForAnotherState:
     def model_2d(self, tmp_path):
         path = tmp_path / "model2d.dpaw"
         cfg = cf.load_config(preset="burgers2d-missing-xdiff").wno_config()
-        wno.WnoModel.initialize(cfg, 0).save(path)
+        wno.save_checkpoint(wno.WnoModel.initialize(cfg, 0), path)
         return str(path)
 
     @staticmethod

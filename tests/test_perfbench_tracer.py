@@ -39,6 +39,18 @@ spec = ph.PdeSpec("burgers2d", dict(nu=0.01), (), "periodic", domain=(0.0, 2.0),
                   nx=8, ny=6)
 rel.grf_initial_conditions(rel.GrfSpec("rbf"), spec, 2, 0)
 assert tracer.calls["reliability.sample_grf"] == before + 1
+
+# the CLI saves and loads checkpoints through the module, so the traced
+# wno.checkpoint_save.s and wno.checkpoint_load.s measure them
+import os
+import tempfile
+from dpawno import cli
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["train", "--preset", "burgers1d-missing-diffusion-desk",
+                     "--data", tmp, "--out", tmp, "--mode", "physics-only"]) == 0
+    assert tracer.calls["wno.checkpoint_save"] == 1
+    wno.load_checkpoint(os.path.join(tmp, "model.dpaw"))
+    assert tracer.calls["wno.checkpoint_load"] == 1
 """
 
 

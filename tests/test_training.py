@@ -26,7 +26,7 @@ def burgers_setup(nx=32, n=6, nt=20, seed=42):
 
 def tiny_model(levels=2, nx=32, seed=0):
     cfg = wno.WnoConfig(width=6, layers=2,
-                        wavelet=wv.WaveletSpec("db6", levels, "periodic"),
+                        wavelet=wv.WaveletSpec("db6", levels),
                         fc1_dim=12, in_channels=2, out_channels=1,
                         spatial_dims=1)
     return wno.WnoModel.initialize(cfg, seed)
@@ -279,7 +279,7 @@ class TestSurrogates:
     def test_model_for_another_state_shape_rejected(self, fields, found):
         full, partial, ds = burgers_setup()
         cfg = wno.WnoConfig(width=6, layers=2, fc1_dim=12,
-                            wavelet=wv.WaveletSpec("db6", 2, "periodic"), **fields)
+                            wavelet=wv.WaveletSpec("db6", 2), **fields)
         with pytest.raises(ShapeMismatch) as err:
             tr.AugmentedSurrogate(partial, wno.WnoModel.initialize(cfg, 0))
         assert found in str(err.value)
@@ -368,7 +368,6 @@ class TestTapeMemory:
         assert_only_read_values_kept(
             self.batch_tape("burgers2d-missing-xdiff", overrides, 1, 2))
 
-    @pytest.mark.parametrize("extension", ["periodic", "symmetric"])
     @pytest.mark.parametrize("preset,overrides,n,bands,nodes,dwt,idwt", [
         ("burgers1d-missing-diffusion-desk",
          ("ic.train.1.count=2", "ic.train.2.count=2"), 4, "coarsest", 256, 72, 45),
@@ -378,11 +377,10 @@ class TestTapeMemory:
         ("burgers2d-missing-xdiff", TAPE_2D, 1, "all", 502, 108, 108),
     ], ids=["1d-coarsest", "1d-all", "2d-coarsest", "2d-all"])
     def test_rollout_tape_node_counts(self, preset, overrides, n, bands, nodes,
-                                      dwt, idwt, extension):
+                                      dwt, idwt):
         # a 3-step rollout_loss records the same graph size as the separate
         # 1D and 2D transforms did
-        tape = self.batch_tape(preset, overrides + (f"wno.bands={bands}",
-                                                    f"wno.extension={extension}"), n, 3)
+        tape = self.batch_tape(preset, overrides + (f"wno.bands={bands}",), n, 3)
         ops = [node.op for node in tape.nodes]
         assert (len(ops), ops.count("dwt_level"), ops.count("idwt_level")) == (
             nodes, dwt, idwt)

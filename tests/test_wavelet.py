@@ -48,9 +48,11 @@ class TestFilters:
         for k in range(1, taps // 2):
             assert abs(np.dot(h[2 * k:], h[:-2 * k])) < 1e-12
         # analysis/synthesis pair reconstructs: checked as matrix identity
-        lo, hi = wv.level_analysis(32, family, "periodic")
-        s_lo, s_hi = wv.level_synthesis(32, family, "periodic")
+        lo, hi = wv.level_analysis(32, family)
+        s_lo, s_hi = wv.level_synthesis(32, family)
         assert np.max(np.abs(s_lo @ lo + s_hi @ hi - np.eye(32))) < 1e-12
+        # periodic level matrices are orthogonal: synthesis is the transpose
+        assert np.array_equal(s_lo, lo.T) and np.array_equal(s_hi, hi.T)
 
     def test_db6_has_twelve_taps(self):
         h, _ = wv.filters("db6")
@@ -59,7 +61,7 @@ class TestFilters:
 
 class TestDwt1d:
     def test_constant_signal_details_vanish(self):
-        spec = wv.WaveletSpec("db6", 4, "periodic")
+        spec = wv.WaveletSpec("db6", 4)
         c = wv.dwt_multilevel(np.full(64, 3.7), spec)
         for (d,) in c.details:
             assert np.max(np.abs(d)) < 1e-13 * 3.7
@@ -67,40 +69,40 @@ class TestDwt1d:
         assert np.allclose(c.approx, 3.7 * 2 ** (4 / 2), atol=1e-12)
 
     def test_zero_signal(self):
-        spec = wv.WaveletSpec("db6", 3, "periodic")
+        spec = wv.WaveletSpec("db6", 3)
         c = wv.dwt_multilevel(np.zeros(32), spec)
         assert np.all(c.approx == 0.0)
         assert all(np.all(d == 0.0) for (d,) in c.details)
 
     def test_matches_matrix_oracle(self):
-        spec = wv.WaveletSpec("db6", 4, "periodic")
+        spec = wv.WaveletSpec("db6", 4)
         mat = transform_matrix(64, spec)
         x = np.random.default_rng(0).standard_normal(64)
         assert np.max(np.abs(flatten(wv.dwt_multilevel(x, spec)) - mat @ x)) < 1e-12
 
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
-            wv.dwt_multilevel(np.zeros(8), wv.WaveletSpec("db6", 4, "periodic"))
+            wv.dwt_multilevel(np.zeros(8), wv.WaveletSpec("db6", 4))
 
     def test_odd_length_periodic_raises(self):
         with pytest.raises(SignalTooShort):
-            wv.dwt_multilevel(np.zeros(18), wv.WaveletSpec("db6", 2, "periodic"))
+            wv.dwt_multilevel(np.zeros(18), wv.WaveletSpec("db6", 2))
 
 
 class TestIdwt1d:
     def test_round_trip_length_112(self):
-        spec = wv.WaveletSpec("db6", 4, "periodic")
+        spec = wv.WaveletSpec("db6", 4)
         x = np.random.default_rng(1).standard_normal(112)
         xr = wv.idwt_multilevel(wv.dwt_multilevel(x, spec), spec)
         assert np.max(np.abs(xr - x)) < 1e-10
 
     def test_zero_coeffs_give_zero_signal(self):
-        spec = wv.WaveletSpec("db6", 2, "periodic")
+        spec = wv.WaveletSpec("db6", 2)
         c = wv.dwt_multilevel(np.zeros(32), spec)
         assert np.all(wv.idwt_multilevel(c, spec) == 0.0)
 
     def test_delta_approx_reproduces_inverse_matrix_column(self):
-        spec = wv.WaveletSpec("db4", 3, "periodic")
+        spec = wv.WaveletSpec("db4", 3)
         n = 64
         mat = transform_matrix(n, spec)
         inv = np.linalg.inv(mat)
@@ -112,14 +114,14 @@ class TestIdwt1d:
         assert np.max(np.abs(wv.idwt_multilevel(c, spec) - inv[:, 2])) < 1e-11
 
     def test_inconsistent_lengths_raise(self):
-        spec = wv.WaveletSpec("db6", 2, "periodic")
+        spec = wv.WaveletSpec("db6", 2)
         c = wv.dwt_multilevel(np.random.default_rng(2).standard_normal(32), spec)
         broken = wv.WaveletCoeffs(c.approx[:-1], c.details, c.original_shapes)
         with pytest.raises(InconsistentCoeffLengths):
             wv.idwt_multilevel(broken, spec)
 
     def test_wrong_band_count_raises(self):
-        spec = wv.WaveletSpec("db6", 2, "periodic")
+        spec = wv.WaveletSpec("db6", 2)
         c = wv.dwt_multilevel(np.random.default_rng(2).standard_normal((16, 32)), spec)
         with pytest.raises(InconsistentCoeffLengths):
             wv.idwt_multilevel(c, spec, dims=2)
@@ -130,27 +132,26 @@ class TestIdwt1d:
 
 class TestDwt2d:
     def test_constant_field_detail_bands_vanish(self):
-        spec = wv.WaveletSpec("db2", 2, "periodic")
+        spec = wv.WaveletSpec("db2", 2)
         c = wv.dwt_multilevel(np.full((8, 8), 2.0), spec, dims=2)
         for lh, hl, hh in c.details:
             assert max(np.max(np.abs(b)) for b in (lh, hl, hh)) < 1e-13
 
     def test_round_trip_64x64(self):
-        spec = wv.WaveletSpec("db6", 4, "periodic")
+        spec = wv.WaveletSpec("db6", 4)
         f = np.random.default_rng(3).standard_normal((64, 64))
         fr = wv.idwt_multilevel(wv.dwt_multilevel(f, spec, dims=2), spec, dims=2)
         assert np.max(np.abs(fr - f)) < 1e-10
 
     def test_separability_on_outer_product(self):
-        spec = wv.WaveletSpec("db6", 3, "periodic")
+        spec = wv.WaveletSpec("db6", 3)
         rng = np.random.default_rng(4)
         a, b = rng.standard_normal(64), rng.standard_normal(64)
         c2 = wv.dwt_multilevel(np.outer(a, b), spec, dims=2)
         ca, cb = wv.dwt_multilevel(a, spec), wv.dwt_multilevel(b, spec)
         assert np.max(np.abs(c2.approx - np.outer(ca.approx, cb.approx))) < 1e-11
 
-    @pytest.mark.parametrize("extension", wv.EXTENSIONS)
-    def test_band_names_on_outer_product(self, extension):
+    def test_band_names_on_outer_product(self):
         # f[y, x] = a[y] b[x] and the first letter of a band name is the
         # filter along x: lh = hi(a) (x) lo(b), hl = lo(a) (x) hi(b) and
         # hh = hi(a) (x) hi(b).  An L-level transform's coarsest level is
@@ -158,7 +159,7 @@ class TestDwt2d:
         rng = np.random.default_rng(24)
         a, b = rng.standard_normal(40), rng.standard_normal(48)
         for levels in (1, 2, 3):
-            spec = wv.WaveletSpec("db4", levels, extension)
+            spec = wv.WaveletSpec("db4", levels)
             lh, hl, hh = wv.dwt_multilevel(np.outer(a, b), spec, dims=2).details[0]
             ca, cb = wv.dwt_multilevel(a, spec), wv.dwt_multilevel(b, spec)
             (hi_a,), (hi_b,) = ca.details[0], cb.details[0]
@@ -167,7 +168,7 @@ class TestDwt2d:
             assert np.max(np.abs(hh - np.outer(hi_a, hi_b))) < 1e-12
 
     def test_channel_dims_pass_through(self):
-        spec = wv.WaveletSpec("db2", 2, "periodic")
+        spec = wv.WaveletSpec("db2", 2)
         f = np.random.default_rng(5).standard_normal((3, 2, 16, 16))
         c = wv.dwt_multilevel(f, spec, dims=2)
         assert c.approx.shape[:2] == (3, 2)
@@ -178,7 +179,7 @@ class TestInvariants:
     @pytest.mark.parametrize("n,family,levels", [(64, "db6", 4), (112, "db6", 4),
                                                  (64, "db2", 3), (112, "db4", 4)])
     def test_perfect_reconstruction_and_energy(self, n, family, levels):
-        spec = wv.WaveletSpec(family, levels, "periodic")
+        spec = wv.WaveletSpec(family, levels)
         rng = np.random.default_rng(n + levels)
         for _ in range(25):
             x = rng.standard_normal(n)
@@ -189,7 +190,7 @@ class TestInvariants:
             assert abs(e_sig - e_coef) < 1e-9 * e_sig
 
     def test_linearity(self):
-        spec = wv.WaveletSpec("db6", 4, "periodic")
+        spec = wv.WaveletSpec("db6", 4)
         rng = np.random.default_rng(9)
         x, y = rng.standard_normal(112), rng.standard_normal(112)
         lhs = flatten(wv.dwt_multilevel(2.5 * x - 1.25 * y, spec))
@@ -197,9 +198,8 @@ class TestInvariants:
             - 1.25 * flatten(wv.dwt_multilevel(y, spec))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    @pytest.mark.parametrize("extension", wv.EXTENSIONS)
-    def test_adjoint_identity(self, extension):
-        spec = wv.WaveletSpec("db6", 3, extension)
+    def test_adjoint_identity(self):
+        spec = wv.WaveletSpec("db6", 3)
         rng = np.random.default_rng(10)
         for _ in range(20):
             x = rng.standard_normal(64)
@@ -212,7 +212,7 @@ class TestInvariants:
             assert abs(lhs - rhs) < 1e-10
 
     def test_adjoint_equals_inverse_when_periodic(self):
-        spec = wv.WaveletSpec("db6", 4, "periodic")
+        spec = wv.WaveletSpec("db6", 4)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(64)
         c = wv.dwt_multilevel(x, spec)
@@ -225,11 +225,9 @@ class TestTapeTensors:
     (zero) detail bands."""
 
     @pytest.mark.parametrize("dims,shape,spec", [
-        (1, (3, 2, 64), wv.WaveletSpec("db6", 3, "periodic")),
-        (1, (2, 40), wv.WaveletSpec("db4", 2, "symmetric")),
-        (2, (2, 3, 32, 16), wv.WaveletSpec("db6", 2, "periodic")),
-        (2, (2, 24, 40), wv.WaveletSpec("db4", 2, "symmetric")),
-    ], ids=["1d-periodic", "1d-symmetric", "2d-periodic", "2d-symmetric"])
+        (1, (3, 2, 64), wv.WaveletSpec("db6", 3)),
+        (2, (2, 3, 32, 16), wv.WaveletSpec("db6", 2)),
+    ], ids=["1d-periodic", "2d-periodic"])
     def test_tensor_path_matches_ndarray_path(self, dims, shape, spec):
         x = np.random.default_rng(20).standard_normal(shape)
         tape = ad.Tape()
@@ -245,9 +243,8 @@ class TestTapeTensors:
         ad.backward(tape, ad.total_sum(ad.mul(back, w)))
         assert np.max(np.abs(ad.grad_of(tape, leaf) - w)) < 1e-12
 
-    @pytest.mark.parametrize("extension", wv.EXTENSIONS)
-    def test_none_detail_band_is_a_zero_band_1d(self, extension):
-        spec = wv.WaveletSpec("db4", 3, extension)
+    def test_none_detail_band_is_a_zero_band_1d(self):
+        spec = wv.WaveletSpec("db4", 3)
         c = wv.dwt_multilevel(np.random.default_rng(21).standard_normal((2, 64)), spec)
 
         def inverse(coarsest):
@@ -256,9 +253,8 @@ class TestTapeTensors:
 
         assert np.array_equal(inverse(None), inverse(np.zeros_like(c.details[0][0])))
 
-    @pytest.mark.parametrize("extension", wv.EXTENSIONS)
-    def test_none_detail_band_is_a_zero_band_2d(self, extension):
-        spec = wv.WaveletSpec("db4", 2, extension)
+    def test_none_detail_band_is_a_zero_band_2d(self):
+        spec = wv.WaveletSpec("db4", 2)
         c = wv.dwt_multilevel(
             np.random.default_rng(22).standard_normal((2, 32, 24)), spec, dims=2)
         lh, hl, hh = c.details[-1]
@@ -271,7 +267,7 @@ class TestTapeTensors:
                               inverse((np.zeros_like(lh), hl, np.zeros_like(hh))))
 
     def test_wrong_length_tensor_band_raises(self):
-        spec = wv.WaveletSpec("db6", 2, "periodic")
+        spec = wv.WaveletSpec("db6", 2)
         tape = ad.Tape()
         c = wv.dwt_multilevel(tape.leaf(np.ones(32)), spec)
         short = ad.slice_axis(c.details[0][0], -1, 0, 7)
@@ -288,38 +284,19 @@ class TestTapeTensors:
                                  + c2.details[1:], c2.original_shapes), spec, dims=2)
 
 
-class TestSymmetricExtension:
-    @pytest.mark.parametrize("n", [21, 64, 112])
-    def test_round_trip(self, n):
-        spec = wv.WaveletSpec("db6", 2, "symmetric")
-        x = np.random.default_rng(n).standard_normal(n)
-        xr = wv.idwt_multilevel(wv.dwt_multilevel(x, spec), spec)
-        assert np.max(np.abs(xr - x)) < 1e-10
-
-    def test_coefficient_lengths(self):
-        # symmetric extension stores floor((n + taps - 1) / 2) per level
-        assert wv.coeff_length(64, "db6", "symmetric") == (64 + 11) // 2
-        assert wv.coeff_length(64, "db6", "periodic") == 32
-
-    def test_2d_round_trip(self):
-        spec = wv.WaveletSpec("db4", 2, "symmetric")
-        f = np.random.default_rng(12).standard_normal((24, 40))
-        fr = wv.idwt_multilevel(wv.dwt_multilevel(f, spec, dims=2), spec, dims=2)
-        assert np.max(np.abs(fr - f)) < 1e-10
-
-
 class TestSpecValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            wv.WaveletSpec("haar", 2, "periodic")
+            wv.WaveletSpec("haar", 2)
 
     def test_bad_levels(self):
         with pytest.raises(ValueError):
-            wv.WaveletSpec("db6", 0, "periodic")
+            wv.WaveletSpec("db6", 0)
 
     def test_coefficient_length_rule(self):
         # ceil(n / 2^k) per level for the periodic lengths used here
-        spec = wv.WaveletSpec("db6", 4, "periodic")
+        spec = wv.WaveletSpec("db6", 4)
         c = wv.dwt_multilevel(np.zeros(112), spec)
         assert [d.shape[-1] for (d,) in c.details] == [7, 14, 28, 56]
         assert c.approx.shape[-1] == 7
+        assert wv.coeff_length(64) == 32

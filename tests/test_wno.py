@@ -21,7 +21,7 @@ def mean(y):
 
 def small_config(**kw):
     defaults = dict(width=4, layers=2,
-                    wavelet=wv.WaveletSpec("db6", 2, "periodic"),
+                    wavelet=wv.WaveletSpec("db6", 2),
                     fc1_dim=8, in_channels=2, out_channels=1, spatial_dims=1)
     defaults.update(kw)
     return wno.WnoConfig(**defaults)
@@ -159,7 +159,7 @@ class TestWnoForward:
     @pytest.mark.parametrize("nx", [112, 64])
     def test_shape_contract_1d(self, nx):
         cfg = wno.WnoConfig(width=6, layers=2,
-                            wavelet=wv.WaveletSpec("db6", 4, "periodic"),
+                            wavelet=wv.WaveletSpec("db6", 4),
                             fc1_dim=8, in_channels=2, out_channels=1,
                             spatial_dims=1)
         m = randomized(cfg, 12)
@@ -169,7 +169,7 @@ class TestWnoForward:
 
     def test_shape_contract_2d(self):
         cfg = wno.WnoConfig(width=3, layers=2,
-                            wavelet=wv.WaveletSpec("db6", 2, "periodic"),
+                            wavelet=wv.WaveletSpec("db6", 2),
                             fc1_dim=6, in_channels=4, out_channels=2,
                             spatial_dims=2)
         m = randomized(cfg, 13)
@@ -281,8 +281,8 @@ class TestCheckpoint:
         cfg = small_config(bands="all")
         m = randomized(cfg, 21)
         path = tmp_path / "model.dpaw"
-        m.save(path)
-        loaded = wno.WnoModel.load(path)
+        wno.save_checkpoint(m, path)
+        loaded = wno.load_checkpoint(path)
         assert loaded.config == cfg
         assert all(np.array_equal(m.params[k], loaded.params[k]) for k in m.params)
 
@@ -290,23 +290,23 @@ class TestCheckpoint:
         cfg = small_config()
         m = wno.WnoModel.initialize(cfg, 0)
         path = tmp_path / "model.dpaw"
-        m.save(path)
+        wno.save_checkpoint(m, path)
         raw = bytearray(path.read_bytes())
         raw[4] = 99  # bump the little-endian version field
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatVersionMismatch):
-            wno.WnoModel.load(path)
+            wno.load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.dpaw"
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(FormatVersionMismatch):
-            wno.WnoModel.load(path)
+            wno.load_checkpoint(path)
 
     @pytest.mark.parametrize("where", ["version", "config", "name", "data"])
     def test_truncated_rejected(self, tmp_path, where):
         path = tmp_path / "model.dpaw"
-        randomized(small_config(), 22).save(path)
+        wno.save_checkpoint(randomized(small_config(), 22), path)
         raw = path.read_bytes()
         (header_len,) = struct.unpack("<I", raw[8:12])
         first_name = 12 + header_len + 4 + 2  # after the count and name length
@@ -314,15 +314,15 @@ class TestCheckpoint:
                "name": first_name + 3, "data": len(raw) - 4}[where]
         path.write_bytes(raw[:cut])
         with pytest.raises(ChecksumMismatch, match="checkpoint truncated"):
-            wno.WnoModel.load(path)
+            wno.load_checkpoint(path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         m = randomized(small_config(), 23)
         m.params["lift.bias"][0] = np.nan
         path = tmp_path / "model.dpaw"
-        m.save(path)
+        wno.save_checkpoint(m, path)
         with pytest.raises(DatasetIoError, match="lift.bias"):
-            wno.WnoModel.load(path)
+            wno.load_checkpoint(path)
 
     def test_wrong_shape_rejected(self):
         cfg = small_config()
