@@ -227,7 +227,8 @@ class TestMargin:
         ls = rel.LimitState(threshold=7.0, horizon=10)
         assert self.margin(np.zeros((11, 1, 8)), ls) == 7.0
 
-    def test_response_is_magnitude(self):
+    def test_magnitude_vs_signed(self):
+        # the response is |u|: a trough below -threshold fails too
         traj = np.zeros((3, 1, 4))
         traj[1, 0, 0] = -9.0
         assert self.margin(traj, rel.LimitState(threshold=7.0, horizon=2)) == -2.0

@@ -375,7 +375,8 @@ class TestTapeMemory:
          ("ic.train.1.count=2", "ic.train.2.count=2"), 4, "all", 346, 72, 72),
         ("burgers2d-missing-xdiff", TAPE_2D, 1, "coarsest", 370, 108, 60),
         ("burgers2d-missing-xdiff", TAPE_2D, 1, "all", 502, 108, 108),
-    ], ids=["1d-coarsest", "1d-all", "2d-coarsest", "2d-all"])
+    ], ids=["1d-coarsest-periodic", "1d-all-periodic", "2d-coarsest-periodic",
+           "2d-all-periodic"])
     def test_rollout_tape_node_counts(self, preset, overrides, n, bands, nodes,
                                       dwt, idwt):
         # a 3-step rollout_loss records the same graph size as the separate
