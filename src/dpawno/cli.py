@@ -42,26 +42,28 @@ from .errors import (
 
 CONFIG_KEYS_HELP = """\
 configuration keys (INI sections):
-  [run]         seed, benchmark
-  [pde]         nu | epsilon, alpha | gamma;  nx, ny, dt, bc, bc_value,
-                domain, partial_terms, advection (central|upwind)
-  [data]        n_train, nt_train, n_test, nt_test
+  [run]         seed, benchmark (burgers1d|nagumo|allen_cahn|burgers2d)
+  [pde]         nu (burgers1d, burgers2d) | epsilon, alpha (nagumo) |
+                gamma (allen_cahn);  nx, ny (burgers2d only), dt, bc,
+                bc_value, domain, partial_terms, advection (central|upwind;
+                burgers1d and burgers2d only)
+  [data]        n_train, nt_train, n_test, nt_test (nt_* >= 1)
   [ic.train.N], [ic.test.N]
-                kind (cosine|sine|square2d|shape2d|grf), count,
-                amplitudes / value (list, lo..hi grid, uniform: lo, hi),
-                frequencies, shape; for grf: kernel, alpha, length_scale,
-                periodicity, jitter
+                kind, count (>= 1), and for kind cosine|sine (1D):
+                amplitudes, frequencies; for kind square2d (2D): value
+                (list, lo..hi grid, uniform: lo, hi)
   [wno]         width, layers, family, levels, fc1_dim, bands
   [train]       epochs, learning_rate, batch_size, schedule
                 (auto: T0 @ HOLD, TMAX @ REACH  or  pairs: E:T ...),
                 grad_clip, checkpoint_every
-  [probe]       x (, y), t (list of step indices)
+  [probe]       x, y (burgers2d only), t (list of step indices)
   [eval]        steps, snapshots
   [grf]         kernel (exp_sine_squared|rbf; rbf on 2D grids), alpha,
                 length_scale, periodicity, jitter
   [limit_state] threshold, horizon
   [reliability] n
-Any other section or key, [DEFAULT] included, is a usage error.
+Any other section or key, [DEFAULT] included, and any key that the
+benchmark or the family's kind does not read is a usage error.
 Override any key with --set SECTION.KEY=VALUE (repeatable).
 """
 

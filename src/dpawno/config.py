@@ -9,7 +9,8 @@ Grammar (values by example):
                   schedule = pairs: 0:10 100:20 200:40
 
 Every key is listed in KEYS, documented in the README and in
-`dpawno <cmd> --help`; load_config rejects any other section or key.
+`dpawno <cmd> --help`. load_config rejects any other section or key, and
+any key that the benchmark or the family's kind (datagen.IC_KINDS) never reads.
 """
 
 import configparser
@@ -21,7 +22,7 @@ from importlib import resources
 from . import physics as ph
 from . import wavelet as wv
 from . import wno as wno_mod
-from .datagen import IcFamily
+from .datagen import IC_KINDS, IcFamily
 from .errors import UnsupportedTermForBenchmark, UsageError
 from .reliability import GrfSpec, LimitState
 from .training import TrainConfig, default_schedule
@@ -37,24 +38,37 @@ PRESETS = (
     "burgers1d-missing-diffusion-desk",
 )
 
-_GRF_KEYS = ("kernel", "alpha", "length_scale", "periodicity", "jitter")
-_IC_KEYS = ("kind", "count", "amplitudes", "value", "frequencies",
-            "shape") + _GRF_KEYS
-# Every section and key the program reads; load_config rejects any other.
-# [ic.train.N] and [ic.test.N] stand for every numbered family section.
+
+def _benchmark_keys(bench):
+    """The [pde] and [probe] keys `bench` reads: its constants, `advection`
+    with that term, one grid size and probe coordinate per axis."""
+    axes = "xy" if bench in ph.BENCHMARKS_2D else "x"
+    pde = ph.BENCHMARK_PARAMS[bench] + tuple("n" + axis for axis in axes) + (
+        "dt", "bc", "bc_value", "domain", "partial_terms")
+    pde += ("advection",) * ("advection" in ph.BENCHMARK_TERMS[bench])
+    return {"pde": pde, "probe": (*axes, "t")}
+
+
+def _union(groups):
+    return tuple(dict.fromkeys(key for keys in groups for key in keys))
+
+
+_BENCHMARK_KEYS = {bench: _benchmark_keys(bench) for bench in ph.BENCHMARK_TERMS}
+_IC_KEYS = ("kind", "count") + _union(IC_KINDS.values())
+# Every section and key the program reads in some context; [ic.train.N] and
+# [ic.test.N] stand for every numbered family section.
 KEYS = {
     "run": ("seed", "benchmark"),
-    "pde": ("nu", "epsilon", "alpha", "gamma", "nx", "ny", "dt", "bc",
-            "bc_value", "domain", "partial_terms", "advection"),
+    "pde": _union(keys["pde"] for keys in _BENCHMARK_KEYS.values()),
     "data": ("n_train", "nt_train", "n_test", "nt_test"),
     "ic.train.N": _IC_KEYS,
     "ic.test.N": _IC_KEYS,
     "wno": ("width", "layers", "family", "levels", "fc1_dim", "bands"),
     "train": ("epochs", "learning_rate", "batch_size", "schedule",
               "grad_clip", "checkpoint_every"),
-    "probe": ("x", "y", "t"),
+    "probe": _union(keys["probe"] for keys in _BENCHMARK_KEYS.values()),
     "eval": ("steps", "snapshots"),
-    "grf": _GRF_KEYS,
+    "grf": ("kernel", "alpha", "length_scale", "periodicity", "jitter"),
     "limit_state": ("threshold", "horizon"),
     "reliability": ("n",),
 }
@@ -62,8 +76,10 @@ KEYS = {
 
 def _check_keys(parser: configparser.ConfigParser):
     """UsageError naming every [DEFAULT] entry, section and key that KEYS
-    does not list: the program would silently ignore them."""
+    does not list or that its context (the benchmark, the family's kind)
+    never reads: the program would silently ignore them."""
     defaults = parser.defaults()
+    bench = parser.get("run", "benchmark", raw=True, fallback=None)
     unknown = [f"[DEFAULT] {key}" for key in defaults]
     for section in parser.sections():
         entry = re.sub(r"\.\d+$", ".N", section)
@@ -71,8 +87,17 @@ def _check_keys(parser: configparser.ConfigParser):
         if entry not in KEYS or section.endswith(".N"):
             unknown.append(f"[{section}]")
             continue
-        unknown += [f"[{section}] {key}" for key in parser.options(section)
-                    if key not in defaults and key not in KEYS[entry]]
+        # an unknown benchmark or kind is reported where it is read
+        read, context = KEYS[entry], None
+        kind = parser.get(section, "kind", raw=True, fallback=None)
+        if entry in ("pde", "probe") and bench in _BENCHMARK_KEYS:
+            read, context = _BENCHMARK_KEYS[bench][entry], f"benchmark {bench}"
+        elif entry.startswith("ic.") and kind in IC_KINDS:
+            read, context = ("kind", "count") + IC_KINDS[kind], f"kind {kind}"
+        unknown += [f"[{section}] {key}" + (f" (not read by {context})"
+                                            if key in KEYS[entry] else "")
+                    for key in parser.options(section)
+                    if key not in defaults and key not in read]
     if unknown:
         raise UsageError(f"unknown config section or key: {', '.join(unknown)}")
 
@@ -133,6 +158,13 @@ class ExperimentConfig:
             raise UsageError(f"[{section}] {key}: {exc}") from exc
         return cast(raw)
 
+    def _count(self, section, key, default=None) -> int:
+        """An integer key that must be at least 1."""
+        n = self._get(section, key, int, default)
+        if n < 1:
+            raise UsageError(f"[{section}] {key} must be >= 1, got {n}")
+        return n
+
     @property
     def seed(self) -> int:
         return self._get("run", "seed", int)
@@ -157,9 +189,7 @@ class ExperimentConfig:
 
     def _spec(self, terms) -> ph.PdeSpec:
         bench = self.benchmark
-        param_keys = {"burgers1d": ("nu",), "nagumo": ("epsilon", "alpha"),
-                      "allen_cahn": ("gamma",), "burgers2d": ("nu",)}[bench]
-        params = {k: self._get("pde", k, float) for k in param_keys}
+        params = {k: self._get("pde", k, float) for k in ph.BENCHMARK_PARAMS[bench]}
         domain = tuple(_parse_number_list(self._get("pde", "domain")))
         ny = self._get("pde", "ny", int, 0) or None
         try:
@@ -186,23 +216,13 @@ class ExperimentConfig:
             key=lambda s: int(s.rsplit(".", 1)[1]))
         for section in sections:
             kind = self._get(section, "kind")
-            count = self._get(section, "count", int)
-            if kind in ("cosine", "sine"):
-                out.append(IcFamily(
-                    kind, count,
-                    amplitudes=parse_amplitudes(self._get(section, "amplitudes")),
-                    frequencies=_parse_number_list(self._get(section, "frequencies")),
-                ))
-            elif kind in ("square2d", "shape2d"):
-                out.append(IcFamily(
-                    kind, count,
-                    amplitudes=parse_amplitudes(self._get(section, "value")),
-                    shape=self._get(section, "shape", str, "square"),
-                ))
-            elif kind == "grf":
-                out.append(IcFamily(kind, count, grf=self._grf_from(section)))
-            else:
+            if kind not in IC_KINDS:
                 raise UsageError(f"unknown IC kind {kind!r} in [{section}]")
+            count = self._count(section, "count")
+            amplitudes, *frequencies = (self._get(section, key)
+                                        for key in IC_KINDS[kind])
+            out.append(IcFamily(kind, count, parse_amplitudes(amplitudes),
+                                *map(_parse_number_list, frequencies)))
         if not out:
             raise UsageError(f"no [ic.{role}.N] sections configured")
         return out
@@ -213,7 +233,7 @@ class ExperimentConfig:
 
     @property
     def nt_train(self) -> int:
-        return self._get("data", "nt_train", int)
+        return self._count("data", "nt_train")
 
     @property
     def n_test(self) -> int:
@@ -221,7 +241,7 @@ class ExperimentConfig:
 
     @property
     def nt_test(self) -> int:
-        return self._get("data", "nt_test", int)
+        return self._count("data", "nt_test")
 
     def wno_config(self) -> wno_mod.WnoConfig:
         return wno_mod.WnoConfig(
@@ -250,17 +270,14 @@ class ExperimentConfig:
             grad_clip_norm=None if clip <= 0 else clip,
         )
 
-    def _grf_from(self, section) -> GrfSpec:
-        return GrfSpec(
-            kernel=self._get(section, "kernel"),
-            alpha=self._get(section, "alpha", float),
-            length_scale=self._get(section, "length_scale", float),
-            periodicity=self._get(section, "periodicity", float, 1.0),
-            jitter=self._get(section, "jitter", float, 1e-8),
-        )
-
     def grf_spec(self) -> GrfSpec:
-        return self._grf_from("grf")
+        return GrfSpec(
+            kernel=self._get("grf", "kernel"),
+            alpha=self._get("grf", "alpha", float),
+            length_scale=self._get("grf", "length_scale", float),
+            periodicity=self._get("grf", "periodicity", float, 1.0),
+            jitter=self._get("grf", "jitter", float, 1e-8),
+        )
 
     def limit_state(self) -> LimitState:
         return LimitState(
@@ -270,10 +287,7 @@ class ExperimentConfig:
 
     @property
     def reliability_n(self) -> int:
-        n = self._get("reliability", "n", int, 1000)
-        if n < 1:
-            raise UsageError(f"[reliability] n must be >= 1, got {n}")
-        return n
+        return self._count("reliability", "n", 1000)
 
     def probes(self):
         """(x*, t*) pairs; x* is a location in the order of
@@ -285,10 +299,7 @@ class ExperimentConfig:
 
     @property
     def eval_steps(self) -> int:
-        steps = self._get("eval", "steps", int, 100)
-        if steps < 1:
-            raise UsageError(f"[eval] steps must be >= 1, got {steps}")
-        return steps
+        return self._count("eval", "steps", 100)
 
     def snapshots(self):
         times = [int(v) for v in _parse_number_list(self._get("eval", "snapshots"))]

@@ -18,26 +18,30 @@ from .errors import (
     NonFiniteState,
     UnsupportedTermForBenchmark,
 )
-from .reliability import GrfSpec, grf_initial_conditions
 from .rng import stream
 
 DATASET_MAGIC = b"DPDS"
 DATASET_VERSION = 1
 
-IC_KINDS = ("cosine", "sine", "square2d", "shape2d", "grf")
+# the [ic.*] keys each kind reads besides kind and count: the first fills
+# IcFamily.amplitudes, the second (if any) IcFamily.frequencies
+IC_KINDS = {
+    "cosine": ("amplitudes", "frequencies"),
+    "sine": ("amplitudes", "frequencies"),
+    "square2d": ("value",),
+}
 
 
 @dataclass(frozen=True)
 class IcFamily:
     """One initial-condition family.
 
-    kind        cosine:   u0 = a cos(0.5 z pi x)
-                sine:     u0 = a sin(e pi x)
-                square2d: plateau value on [0.5, 1.5]^2, background 1
-                shape2d:  square / triangle / circle plateau, background 1
-                grf:      zero-mean Gaussian random field draw
+    kind        cosine:   u0 = a cos(0.5 z pi x), 1D
+                sine:     u0 = a sin(e pi x), 1D
+                square2d: plateau value on [0.5, 1.5]^2, background 1, 2D
     count       how many fields this family contributes
-    amplitudes  tuple of values (enumerated grid) or ("uniform", lo, hi)
+    amplitudes  tuple of values (enumerated grid) or ("uniform", lo, hi):
+                the wave amplitudes a, or the square2d plateau values
     frequencies tuple of z / e values to pair with the amplitudes
     """
 
@@ -45,22 +49,16 @@ class IcFamily:
     count: int
     amplitudes: tuple = ()
     frequencies: tuple = ()
-    shape: str = "square"
-    grf: GrfSpec = None
 
     def __post_init__(self):
         if self.kind not in IC_KINDS:
             raise ValueError(f"unknown IC kind {self.kind!r}")
 
     def describe(self) -> str:
-        if self.kind in ("cosine", "sine"):
-            return (f"{self.kind}(count={self.count}, amplitudes={self.amplitudes}, "
-                    f"frequencies={self.frequencies})")
         if self.kind == "square2d":
             return f"square2d(count={self.count}, value={self.amplitudes})"
-        if self.kind == "shape2d":
-            return f"shape2d(count={self.count}, shape={self.shape}, value={self.amplitudes})"
-        return f"grf(count={self.count}, kernel={self.grf.kernel})"
+        return (f"{self.kind}(count={self.count}, amplitudes={self.amplitudes}, "
+                f"frequencies={self.frequencies})")
 
 
 def _is_uniform(amplitudes):
@@ -86,23 +84,6 @@ def _draw_params(family, count, rng):
     return arr[:, 0], arr[:, 1]
 
 
-def _plateau_mask(kind, gx, gy):
-    # gx, gy: x and y of every grid point, each (ny, nx)
-    if kind == "square":
-        return (gx >= 0.5) & (gx <= 1.5) & (gy >= 0.5) & (gy <= 1.5)
-    if kind == "square_large":
-        return (gx >= 0.4) & (gx <= 1.6) & (gy >= 0.4) & (gy <= 1.6)
-    if kind == "circle":
-        return (gx - 1.0) ** 2 + (gy - 1.0) ** 2 <= 0.5 ** 2
-    if kind == "triangle":
-        # vertices (0.5, 0.5), (1.5, 0.5), (1.0, 1.5)
-        inside = gy >= 0.5
-        inside &= gy <= 0.5 + 2.0 * (gx - 0.5)
-        inside &= gy <= 0.5 - 2.0 * (gx - 1.5)
-        return inside
-    raise ValueError(f"unknown 2d shape {kind!r}")
-
-
 def sample_ics(family: IcFamily, count: int, spec: ph.PdeSpec, seed: int,
                stream_index: int = 0, purpose: str = "data") -> np.ndarray:
     """Draw `count` initial fields, shaped (count,) + spec.state_shape().
@@ -121,23 +102,21 @@ def sample_ics(family: IcFamily, count: int, spec: ph.PdeSpec, seed: int,
         wave = np.cos(phase) if family.kind == "cosine" else np.sin(phase)
         fields = amps[:, None] * wave
         return fields[:, None, :]
-    if family.kind in ("square2d", "shape2d"):
-        if not spec.is_2d:
-            raise ValueError(f"{family.kind} ICs are 2D only")
-        shape = "square" if family.kind == "square2d" else family.shape
-        mask = _plateau_mask(shape, *spec.coordinates())
-        if _is_uniform(family.amplitudes):
-            vals = rng.uniform(float(family.amplitudes[1]), float(family.amplitudes[2]),
-                               size=count)
-        else:
-            if count > len(family.amplitudes):
-                raise CountExceedsFamily(
-                    f"{family.kind} family has {len(family.amplitudes)} members, "
-                    f"requested {count}")
-            vals = np.asarray(family.amplitudes[:count], dtype=np.float64)
-        fields = np.where(mask[None], vals[:, None, None], 1.0)
-        return np.broadcast_to(fields[:, None], (count, 2) + mask.shape).copy()
-    return grf_initial_conditions(family.grf, spec, count, seed, stream_index)
+    if not spec.is_2d:
+        raise ValueError(f"{family.kind} ICs are 2D only")
+    gx, gy = spec.coordinates()  # x and y of every grid point, each (ny, nx)
+    mask = (gx >= 0.5) & (gx <= 1.5) & (gy >= 0.5) & (gy <= 1.5)
+    if _is_uniform(family.amplitudes):
+        vals = rng.uniform(float(family.amplitudes[1]), float(family.amplitudes[2]),
+                           size=count)
+    else:
+        if count > len(family.amplitudes):
+            raise CountExceedsFamily(
+                f"{family.kind} family has {len(family.amplitudes)} members, "
+                f"requested {count}")
+        vals = np.asarray(family.amplitudes[:count], dtype=np.float64)
+    fields = np.where(mask[None], vals[:, None, None], 1.0)
+    return np.broadcast_to(fields[:, None], (count, 2) + mask.shape).copy()
 
 
 def sample_families(families, spec: ph.PdeSpec, seed: int,

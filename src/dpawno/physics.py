@@ -70,6 +70,13 @@ BENCHMARK_TERMS = {
     "burgers2d": ("advection", "diffusion_x", "diffusion_y"),
 }
 
+# the physics constants each benchmark reads, as PdeSpec.params keys
+BENCHMARK_PARAMS = {"burgers1d": ("nu",), "nagumo": ("epsilon", "alpha"),
+                    "allen_cahn": ("gamma",), "burgers2d": ("nu",)}
+
+# benchmarks on an (ny, nx) grid; the others have one axis of nx points
+BENCHMARKS_2D = ("burgers2d",)
+
 DEFAULT_DOMAIN = {
     "burgers1d": (-1.0, 1.0),
     "nagumo": (0.0, 1.0),
@@ -115,7 +122,7 @@ class PdeSpec:
 
     @property
     def is_2d(self) -> bool:
-        return self.benchmark == "burgers2d"
+        return self.benchmark in BENCHMARKS_2D
 
     @property
     def channels(self) -> int:

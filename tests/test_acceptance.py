@@ -5,6 +5,7 @@ the full suite is designed to stay within the stated runtime budgets on a
 single core.
 """
 
+import dataclasses
 import filecmp
 import os
 import time
@@ -168,10 +169,8 @@ class TestCriterion4:
             missing = full.with_terms(
                 t for t in full.terms if t not in partial.terms)
             fams = cfg.families("train")
-            fams = [dg.IcFamily(f.kind, min(f.count, 1),
-                                amplitudes=f.amplitudes,
-                                frequencies=f.frequencies, shape=f.shape,
-                                grf=f.grf) for f in fams[:2]]
+            fams = [dataclasses.replace(f, count=min(f.count, 1))
+                    for f in fams[:2]]
             n = sum(f.count for f in fams)
             ds = dg.generate(full, fams, n, 5, cfg.seed)
             states = tr.rollout(None, partial, ds.ics, 5,
@@ -348,10 +347,7 @@ class TestCriterion9:
             partial = cfg.partial_spec()
             wcfg = cfg.wno_config()
             model = wno_mod.WnoModel.initialize(wcfg, cfg.seed)
-            fams = [dg.IcFamily(f.kind, min(f.count, 2),
-                                amplitudes=f.amplitudes,
-                                frequencies=f.frequencies, shape=f.shape,
-                                grf=f.grf)
+            fams = [dataclasses.replace(f, count=min(f.count, 2))
                     for f in cfg.families("train")[:1]]
             n = sum(f.count for f in fams)
             ds = dg.generate(cfg.full_spec(), fams, n, 0, cfg.seed)

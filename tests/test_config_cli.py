@@ -14,6 +14,7 @@ from dpawno import cli
 from dpawno import config as cf
 from dpawno import datagen as dg
 from dpawno import errors
+from dpawno import physics as ph
 from dpawno import reliability as rel
 from dpawno import training as tr
 from dpawno import wno
@@ -63,12 +64,28 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", cf.PRESETS)
     def test_preset_sets_only_known_keys(self, name):
+        """Every key a preset sets is one its section reads in the preset's
+        context: the benchmark's constants and grid axes, the advection
+        scheme only with that term, the keys of each family's kind."""
         parser = configparser.ConfigParser()
         parser.read_string(cf.preset_text(name))
         assert not parser.defaults()
+        bench = parser.get("run", "benchmark")
+        axes = "xy" if bench in ph.BENCHMARKS_2D else "x"
+        advection = ("advection",) * ("advection" in ph.BENCHMARK_TERMS[bench])
+        context = {
+            "pde": ph.BENCHMARK_PARAMS[bench] + advection + (
+                "dt", "bc", "bc_value", "domain", "partial_terms",
+                *(f"n{axis}" for axis in axes)),
+            "probe": (*axes, "t"),
+        }
         for section in parser.sections():
             entry = re.sub(r"\.\d+$", ".N", section)
-            assert set(parser.options(section)) <= set(cf.KEYS[entry]), section
+            read = context.get(entry, cf.KEYS[entry])
+            if entry.startswith("ic."):
+                read = ("kind", "count") + dg.IC_KINDS[parser.get(section, "kind")]
+            assert set(parser.options(section)) <= set(read), section
+            assert set(read) <= set(cf.KEYS[entry]), section
 
     def test_every_key_is_documented(self):
         """Every key of config.KEYS is listed under its section in the
@@ -93,8 +110,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind", dg.IC_KINDS)
     def test_every_ic_kind_is_configurable(self, kind):
-        keys = ("count=1", "amplitudes=1", "frequencies=1", "value=2",
-                "kernel=rbf", "alpha=1", "length_scale=0.5", f"kind={kind}")
+        keys = ("count=1", f"kind={kind}",
+                *(f"{key}=2" for key in dg.IC_KINDS[kind]))
         c = cf.load_config(preset=DESK,
                            overrides=[f"ic.train.9.{key}" for key in keys])
         assert c.families("train")[-1].kind == kind
@@ -419,6 +436,19 @@ UNKNOWN_KEYS = [
                  id="grad_clp"),
     pytest.param("[plot]\ncolor = red\n", "[plot]", id="section"),
     pytest.param("[DEFAULT]\nseed = 1\n", "[DEFAULT] seed", id="DEFAULT"),
+    # keys another context reads
+    pytest.param(["--set", "pde.gamma=5"],
+                 "[pde] gamma (not read by benchmark burgers1d)", id="gamma"),
+    pytest.param(["--set", "probe.y=0.3"],
+                 "[probe] y (not read by benchmark burgers1d)", id="probe_y"),
+    pytest.param(["--set", "ic.train.1.value=3"],
+                 "[ic.train.1] value (not read by kind cosine)", id="value"),
+    pytest.param(["--set", "pde.ny=32"],
+                 "[pde] ny (not read by benchmark burgers1d)", id="ny"),
+    pytest.param(["--preset", "nagumo-missing-reaction",
+                  "--set", "pde.advection=upwind"],
+                 "[pde] advection (not read by benchmark nagumo)",
+                 id="advection"),
 ]
 
 
@@ -448,10 +478,11 @@ class TestMalformedInput:
 
     @staticmethod
     def source(tmp_path, extra):
-        """--set overrides on the desk preset, or a config file holding the
-        desk preset plus the text `extra`."""
+        """--set overrides on the desk preset (or on the --preset `extra`
+        starts with), or a config file holding the desk preset plus the
+        text `extra`."""
         if isinstance(extra, list):
-            return ["--preset", DESK, *extra]
+            return extra if extra[0] == "--preset" else ["--preset", DESK, *extra]
         path = tmp_path / "config.ini"
         path.write_text(cf.preset_text(DESK) + "\n" + extra)
         return ["--config", str(path)]
@@ -478,21 +509,17 @@ class TestMalformedInput:
         assert f"unknown config section or key: {name}\n" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["reliability", "gen-data"])
+    @pytest.mark.parametrize("command", ["reliability"])
     def test_2d_exp_sine_squared_exits_2(self, tmp_path, monkeypatch, capsys,
                                          command):
         # that kernel of the Euclidean distance does not separate over the
         # axes, and over a 2D grid its covariance is not positive definite
         calls = count_cholesky(monkeypatch)
-        kernel = {"reliability": ["--set", "grf.kernel=exp_sine_squared"],
-                  "gen-data": ["--set", "ic.train.1.kind=grf",
-                               "--set", "ic.train.1.kernel=exp_sine_squared",
-                               "--set", "ic.train.1.alpha=4",
-                               "--set", "ic.train.1.length_scale=0.5"]}[command]
         out = tmp_path / "out"
         code = cli.main([command, "--preset", "burgers2d-missing-xdiff",
                          "--set", "pde.nx=16", "--set", "pde.ny=16",
-                         "--set", "reliability.n=2", *kernel, "--out", str(out)])
+                         "--set", "reliability.n=2",
+                         "--set", "grf.kernel=exp_sine_squared", "--out", str(out)])
         assert code == 2
         assert "exp_sine_squared GRF kernel does not separate" in \
             capsys.readouterr().err
@@ -627,6 +654,23 @@ class TestConfigErrors:
         c = cf.load_config(preset=DESK, overrides=["ic.train.9 .kind = sine",
                                                    "ic.train.9. count=1"])
         assert c.parser.get("ic.train.9", "count") == "1"
+
+    @pytest.mark.parametrize("overrides, message", [
+        # the other family's 8 ICs still add up to n_train
+        (["ic.train.1.count=0", "data.n_train=8"],
+         "[ic.train.1] count must be >= 1, got 0"),
+        (["ic.train.1.count=-1"], "[ic.train.1] count must be >= 1, got -1"),
+        (["data.nt_train=0"], "[data] nt_train must be >= 1, got 0"),
+        (["data.nt_test=0"], "[data] nt_test must be >= 1, got 0"),
+    ], ids=["count=0", "count=-1", "nt_train=0", "nt_test=0"])
+    def test_sizes_below_1_exit_2_before_any_write(self, tmp_path, capsys,
+                                                   overrides, message):
+        out = tmp_path / "data"
+        sets = [arg for kv in overrides for arg in ("--set", kv)]
+        code = cli.main(["gen-data", "--preset", DESK, *sets, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
 
     def test_count_beyond_family_exits_2(self, tmp_path, capsys):
         out = tmp_path / "data"

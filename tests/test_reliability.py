@@ -272,6 +272,12 @@ class TestGrfInitialConditions:
             rel.sample_grf(grf, (x, y), 5, 7).reshape(5, 1, len(y), len(x)),
             ics.shape)).tobytes()
 
+    def test_zero_mean(self):
+        ics = rel.grf_initial_conditions(PERIODIC_GRF, burgers_full(nx=64), 400,
+                                         seed=5)
+        sigma = np.sqrt(PERIODIC_GRF.alpha)
+        assert abs(ics.mean()) < 3.0 * sigma / np.sqrt(400 * 4)  # correlated draws
+
     def test_1d_matches_draws_on_the_axis(self):
         spec = burgers_full(nx=32)
         ics = rel.grf_initial_conditions(PERIODIC_GRF, spec, 4, seed=3)
