@@ -19,6 +19,7 @@ from .errors import (
     UnsupportedTermForBenchmark,
 )
 from .rng import stream
+from .training import PhysicsSurrogate
 
 DATASET_MAGIC = b"DPDS"
 DATASET_VERSION = 1
@@ -186,12 +187,9 @@ def generate(spec: ph.PdeSpec, families, n: int, nt: int, seed: int,
     if ics.shape[0] != n:
         raise ValueError(f"families yield {ics.shape[0]} ICs, expected n={n}")
     _check_advective_cfl(spec, ics)
-
-    def step(u):
-        return ph.euler_step_values(u, spec)
-
+    solver = PhysicsSurrogate(spec)
     states = np.empty((n, nt + 1) + spec.state_shape())
-    for t, u, alive in ph.masked_steps(step, ics, nt):
+    for t, u, alive in ph.masked_steps(solver.step, ics, nt, solver.block):
         if not alive.all():
             idx = int(np.argmax(~alive))
             raise NonFiniteState(

@@ -77,14 +77,13 @@ def gradient_fidelity(partial_spec: ph.PdeSpec, seed: int = 0,
     ic = _reduced_ic(spec, seed)
 
     # targets from the full physics so residuals (and gradients) are generic
-    states = tr.rollout(None, full, ic, t_steps)
+    states = tr.rollout(tr.PhysicsSurrogate(full).step, ic, t_steps)
     targets = np.stack([ad.value_of(s) for s in states], axis=1)
     targets += 0.05 * stream(seed, "data", 8).standard_normal(targets.shape)
-    coords = spec.coordinates()
 
     def loss_with(params, ic_values):
         return tr.rollout_loss(model, spec, ic_values, targets, t_steps,
-                               params=params, coords=coords)
+                               params=params)
 
     # reverse-mode gradients for everything in one pass
     tape = ad.Tape()

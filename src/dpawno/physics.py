@@ -42,10 +42,13 @@ def _finite_peaks(states: np.ndarray) -> np.ndarray:
     return np.isfinite(peaks) & (peaks <= BLOWUP_LIMIT)
 
 
-def masked_steps(step, ics, steps: int):
+def masked_steps(step, ics, steps: int, block: int):
     """Untaped batched rollout: yields (0, ics, alive), then (t, u_t, alive)
-    after each of `steps` calls of `step`.
+    after each of `steps` steps.
 
+    Each step calls `step` on consecutive blocks of at most `block` samples;
+    every physics and WNO operation acts on each sample alone, so the
+    blocked step equals one whole-batch call bit for bit.
     A sample whose state turns non-finite or exceeds BLOWUP_LIMIT is frozen
     at its last finite state and stays flagged dead (alive False) for the
     rest of the rollout; the other samples keep stepping.
@@ -56,7 +59,8 @@ def masked_steps(step, ics, steps: int):
     yield 0, u, alive
     for t in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            nxt = step(u)
+            parts = [step(u[i:i + block]) for i in range(0, len(u), block)]
+        nxt = parts[0] if len(parts) == 1 else np.concatenate(parts)
         alive = _finite_peaks(nxt) & alive  # once dead, stays dead
         u = np.where(alive[sel], nxt, u)
         yield t, u, alive

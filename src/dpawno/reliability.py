@@ -7,9 +7,10 @@ any step up to the horizon, or when its trajectory diverges.
 
 The surrogate handed to :func:`estimate_reliability` only needs a
 ``step(u)`` method mapping a batch of states (B, C) + spatial to the next
-batch; it is rolled by :func:`dpawno.training.rollout_statistics`, which
-freezes and flags diverging samples.  See :mod:`dpawno.training` for the
-provided implementations.
+batch and a ``block``, the most samples one step call takes; it is rolled by
+:func:`dpawno.training.rollout_statistics`, which freezes and flags
+diverging samples.  See :mod:`dpawno.training` for the provided
+implementations.
 """
 
 import json

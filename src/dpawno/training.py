@@ -2,8 +2,9 @@
 differentiable stepper, optimized with Adam.
 
 Rollouts always feed predictions forward (no teacher forcing): the state at
-step t+1 is euler_step(state_t, spec, wno_forward(state_t)), and gradients
-flow back through every step of the unroll.
+step t+1 is AugmentedSurrogate.step(state_t), i.e. euler_step(state_t, spec,
+wno_forward(state_t)), the same step that evaluation, uq and reliability
+roll, and gradients flow back through every step of the unroll.
 """
 
 import time
@@ -132,31 +133,72 @@ def clip_gradients(grads: dict, max_norm) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rollouts
+# surrogate steps and rollouts
 
-def rollout(model, spec: ph.PdeSpec, ic, t_steps: int, params=None,
-            coords=None, correction_fn=None):
-    """T+1 states starting from `ic`; differentiable when inputs are Tensors.
+# Bytes of a surrogate's widest array over one block of samples, which
+# physics.masked_steps steps together: about half of a 2 MiB L2 cache, so each
+# block's arrays stay in cache from one operation to the next instead of
+# streaming a whole batch through memory.  A block holds at least one sample.
+_BLOCK_BYTES = 1 << 20
+
+
+class PhysicsSurrogate:
+    """Rolls the bare right-hand side of `spec` (partial or full physics);
+    its widest array is the state."""
+
+    def __init__(self, spec: ph.PdeSpec):
+        self.spec = spec
+        self.block = max(1, _BLOCK_BYTES // (int(np.prod(spec.state_shape())) * 8))
+
+    def step(self, u):
+        return ph.euler_step_values(u, self.spec)
+
+
+class AugmentedSurrogate:
+    """Rolls spec physics plus the learned correction of `model` with
+    `params` (default: the model's own; taped leaves make the step
+    differentiable).
+
+    A model made for another state shape than `spec`'s (another number of
+    spatial axes or channels) is a ShapeMismatch here, before any rollout.
+    The widest array is an activation of max(width, fc1_dim) channels.
+    """
+
+    def __init__(self, spec: ph.PdeSpec, model, params=None):
+        expected = wno_mod.io_fields(spec.state_shape())
+        found = {key: getattr(model.config, key) for key in expected}
+        if found != expected:
+            def fields(doc):
+                return ", ".join(f"{k}={v}" for k, v in doc.items())
+            raise ShapeMismatch(
+                f"model has {fields(found)}; {spec.benchmark} states of shape "
+                f"{spec.state_shape()} need {fields(expected)}")
+        self.spec = spec
+        self.model = model
+        self.params = params
+        self.coords = spec.coordinates()
+        widest = max(model.config.width, model.config.fc1_dim)
+        points = int(np.prod(spec.spatial_shape()))
+        self.block = max(1, _BLOCK_BYTES // (widest * points * 8))
+
+    def step(self, u):
+        corr = wno_mod.wno_forward(u, self.coords, self.model, self.params)
+        return ph.euler_step_values(u, self.spec, corr)
+
+
+def rollout(step, ic, t_steps: int):
+    """T+1 states starting from `ic`, each the `step` of the one before
+    (e.g. a surrogate's step); differentiable when inputs are Tensors.
 
     A state that turns non-finite or exceeds physics.BLOWUP_LIMIT raises
-    NonFiniteState.  `coords` is spec.coordinates(), built here when not
-    given.
-    `correction_fn` overrides the model (e.g. to inject an oracle correction);
-    pass model=None with correction_fn=None for a pure known-physics rollout.
+    NonFiniteState.
     """
     if t_steps < 1:
         raise ValueError("t_steps must be >= 1")
-    if correction_fn is None and model is not None:
-        if coords is None:
-            coords = spec.coordinates()
-
-        def correction_fn(state):
-            return wno_mod.wno_forward(state, coords, model, params)
     states = [ic]
     u = ic
     for _ in range(t_steps):
-        corr = correction_fn(u) if correction_fn is not None else None
-        u = ph.euler_step_values(u, spec, corr)
+        u = step(u)
         peak = float(np.max(np.abs(ad.value_of(u))))
         if not np.isfinite(peak) or peak > ph.BLOWUP_LIMIT:
             raise NonFiniteState(
@@ -166,14 +208,15 @@ def rollout(model, spec: ph.PdeSpec, ic, t_steps: int, params=None,
 
 
 def rollout_loss(model, spec: ph.PdeSpec, batch_ics, batch_targets,
-                 t_steps: int, params=None, coords=None):
-    """Mean squared rollout error over (batch, T, space)."""
+                 t_steps: int, params=None):
+    """Mean squared rollout error over (batch, T, space) of the augmented
+    step of `model` with `params` (default: the model's own)."""
     targets = np.asarray(batch_targets, dtype=np.float64)
     if targets.shape[1] < t_steps + 1:
         raise ValueError(
             f"batch stores {targets.shape[1] - 1} steps, rollout needs {t_steps}")
-    states = rollout(model, spec, batch_ics, t_steps, params=params,
-                     coords=coords)
+    states = rollout(AugmentedSurrogate(spec, model, params).step, batch_ics,
+                     t_steps)
     acc = None
     for t in range(1, t_steps + 1):
         sq = ad.total_sum(ad.square(ad.sub(states[t], targets[:, t])))
@@ -192,7 +235,6 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
     """
     if dataset.spec.benchmark != partial_spec.benchmark:
         raise ValueError("dataset and training spec target different benchmarks")
-    coords = partial_spec.coordinates()
     opt = Adam(model.params, cfg.learning_rate)
     shuffle_rng = stream(cfg.seed, "shuffle")
     n = dataset.n_samples
@@ -219,7 +261,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
             t_forward = time.perf_counter()
             try:
                 loss = rollout_loss(model, partial_spec, batch[:, 0], batch,
-                                    t_steps, params=staged, coords=coords)
+                                    t_steps, params=staged)
                 loss_val = float(loss.data)
                 t_backward = time.perf_counter()
                 ad.backward(tape, loss)
@@ -259,12 +301,13 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# evaluation-time surrogates (no tape, batched, blow-up masked)
+# streamed evaluation rollouts (no tape, blow-up masked)
 
 def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
                        snapshots=(), truth=None, mse_steps: int = None):
-    """Stream a masked rollout (physics.masked_steps) of `surrogate.step`,
-    keeping reductions instead of trajectories.
+    """Stream a masked rollout (physics.masked_steps) of `surrogate.step` in
+    blocks of `surrogate.block` samples, keeping reductions instead of
+    trajectories; every field equals that of a whole-batch rollout.
 
     Full-scale predicted trajectories run to gigabytes; everything the
     evaluation pipeline needs is accumulated per step:
@@ -279,7 +322,7 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
                     (0 for a non-finite IC), -1 for samples still alive
       final         the state after the last step
     """
-    rolled = ph.masked_steps(surrogate.step, ics, steps)
+    rolled = ph.masked_steps(surrogate.step, ics, steps, surrogate.block)
     _, u, alive = next(rolled)
     n = u.shape[0]
     flat = u.reshape(n, -1)
@@ -314,53 +357,3 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
         "diverged_at": diverged_at,
         "final": u,
     }
-
-
-class PhysicsSurrogate:
-    """Rolls the bare right-hand side of `spec` (partial or full physics)."""
-
-    def __init__(self, spec: ph.PdeSpec):
-        self.spec = spec
-
-    def step(self, u):
-        return ph.euler_step_values(u, self.spec)
-
-
-# Bytes of one widest WNO activation per sample block: about half of a
-# 2 MiB L2 cache, so each block's activations stay in cache from one layer
-# to the next instead of streaming a whole batch through memory.
-_BLOCK_BYTES = 1 << 20
-
-
-class AugmentedSurrogate:
-    """Rolls spec physics plus the model's learned correction.
-
-    A model made for another state shape than `spec`'s (another number of
-    spatial axes or channels) is a ShapeMismatch here, before any rollout.
-    The correction is evaluated in blocks of samples (at least one) whose
-    widest activation, max(width, fc1_dim) channels over the grid, fits in
-    _BLOCK_BYTES; every WNO operation acts on each sample alone, so the
-    blocked correction equals the whole-batch one bit for bit.
-    """
-
-    def __init__(self, spec: ph.PdeSpec, model):
-        expected = wno_mod.io_fields(spec.state_shape())
-        found = {key: getattr(model.config, key) for key in expected}
-        if found != expected:
-            def fields(doc):
-                return ", ".join(f"{k}={v}" for k, v in doc.items())
-            raise ShapeMismatch(
-                f"model has {fields(found)}; {spec.benchmark} states of shape "
-                f"{spec.state_shape()} need {fields(expected)}")
-        self.spec = spec
-        self.model = model
-        self.coords = spec.coordinates()
-        widest = max(model.config.width, model.config.fc1_dim)
-        points = int(np.prod(spec.spatial_shape()))
-        self.block = max(1, _BLOCK_BYTES // (widest * points * 8))
-
-    def step(self, u):
-        corr = np.concatenate([
-            wno_mod.wno_forward(u[i:i + self.block], self.coords, self.model)
-            for i in range(0, len(u), self.block)])
-        return ph.euler_step_values(u, self.spec, corr)

@@ -27,10 +27,12 @@ def gradient_error(loss_fn, point, step: float) -> float:
 class Replay:
     """Surrogate whose t-th step returns state t of the stored trajectories
     (B, T+1, C) + spatial, whatever state it is handed; roll it from
-    trajectories[:, 0]."""
+    trajectories[:, 0].  Its block is the whole batch, since each step
+    returns whole-batch states."""
 
     def __init__(self, trajectories):
         self.trajectories = np.asarray(trajectories, dtype=np.float64)
+        self.block = len(self.trajectories)
         self.t = 0
 
     def step(self, u):

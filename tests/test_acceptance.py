@@ -173,9 +173,9 @@ class TestCriterion4:
                     for f in fams[:2]]
             n = sum(f.count for f in fams)
             ds = dg.generate(full, fams, n, 5, cfg.seed)
-            states = tr.rollout(None, partial, ds.ics, 5,
-                                correction_fn=lambda u, m=missing:
-                                ph.rhs_values(u, m))
+            states = tr.rollout(
+                lambda u, m=missing, p=partial:
+                ph.euler_step_values(u, p, ph.rhs_values(u, m)), ds.ics, 5)
             results[name] = all(
                 np.array_equal(ad.value_of(s), ds.trajectories[:, t])
                 for t, s in enumerate(states))
@@ -191,11 +191,11 @@ class TestCriterion5:
         test_ds = art["test_ds"]
         horizon = test_ds.n_steps
         mse = {}
-        for name, model, spec in (
-                ("dpa", art["dpa"], art["partial"]),
-                ("donly", art["donly"], art["donly_spec"]),
-                ("ponly", None, art["partial"])):
-            states = tr.rollout(model, spec, test_ds.ics, horizon)
+        for name, sur in (
+                ("dpa", tr.AugmentedSurrogate(art["partial"], art["dpa"])),
+                ("donly", tr.AugmentedSurrogate(art["donly_spec"], art["donly"])),
+                ("ponly", tr.PhysicsSurrogate(art["partial"]))):
+            states = tr.rollout(sur.step, test_ds.ics, horizon)
             pred = np.stack([ad.value_of(s) for s in states], axis=1)
             # mean squared error over samples x steps 1..100 x space
             diff = pred[:, 1:101] - test_ds.trajectories[:, 1:101]
@@ -251,7 +251,7 @@ class TestCriterion7:
         ics = rel.grf_initial_conditions(grf, art["full"], 1000, cfg.seed)
         truth_sur = tr.PhysicsSurrogate(art["full"])
         rep_truth = rel.estimate_reliability(truth_sur, ics, ls, cfg.seed)
-        trajs = np.stack(tr.rollout(None, art["full"], ics, ls.horizon), axis=1)
+        trajs = np.stack(tr.rollout(truth_sur.step, ics, ls.horizon), axis=1)
         margins = ls.threshold - np.max(np.abs(trajs).reshape(len(trajs), -1), axis=1)
         direct_failures = int(np.sum(margins < 0))
         self_consistent = (rep_truth.failures == direct_failures)
@@ -351,8 +351,9 @@ class TestCriterion9:
                     for f in cfg.families("train")[:1]]
             n = sum(f.count for f in fams)
             ds = dg.generate(cfg.full_spec(), fams, n, 0, cfg.seed)
-            with_model = tr.rollout(model, partial, ds.ics, 5)
-            physics = tr.rollout(None, partial, ds.ics, 5)
+            with_model = tr.rollout(tr.AugmentedSurrogate(partial, model).step,
+                                    ds.ics, 5)
+            physics = tr.rollout(tr.PhysicsSurrogate(partial).step, ds.ics, 5)
             results[name] = all(
                 np.array_equal(ad.value_of(x), ad.value_of(y))
                 for x, y in zip(with_model, physics))

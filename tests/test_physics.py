@@ -109,7 +109,7 @@ class TestEulerStep:
         spec = burgers(nu=0.0955, dt=1.0)  # absurd step to force blow-up
         u = np.full((1, 64), 5e7)
         with pytest.raises(NonFiniteState):
-            tr.rollout(None, spec, u, 50)
+            tr.rollout(tr.PhysicsSurrogate(spec).step, u, 50)
 
     def test_correction_shape_mismatch(self):
         spec = burgers()

@@ -298,7 +298,7 @@ class TestEstimateReliability:
         ics = rel.grf_initial_conditions(PERIODIC_GRF, full, 200, seed=5)
         rep = rel.estimate_reliability(sur, ics, ls, seed=5)
         # direct ground-truth computation over the same draws
-        trajs = np.stack(tr.rollout(None, full, ics, ls.horizon), axis=1)
+        trajs = np.stack(tr.rollout(sur.step, ics, ls.horizon), axis=1)
         margins = ls.threshold - np.max(np.abs(trajs).reshape(len(trajs), -1),
                                         axis=1)
         assert rep.failures == int(np.sum(margins < 0))

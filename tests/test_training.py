@@ -89,42 +89,45 @@ class TestRollout:
     def test_zero_init_model_equals_partial_physics(self):
         full, partial, ds = burgers_setup()
         model = tiny_model()
-        with_model = tr.rollout(model, partial, ds.ics, 10)
-        physics_only = tr.rollout(None, partial, ds.ics, 10)
+        with_model = tr.rollout(tr.AugmentedSurrogate(partial, model).step,
+                                ds.ics, 10)
+        physics_only = tr.rollout(tr.PhysicsSurrogate(partial).step, ds.ics, 10)
         for a, b in zip(with_model, physics_only):
             assert np.array_equal(ad.value_of(a), ad.value_of(b))
 
     def test_t1_is_single_step(self):
         full, partial, ds = burgers_setup()
-        states = tr.rollout(None, partial, ds.ics, 1)
+        states = tr.rollout(tr.PhysicsSurrogate(partial).step, ds.ics, 1)
         assert len(states) == 2
         assert np.array_equal(states[1], ph.euler_step_values(ds.ics, partial))
 
     def test_oracle_correction_matches_dataset(self):
         full, partial, ds = burgers_setup()
         missing = full.with_terms(t for t in full.terms if t not in partial.terms)
-        states = tr.rollout(None, partial, ds.ics, ds.n_steps,
-                            correction_fn=lambda u: ph.rhs_values(u, missing))
+        states = tr.rollout(
+            lambda u: ph.euler_step_values(u, partial, ph.rhs_values(u, missing)),
+            ds.ics, ds.n_steps)
         for t, s in enumerate(states):
             assert np.array_equal(ad.value_of(s), ds.trajectories[:, t])
 
     def test_t_must_be_positive(self):
         full, partial, ds = burgers_setup()
         with pytest.raises(ValueError):
-            tr.rollout(None, partial, ds.ics, 0)
+            tr.rollout(tr.PhysicsSurrogate(partial).step, ds.ics, 0)
 
 
 class TestRolloutLoss:
     def test_oracle_gives_zero(self):
+        # the zero-initialized model adds no correction to the full physics
         full, partial, ds = burgers_setup()
-        loss = tr.rollout_loss(None, full, ds.ics, ds.trajectories, 5)
+        loss = tr.rollout_loss(tiny_model(), full, ds.ics, ds.trajectories, 5)
         assert float(ad.value_of(loss)) == 0.0
 
     def test_constant_offset_gives_c_squared(self):
         full, partial, ds = burgers_setup()
-        states = tr.rollout(None, full, ds.ics, 5)
+        states = tr.rollout(tr.PhysicsSurrogate(full).step, ds.ics, 5)
         targets = np.stack([ad.value_of(s) for s in states], axis=1) + 0.7
-        loss = tr.rollout_loss(None, full, ds.ics, targets, 5)
+        loss = tr.rollout_loss(tiny_model(), full, ds.ics, targets, 5)
         assert abs(float(ad.value_of(loss)) - 0.49) < 1e-12
 
     def test_matches_independent_recomputation(self):
@@ -148,7 +151,7 @@ class TestRolloutLoss:
     def test_needs_enough_stored_steps(self):
         full, partial, ds = burgers_setup(nt=3)
         with pytest.raises(ValueError):
-            tr.rollout_loss(None, full, ds.ics, ds.trajectories, 10)
+            tr.rollout_loss(tiny_model(), full, ds.ics, ds.trajectories, 10)
 
 
 class TestTrain:
@@ -242,6 +245,7 @@ class TestSurrogates:
         class BlowsUpOnSchedule:
             # sample k turns non-finite at step k; sample 0 never does
             t = 0
+            block = 4  # each step sees the whole batch
 
             def step(self, u):
                 self.t += 1
@@ -257,6 +261,7 @@ class TestSurrogates:
         assert stats["diverged"].tolist() == [False, True, True, True]
 
     def test_augmented_surrogate_matches_rollout(self):
+        # the step evaluation rolls untaped is the step training tapes
         full, partial, ds = burgers_setup()
         model = tiny_model(seed=5)
         rng = np.random.default_rng(6)
@@ -264,7 +269,10 @@ class TestSurrogates:
             model.params[k] = 0.05 * rng.standard_normal(model.params[k].shape)
         sur = tr.AugmentedSurrogate(partial, model)
         stats = tr.rollout_statistics(sur, ds.ics, 6, snapshots=range(1, 7))
-        states = tr.rollout(model, partial, ds.ics, 6)
+        tape = ad.Tape()
+        staged = {k: tape.leaf(v) for k, v in model.params.items()}
+        states = tr.rollout(tr.AugmentedSurrogate(partial, model, staged).step,
+                            ds.ics, 6)
         for t, s in enumerate(states[1:], start=1):
             assert np.array_equal(stats["snapshots"][t], ad.value_of(s))
         assert np.array_equal(stats["final"], ad.value_of(states[-1]))
@@ -287,38 +295,90 @@ class TestSurrogates:
             "out_channels=1" in str(err.value)
 
 
-class TestBlockedAugmentedStep:
-    """AugmentedSurrogate.step evaluates the WNO in sample blocks; the result
-    must equal one whole-batch evaluation bit for bit."""
+class TestBlockedRollout:
+    """rollout_statistics steps blocks of surrogate.block samples; every
+    field must equal a whole-batch rollout bit for bit, and datagen.generate
+    must write the same bytes under any block."""
+
+    STEPS = 10
 
     @staticmethod
-    def case(preset, overrides, n, seed):
+    def case(preset, overrides, n, blowup):
         cfg = cf.load_config(preset=preset, overrides=overrides)
-        model = wno.WnoModel.initialize(cfg.wno_config(), seed)
+        u = rel.grf_initial_conditions(cfg.grf_spec(), cfg.full_spec(), n, 3)
+        u[blowup] *= 100.0  # diverges mid-rollout
+        return cfg, u
+
+    def check(self, sur, u, probe_index):
+        n = len(u)
+        assert sur.block < n and n % sur.block != 0
+        truth = np.random.default_rng(5).standard_normal(
+            (n, self.STEPS + 1) + u.shape[1:])
+
+        def stats(block):
+            sur.block = block
+            return tr.rollout_statistics(
+                sur, u, self.STEPS, probe_index=probe_index,
+                snapshots=(1, 4, self.STEPS), truth=truth,
+                mse_steps=self.STEPS - 2)
+
+        blocked, whole = stats(sur.block), stats(n)
+        at = blocked["diverged_at"]
+        assert np.count_nonzero(at >= 0) == 1 and 0 < at.max() < self.STEPS
+        assert blocked.keys() == whole.keys()
+        for key in ("max_response", "probe", "sse", "count", "mse", "diverged",
+                    "diverged_at", "final"):
+            assert np.array_equal(blocked[key], whole[key]), key
+        assert blocked["snapshots"].keys() == whole["snapshots"].keys()
+        for t, snap in blocked["snapshots"].items():
+            assert np.array_equal(snap, whole["snapshots"][t]), t
+
+    @staticmethod
+    def augmented(cfg, u):
+        model = wno.WnoModel.initialize(cfg.wno_config(), 3)
         # the zero output layer would make every correction zero
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(3)
         for name in ("downlift2.weight", "downlift2.bias"):
             model.params[name] = 0.1 * rng.standard_normal(model.params[name].shape)
-        u = rel.grf_initial_conditions(cfg.grf_spec(), cfg.full_spec(), n, seed)
-        return cfg.partial_spec(), model, u
+        sur = tr.AugmentedSurrogate(cfg.partial_spec(), model)
+        assert np.all(wno.wno_forward(u, sur.coords, model) != 0.0)
+        return sur
 
-    def check(self, spec, model, u):
-        got = tr.AugmentedSurrogate(spec, model).step(u)
-        corr = wno.wno_forward(u, spec.coordinates(), model)
-        want = ph.euler_step_values(u, spec, corr)
-        assert np.any(corr != 0.0)
-        assert np.array_equal(got, want)
+    def test_desk_dpa_blocks_of_42_42_5(self):
+        cfg, u = self.case("burgers1d-missing-diffusion-desk", (), 89, 44)
+        sur = self.augmented(cfg, u)
+        assert sur.block == 42  # width 24, fc1_dim 48, 64 points
+        self.check(sur, u, (17,))
 
-    def test_desk_several_blocks_and_a_ragged_one(self):
-        # desk blocks hold 42 samples (width 24, fc1_dim 48, 64 points)
-        self.check(*self.case("burgers1d-missing-diffusion-desk", (), 89, 3))
-
-    def test_small_2d_coarsest_bands(self):
+    def test_small_2d_dpa_coarsest_bands(self):
         overrides = ("pde.nx=32", "pde.ny=32", "wno.width=8", "wno.fc1_dim=48",
                      "wno.levels=2", "wno.layers=2")
-        spec, model, u = self.case("burgers2d-missing-xdiff", overrides, 3, 4)
-        assert model.config.bands == "coarsest"
-        self.check(spec, model, u)
+        cfg, u = self.case("burgers2d-missing-xdiff", overrides, 3, 2)
+        sur = self.augmented(cfg, u)
+        assert cfg.wno_config().bands == "coarsest"
+        assert sur.block == 2  # fc1_dim 48 over 32x32 points
+        self.check(sur, u, (5, 9))
+
+    def test_small_2d_physics_blocks_of_3(self):
+        cfg, u = self.case("burgers2d-missing-xdiff",
+                           ("pde.nx=16", "pde.ny=16"), 7, 4)
+        sur = tr.PhysicsSurrogate(cfg.partial_spec())
+        sur.block = 3
+        self.check(sur, u, (5, 9))
+
+    def test_generate_bytes_under_a_ragged_block(self, monkeypatch):
+        cfg = cf.load_config(preset="burgers1d-missing-diffusion-desk")
+        full, fams = cfg.full_spec(), cfg.families("train")
+
+        def generate():
+            return dg.generate(full, fams, cfg.n_train, 5, cfg.seed)
+
+        whole = generate()
+        # three 64-point states per block: 16 samples in blocks of 3, 3, 3, 3, 3, 1
+        monkeypatch.setattr(tr, "_BLOCK_BYTES", 3 * 64 * 8)
+        assert tr.PhysicsSurrogate(full).block == 3 and cfg.n_train == 16
+        blocked = generate()
+        assert blocked.trajectories.tobytes() == whole.trajectories.tobytes()
 
 
 def assert_only_read_values_kept(tape):
@@ -391,11 +451,10 @@ class TestTapeMemory:
         tapes, alive = [], []
 
         def rollout_loss(model, spec, ics, targets, t_steps, params=None,
-                         coords=None, original=tr.rollout_loss):
+                         original=tr.rollout_loss):
             alive.append([ref() is not None for ref in tapes])
             tapes.append(weakref.ref(next(iter(params.values())).tape))
-            return original(model, spec, ics, targets, t_steps, params=params,
-                            coords=coords)
+            return original(model, spec, ics, targets, t_steps, params=params)
 
         monkeypatch.setattr(tr, "rollout_loss", rollout_loss)
         cfg = tr.TrainConfig(epochs=2, unroll_schedule=((0, 3),), batch_size=2,
