@@ -13,6 +13,12 @@ output array belongs to the returned :class:`Tensor` and is saved on its
 node when, and only when, a consumer that reads it is recorded.  Values
 nothing reads in reverse are freed as soon as the forward pass drops them.
 
+GELU and its VJP, the largest kernels outside BLAS, walk a large array in
+its memory order in cache-sized chunks, with one output array and
+chunk-sized scratch instead of full-size temporaries.  Each chunk runs the
+same elementwise expression in the same operation order, so the values, and
+the output's strides, are those of one whole-array evaluation.
+
 Shapes are explicit (rank 1-4, optional leading batch axis); there is no
 general broadcasting.  Python floats are accepted as scalar operands.
 """
@@ -39,24 +45,59 @@ _GELU_3A = 3.0 * _GELU_A
 #
 # Each kernel evaluates its formula in a fixed order and hands BLAS fixed
 # operands; byte-identical primary outputs across versions depend on both.
+# How an elementwise kernel splits its array is not part of that order: each
+# element's result depends on that element's operands alone.
 
-def _gelu_tanh(x):
-    """tanh(C (x + A x^3)) in one fresh buffer, evaluated in the order of
-    that expression: ((A x) x) x, then + x, then * C."""
-    t = np.multiply(_GELU_A, x, out=np.empty_like(x, dtype=np.float64))
+# GELU and its VJP are bound by memory traffic, not by tanh.  An output
+# larger than _SINGLE_SHOT_BYTES whose operands share one contiguous layout
+# is walked in memory order, _CHUNK_BYTES at a time: each chunk runs the
+# single-shot expression, in the same operation order, into its slice of the
+# output, and a chunk's operands and scratch (at most five 128 KiB buffers)
+# stay in a 2 MiB L2 cache from one operation to the next.
+_CHUNK_BYTES = 1 << 17
+_SINGLE_SHOT_BYTES = 4 * _CHUNK_BYTES
+
+
+def _pieces(scratch, *arrays):
+    """Matching pieces of the same-shaped `arrays` (output last), each
+    followed by `scratch` new buffers shaped like it: flat chunks in memory
+    order when the output is large and every array shares one contiguous
+    layout, else the whole arrays with full-size scratch."""
+    out = arrays[-1]
+    if out.nbytes > _SINGLE_SHOT_BYTES:
+        order = np.argsort(out.strides)[::-1]
+        flats = [a.transpose(order) for a in arrays]
+        if all(f.flags.c_contiguous for f in flats):
+            flats = [f.reshape(-1) for f in flats]
+            step = _CHUNK_BYTES // out.itemsize
+            bufs = [np.empty(step) for _ in range(scratch)]
+            for i in range(0, out.size, step):
+                n = min(step, out.size - i)
+                yield (tuple(f[i:i + n] for f in flats)
+                       + tuple(b[:n] for b in bufs))
+            return
+    yield arrays + tuple(np.empty_like(out) for _ in range(scratch))
+
+
+def _gelu_tanh(x, t):
+    """t = tanh(C (x + A x^3)), evaluated in the order of that expression:
+    ((A x) x) x, then + x, then * C."""
+    np.multiply(_GELU_A, x, out=t)
     t *= x
     t *= x
     t += x
     t *= _GELU_C
-    return np.tanh(t, out=t)
+    np.tanh(t, out=t)
 
 
 def k_gelu(x):
     # 0.5 x (1 + t), as (0.5 x) * (1 + t)
-    t = _gelu_tanh(x)
-    t += 1.0
-    out = np.multiply(0.5, x, out=np.empty_like(t))
-    out *= t
+    out = np.empty_like(x, dtype=np.float64)
+    for xp, op, t in _pieces(1, x, out):
+        _gelu_tanh(xp, t)
+        t += 1.0
+        np.multiply(0.5, xp, out=op)
+        op *= t
     return out
 
 
@@ -393,23 +434,31 @@ def _vjp_bias_add(tape, node, g):
 
 def _vjp_gelu(tape, node, g):
     # g * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2)), evaluated left to
-    # right in three fresh buffers; g and x are tape values and stay untouched
+    # right into the output t and two scratch buffers per piece; g and x are
+    # tape values and stay untouched.  A g in another layout than the output
+    # is not copied into it: it multiplies the whole output once, in place.
     x = _input_value(tape, node, 0)
-    t = _gelu_tanh(x)
-    s = np.multiply(t, t, out=np.empty_like(t))
-    np.subtract(1.0, s, out=s)
-    dx = np.multiply(0.5, x, out=np.empty_like(t))
-    dx *= s
-    dx *= _GELU_C
-    np.multiply(_GELU_3A, x, out=s)
-    s *= x
-    s += 1.0
-    dx *= s
-    t += 1.0
-    t *= 0.5
-    t += dx
-    t *= g
-    return (t,)
+    out = np.empty_like(x, dtype=np.float64)
+    fused = (g,) if g.strides == out.strides else ()
+    for xp, *gp, t, s, dx in _pieces(2, x, *fused, out):
+        _gelu_tanh(xp, t)
+        np.multiply(t, t, out=s)
+        np.subtract(1.0, s, out=s)
+        np.multiply(0.5, xp, out=dx)
+        dx *= s
+        dx *= _GELU_C
+        np.multiply(_GELU_3A, xp, out=s)
+        s *= xp
+        s += 1.0
+        dx *= s
+        t += 1.0
+        t *= 0.5
+        t += dx
+        if gp:
+            t *= gp[0]
+    if not fused:
+        out *= g
+    return (out,)
 
 
 def _vjp_square(tape, node, g):

@@ -71,7 +71,8 @@ Override any key with --set SECTION.KEY=VALUE (repeatable).
 # one column per training.EpochLog field, in order
 TRAIN_LOG_COLUMNS = ("epoch", "T", "mean_loss", "wall_ms", "forward_ms",
                      "backward_ms", "optimizer_ms", "grad_norm_max",
-                     "clipped_batches", "tape_nodes", "tape_bytes")
+                     "clipped_batches", "tape_nodes", "tape_bytes",
+                     "minor_faults")
 
 
 def _fmt(x) -> str:

@@ -25,6 +25,7 @@ rhs" reproduce the full rhs bit-for-bit, which the oracle tests rely on.
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,12 +194,19 @@ class PdeSpec:
         return (self.channels,) + self.spatial_shape()
 
     def boundary_mask(self):
-        """Boolean mask over (C,) + spatial shape, True on Dirichlet entries."""
-        mask = np.zeros(self.state_shape(), dtype=bool)
-        if self.bc == "dirichlet":
-            for axis in range(1, mask.ndim):  # both ends of every spatial axis
-                np.moveaxis(mask, axis, 0)[[0, -1]] = True
-        return mask
+        """Read-only boolean mask over (C,) + spatial shape, True on Dirichlet
+        entries; one shared array per state shape and bc."""
+        return _boundary_mask(self.state_shape(), self.bc)
+
+
+@lru_cache(maxsize=None)
+def _boundary_mask(shape, bc):
+    mask = np.zeros(shape, dtype=bool)
+    if bc == "dirichlet":
+        for axis in range(1, mask.ndim):  # both ends of every spatial axis
+            np.moveaxis(mask, axis, 0)[[0, -1]] = True
+    mask.flags.writeable = False
+    return mask
 
 
 def _d1(u, dx, axis):

@@ -7,6 +7,7 @@ wno_forward(state_t)), the same step that evaluation, uq and reliability
 roll, and gradients flow back through every step of the unroll.
 """
 
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -86,6 +87,7 @@ class EpochLog:
     clipped_batches: int
     tape_nodes: int  # largest tape of the epoch
     tape_bytes: int  # largest sum of node values kept for the reverse sweep
+    minor_faults: int  # pages the process faulted in during the epoch
 
 
 @dataclass
@@ -252,6 +254,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
         norm_max = 0.0
         clipped = 0
         tape_nodes = tape_bytes = 0
+        faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         epoch_t0 = time.perf_counter()
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -290,10 +293,11 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
         trace.append((epoch, t_steps))
         if log_sink is not None:
             wall_ms = (time.perf_counter() - epoch_t0) * 1e3
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
             log_sink(EpochLog(epoch, t_steps, mean_loss, wall_ms,
                               forward_s * 1e3, backward_s * 1e3,
                               optimizer_s * 1e3, norm_max, clipped, tape_nodes,
-                              tape_bytes))
+                              tape_bytes, faults))
         if checkpoint_fn is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
             checkpoint_fn(epoch, model)

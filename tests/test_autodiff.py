@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -288,13 +290,36 @@ def axis_cases():
             yield RNG.standard_normal(shape[::-1]).transpose(), axis
 
 
+GELU_EDGE = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-160, 30.0, -30.0])
+
+
+def large_gelu_inputs():
+    """Inputs above the single-shot size of the GELU kernels, which walk them
+    in chunks: contiguous, the channel-last 4D view a channel matmul
+    returns, a transposed 2D array, and a size that leaves a ragged last
+    chunk with the edge values at both ends."""
+    ragged = RNG.uniform(-6.0, 6.0, 5 * (ad._CHUNK_BYTES // 8) + 123)
+    ragged[:7], ragged[-7:] = GELU_EDGE, GELU_EDGE
+    return [RNG.uniform(-6.0, 6.0, (1, 64, 32, 40)),
+            RNG.uniform(-6.0, 6.0, (1, 32, 48, 64)).transpose(0, 3, 1, 2),
+            RNG.uniform(-6.0, 6.0, (300, 301)).T,
+            ragged]
+
+
 def gelu_inputs():
     """|x| <= 30, through tanh saturation, signed zeros and subnormals,
-    contiguous and as a transposed view."""
-    edge = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-160, 30.0, -30.0])
-    line = np.concatenate([np.linspace(-30.0, 30.0, 2401), edge])
+    contiguous and as a transposed view; then the large inputs."""
+    line = np.concatenate([np.linspace(-30.0, 30.0, 2401), GELU_EDGE])
     grid = RNG.uniform(-30.0, 30.0, size=(5, 3, 8))
-    return [line, grid, grid.transpose(2, 0, 1), RNG.standard_normal((4, 9)).T * 4.0]
+    return [line, grid, grid.transpose(2, 0, 1),
+            RNG.standard_normal((4, 9)).T * 4.0] + large_gelu_inputs()
+
+
+def gelu_gradients(x):
+    """Cotangents in x's layout, C order and F order."""
+    same = np.empty_like(x)
+    same[...] = RNG.standard_normal(x.shape)
+    return same, RNG.standard_normal(x.shape), RNG.standard_normal(x.shape[::-1]).T
 
 
 class TestKernelEquivalence:
@@ -341,17 +366,32 @@ class TestKernelEquivalence:
 
     def test_gelu_matches_reference(self):
         for x in gelu_inputs():
-            assert bitwise_equal(ad.k_gelu(x), gelu_reference(x))
-            assert bitwise_equal(ad.gelu(x), gelu_reference(x))
+            ref = gelu_reference(x)
+            for out in (ad.k_gelu(x), ad.gelu(x)):
+                assert bitwise_equal(out, ref), (x.shape, x.strides)
+                assert out.strides == ref.strides, (x.shape, x.strides)
 
     def test_gelu_vjp_matches_reference(self):
         for x in gelu_inputs():
-            for g in (RNG.standard_normal(x.shape),
-                      RNG.standard_normal(x.shape[::-1]).T):
+            for g in gelu_gradients(x):
                 tape = ad.Tape()
                 out = ad.gelu(tape.leaf(x))
                 (dx,) = ad._vjp_gelu(tape, tape.nodes[out.node_id], g)
-                assert bitwise_equal(dx, gelu_vjp_reference(x, g))
+                assert bitwise_equal(dx, gelu_vjp_reference(x, g)), (
+                    x.strides, g.strides)
+                # x's layout, whatever the layout of g
+                assert dx.strides == gelu_reference(x).strides
+
+    def test_large_gelu_inputs_are_chunked(self):
+        for x in large_gelu_inputs():
+            pieces = list(ad._pieces(1, x, np.empty_like(x)))
+            assert len(pieces) > 4 and pieces[0][0].ndim == 1, x.shape
+
+    def test_nonfinite_in_last_chunk_raises(self):
+        x = large_gelu_inputs()[-1]
+        x[-1] = np.nan
+        with pytest.raises(NonFiniteValue, match="'gelu'"):
+            ad.record(ad.Tape(), "gelu", x)
 
     def test_gelu_leaves_inputs_untouched(self):
         for x in gelu_inputs():
@@ -360,12 +400,12 @@ class TestKernelEquivalence:
             tape = ad.Tape()
             leaf = tape.leaf(x)
             out = ad.gelu(leaf)
-            g = RNG.standard_normal(x.shape)
-            g_before = g.copy()
-            ad._vjp_gelu(tape, tape.nodes[out.node_id], g)
+            for g in gelu_gradients(x):
+                g_before = g.copy()
+                ad._vjp_gelu(tape, tape.nodes[out.node_id], g)
+                assert bitwise_equal(g, g_before)
             assert bitwise_equal(x, x_before)
             assert bitwise_equal(leaf.data, x_before)
-            assert bitwise_equal(g, g_before)
 
     def test_matmul_leaves_inputs_untouched(self):
         for v, axis in axis_cases():
@@ -395,3 +435,26 @@ class TestKernelEquivalence:
         w = tape.leaf(RNG.standard_normal((4, 3)))
         with pytest.raises(NonFiniteValue, match="'matmul'"):
             ad.matmul(w, x, channel_axis=1)
+
+
+class TestGeluMemory:
+    """The GELU kernels allocate their output and chunk-sized scratch only:
+    no full-size temporary, whatever the layout of the incoming gradient."""
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_below_one_and_a_half_outputs(self):
+        x = RNG.standard_normal((1, 128, 64, 64))
+        tape = ad.Tape()
+        node = tape.nodes[ad.gelu(tape.leaf(x)).node_id]
+        assert self.peak(lambda: ad.k_gelu(x)) < 1.5 * x.nbytes
+        for g in (RNG.standard_normal(x.shape),
+                  RNG.standard_normal(x.shape[::-1]).T):
+            assert self.peak(lambda: ad._vjp_gelu(tape, node, g)) < 1.5 * x.nbytes

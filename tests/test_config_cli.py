@@ -749,7 +749,7 @@ class TestTrainLog:
         rows = (out / "train_log.csv").read_text().splitlines()
         assert rows[0] == ("epoch,T,mean_loss,wall_ms,forward_ms,backward_ms,"
                            "optimizer_ms,grad_norm_max,clipped_batches,tape_nodes,"
-                           "tape_bytes")
+                           "tape_bytes,minor_faults")
         assert [row.split(",")[:2] for row in rows[1:]] == [["0", "3"], ["1", "3"]]
 
     def train_log(self, tmp_path, name, grad_clip):
@@ -784,6 +784,7 @@ class TestTrainLog:
                 assert int(r["tape_nodes"]) == len(tape.nodes)
                 assert int(r["tape_bytes"]) == sum(
                     node.value.nbytes for node in tape.nodes)
+                assert int(r["minor_faults"]) >= 0
         # the norm is read before clipping, which would cap it at 1e-9
         assert all(float(r["grad_norm_max"]) > 1e-6 for r in clipped)
         assert [int(r["clipped_batches"]) for r in clipped] == [batches] * 3

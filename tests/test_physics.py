@@ -131,6 +131,20 @@ class TestApplyBc:
         assert out[0, 0] == 0.0 and out[0, -1] == 0.0
         assert np.array_equal(out[0, 1:-1], u[0, 1:-1])
 
+    def test_dirichlet_mask_built_once_and_read_only(self):
+        spec = burgers2d()
+        tape = ad.Tape()
+        u = tape.leaf(np.random.default_rng(7).standard_normal((2, 2, 16, 16)))
+        for _ in range(3):
+            u = ph.euler_step_values(u, spec)
+        masks = [node.ctx["mask"] for node in tape.nodes
+                 if node.op == "boundary_overwrite"]
+        assert len(masks) == 3
+        assert all(mask is masks[0] for mask in masks)
+        assert not masks[0].flags.writeable
+        # a spec with the same state shape and bc shares the mask
+        assert burgers2d(dt=2e-3).boundary_mask() is masks[0]
+
     def test_burgers2d_edges_pinned_to_one_after_step(self):
         spec = burgers2d()
         u = np.random.default_rng(6).standard_normal((2, 16, 16)) + 2.0
