@@ -10,7 +10,7 @@ reliability analysis over random initial conditions.
 Module map:
 
     autodiff     reverse-mode tape over dense float64 grid tensors
-    wavelet      multilevel Daubechies transforms (1D / separable 2D)
+    wavelet      multilevel db6 transforms (1D / separable 2D)
     wno          the wavelet neural operator network and its checkpoints
     physics      benchmark right-hand sides, term masks, grid layout,
                  Euler stepper
@@ -24,7 +24,6 @@ Module map:
 from .physics import PdeSpec
 from .reliability import GrfSpec, LimitState, ReliabilityReport
 from .training import TrainConfig, TrainReport
-from .wavelet import WaveletSpec
 from .wno import WnoConfig, WnoModel
 
 __version__ = "0.1.0"
@@ -36,7 +35,6 @@ __all__ = [
     "ReliabilityReport",
     "TrainConfig",
     "TrainReport",
-    "WaveletSpec",
     "WnoConfig",
     "WnoModel",
     "__version__",

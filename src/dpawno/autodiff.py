@@ -121,12 +121,6 @@ def k_axis_matmul(mat, v, axis):
     return (v.transpose(order) @ mat.T).transpose(inverse)
 
 
-def k_channel_matmul(w, v, axis):
-    if v.ndim == 1:
-        return w @ v
-    return k_axis_matmul(w, v, axis)
-
-
 def k_circ_stencil(v, taps, axis):
     # accumulation order is fixed: it is part of the bit-exactness contract
     # with the dense-matrix reference stepper
@@ -330,21 +324,15 @@ def _fw_scalar_mul(v, p):
 
 def _fw_matmul(v, p):
     w, x = v
-    axis = p.get("channel_axis")
-    if axis is None:
-        if x.ndim != 1:
-            raise ShapeMismatch("matmul: channel_axis required for rank >= 2 input")
-        axis = 0
+    axis = p["channel_axis"]
     if w.ndim != 2 or x.shape[axis] != w.shape[1]:
         raise ShapeMismatch(f"matmul: {w.shape} against axis {axis} of {x.shape}")
-    return k_channel_matmul(w, x, axis), {"axis": axis}
+    return k_axis_matmul(w, x, axis), {"axis": axis}
 
 
 def _fw_bias_add(v, p):
     x, b = v
-    axis = p.get("channel_axis")
-    if axis is None:
-        axis = 1 if x.ndim >= 3 else 0
+    axis = p["channel_axis"]
     if b.ndim != 1 or x.shape[axis] != b.shape[0]:
         raise ShapeMismatch(f"bias_add: {b.shape} against axis {axis} of {x.shape}")
     return k_bias_add(x, b, axis), {"axis": axis}
@@ -418,8 +406,6 @@ def _vjp_matmul(tape, node, g):
     w = _input_value(tape, node, 0)
     x = _input_value(tape, node, 1)
     axis = node.ctx["axis"]
-    if x.ndim == 1:
-        return np.outer(g, x), w.T @ g
     order, inverse = _axis_orders(x.ndim, axis)
     gm, xm = g.transpose(order), x.transpose(order)
     gw = gm.reshape(-1, w.shape[0]).T @ xm.reshape(-1, w.shape[1])
@@ -556,11 +542,11 @@ def scalar_mul(a, c: float):
     return _apply("scalar_mul", a, scalar=float(c))
 
 
-def matmul(w, v, channel_axis=None):
+def matmul(w, v, channel_axis: int):
     return _apply("matmul", w, v, channel_axis=channel_axis)
 
 
-def bias_add(v, b, channel_axis=None):
+def bias_add(v, b, channel_axis: int):
     return _apply("bias_add", v, b, channel_axis=channel_axis)
 
 

@@ -52,18 +52,21 @@ configuration keys (INI sections):
                 kind, count (>= 1), and for kind cosine|sine (1D):
                 amplitudes, frequencies; for kind square2d (2D): value
                 (list, lo..hi grid, uniform: lo, hi)
-  [wno]         width, layers, family, levels, fc1_dim, bands
+  [wno]         width, layers, levels, fc1_dim, bands
   [train]       epochs, learning_rate, batch_size, schedule
                 (auto: T0 @ HOLD, TMAX @ REACH  or  pairs: E:T ...),
-                grad_clip, checkpoint_every
+                checkpoint_every
   [probe]       x, y (burgers2d only), t (list of step indices)
   [eval]        steps, snapshots
   [grf]         kernel (exp_sine_squared|rbf; rbf on 2D grids), alpha,
-                length_scale, periodicity, jitter
+                length_scale, periodicity
   [limit_state] threshold, horizon
   [reliability] n
 Any other section or key, [DEFAULT] included, and any key that the
 benchmark or the family's kind does not read is a usage error.
+Fixed, with no key: the db6 wavelet; gradient clipping at global norm 10;
+GRF Cholesky jitter 1e-8, tenfold per retry up to 1e-4, jitter/alpha on
+the axes after x.
 Override any key with --set SECTION.KEY=VALUE (repeatable).
 """
 
@@ -136,8 +139,8 @@ def cmd_gen_data(args) -> int:
             raise UsageError(f"[ic.{role}.N] families yield {yielded} ICs; "
                              f"[data] n_{role} is {n}")
     out = _ensure_outdir(args.out)
-    train, test = [dg.generate(full, families, n, nt, cfg.seed, purpose=purpose)
-                   for families, n, nt, purpose in roles.values()]
+    train, test = [dg.generate(full, families, nt, cfg.seed, purpose=purpose)
+                   for families, _, nt, purpose in roles.values()]
     dg.save(train, os.path.join(out, "train.dpds"))
     dg.save(test, os.path.join(out, "test.dpds"))
     _write_sidecar(os.path.join(out, "gen-data.meta.json"), {

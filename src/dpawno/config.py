@@ -11,6 +11,11 @@ Grammar (values by example):
 Every key is listed in KEYS, documented in the README and in
 `dpawno <cmd> --help`. load_config rejects any other section or key, and
 any key that the benchmark or the family's kind (datagen.IC_KINDS) never reads.
+
+Fixed in the code, with no key: the db6 wavelet family; gradient clipping
+at global norm 10 (training.GRAD_CLIP_NORM); and the GRF Cholesky jitter,
+1e-8 (reliability.JITTER), ten times larger on each retry up to 1e-4, and
+jitter/alpha on the axes after x.
 """
 
 import configparser
@@ -20,7 +25,6 @@ from importlib import resources
 
 
 from . import physics as ph
-from . import wavelet as wv
 from . import wno as wno_mod
 from .datagen import IC_KINDS, IcFamily
 from .errors import UnsupportedTermForBenchmark, UsageError
@@ -63,12 +67,12 @@ KEYS = {
     "data": ("n_train", "nt_train", "n_test", "nt_test"),
     "ic.train.N": _IC_KEYS,
     "ic.test.N": _IC_KEYS,
-    "wno": ("width", "layers", "family", "levels", "fc1_dim", "bands"),
+    "wno": ("width", "layers", "levels", "fc1_dim", "bands"),
     "train": ("epochs", "learning_rate", "batch_size", "schedule",
-              "grad_clip", "checkpoint_every"),
+              "checkpoint_every"),
     "probe": _union(keys["probe"] for keys in _BENCHMARK_KEYS.values()),
     "eval": ("steps", "snapshots"),
-    "grf": ("kernel", "alpha", "length_scale", "periodicity", "jitter"),
+    "grf": ("kernel", "alpha", "length_scale", "periodicity"),
     "limit_state": ("threshold", "horizon"),
     "reliability": ("n",),
 }
@@ -247,10 +251,7 @@ class ExperimentConfig:
         return wno_mod.WnoConfig(
             width=self._get("wno", "width", int),
             layers=self._get("wno", "layers", int),
-            wavelet=wv.WaveletSpec(
-                self._get("wno", "family", str, "db6"),
-                self._get("wno", "levels", int),
-            ),
+            levels=self._get("wno", "levels", int),
             fc1_dim=self._get("wno", "fc1_dim", int),
             bands=self._get("wno", "bands", str, "coarsest"),
             # every term set shares one state shape; this spec reads the
@@ -259,7 +260,6 @@ class ExperimentConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        clip = self._get("train", "grad_clip", float, 10.0)
         return TrainConfig(
             epochs=self._get("train", "epochs", int),
             unroll_schedule=parse_schedule(self._get("train", "schedule")),
@@ -267,7 +267,6 @@ class ExperimentConfig:
             learning_rate=self._get("train", "learning_rate", float),
             seed=self.seed,
             checkpoint_every=self._get("train", "checkpoint_every", int, 0),
-            grad_clip_norm=None if clip <= 0 else clip,
         )
 
     def grf_spec(self) -> GrfSpec:
@@ -276,7 +275,6 @@ class ExperimentConfig:
             alpha=self._get("grf", "alpha", float),
             length_scale=self._get("grf", "length_scale", float),
             periodicity=self._get("grf", "periodicity", float, 1.0),
-            jitter=self._get("grf", "jitter", float, 1e-8),
         )
 
     def limit_state(self) -> LimitState:

@@ -175,20 +175,17 @@ def _check_advective_cfl(spec: ph.PdeSpec, ics):
         )
 
 
-def generate(spec: ph.PdeSpec, families, n: int, nt: int, seed: int,
+def generate(spec: ph.PdeSpec, families, nt: int, seed: int,
              purpose: str = "data") -> Dataset:
-    """Solve the complete physics for every sampled IC, storing all steps."""
+    """Solve the complete physics for every IC the `families` yield,
+    storing all `nt` steps after the IC."""
     if tuple(spec.terms) != spec.full_terms:
         raise ValueError(
             f"ground truth needs the full term set {spec.full_terms}, got {spec.terms}")
-    if isinstance(families, IcFamily):
-        families = [families]
     ics = sample_families(families, spec, seed, purpose=purpose)
-    if ics.shape[0] != n:
-        raise ValueError(f"families yield {ics.shape[0]} ICs, expected n={n}")
     _check_advective_cfl(spec, ics)
     solver = PhysicsSurrogate(spec)
-    states = np.empty((n, nt + 1) + spec.state_shape())
+    states = np.empty((len(ics), nt + 1) + spec.state_shape())
     for t, u, alive in ph.masked_steps(solver.step, ics, nt, solver.block):
         if not alive.all():
             idx = int(np.argmax(~alive))
@@ -278,10 +275,10 @@ def load(path) -> Dataset:
         if len(raw) < 8:
             raise ChecksumMismatch("file truncated inside the header")
         version, blob_len = struct.unpack("<II", raw)
-        if version > DATASET_VERSION:
+        if version != DATASET_VERSION:
             raise FormatVersionMismatch(
-                f"dataset format version {version} is newer than supported "
-                f"{DATASET_VERSION}")
+                f"dataset format version {version}; only version "
+                f"{DATASET_VERSION} is read")
         blob = fh.read(blob_len)
         raw = fh.read(8)
         if len(blob) < blob_len or len(raw) < 8:

@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from . import physics as ph
 from . import training as tr
-from . import wavelet as wv
 from . import wno as wno_mod
 from .rng import stream
 
@@ -35,7 +34,7 @@ def reduced_wno_config(spec: ph.PdeSpec) -> wno_mod.WnoConfig:
     return wno_mod.WnoConfig(
         width=REDUCED_WIDTH,
         layers=2,
-        wavelet=wv.WaveletSpec("db6", REDUCED_LEVELS),
+        levels=REDUCED_LEVELS,
         fc1_dim=8,
         **wno_mod.io_fields(spec.state_shape()),
     )

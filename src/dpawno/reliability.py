@@ -23,6 +23,9 @@ from .rng import stream
 from .training import rollout_statistics
 
 KERNELS = ("exp_sine_squared", "rbf")
+# diagonal jitter of the first Cholesky attempt on the x axis; each retry
+# multiplies it by ten, up to _MAX_JITTER
+JITTER = 1e-8
 _MAX_JITTER = 1e-4
 
 
@@ -41,7 +44,6 @@ class GrfSpec:
     alpha: float = 4.0
     length_scale: float = 0.5
     periodicity: float = 1.0
-    jitter: float = 1e-8
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
@@ -50,9 +52,9 @@ class GrfSpec:
             raise ValueError("alpha, length_scale and periodicity must be positive")
 
 
-def grf_covariance(spec: GrfSpec, axis) -> np.ndarray:
-    """Covariance matrix over the points of one grid axis, with the
-    diagonal jitter already added; the kernel is applied in the order of
+def grf_covariance(spec: GrfSpec, axis, jitter: float) -> np.ndarray:
+    """Covariance matrix over the points of one grid axis, with `jitter`
+    already added to the diagonal; the kernel is applied in the order of
     the closed forms above."""
     x = np.asarray(axis, dtype=np.float64)
     if x.size == 0:
@@ -63,14 +65,13 @@ def grf_covariance(spec: GrfSpec, axis) -> np.ndarray:
                                 * -(2.0 / spec.length_scale ** 2))
     else:
         k = spec.alpha * np.exp(-np.square(dist) / (2.0 * spec.length_scale ** 2))
-    return k + spec.jitter * np.eye(len(x))
+    return k + jitter * np.eye(len(x))
 
 
-def _cholesky(spec: GrfSpec, axis) -> np.ndarray:
-    jitter = spec.jitter
+def _cholesky(spec: GrfSpec, axis, jitter: float) -> np.ndarray:
     while jitter <= _MAX_JITTER:
         try:
-            return np.linalg.cholesky(grf_covariance(replace(spec, jitter=jitter), axis))
+            return np.linalg.cholesky(grf_covariance(spec, axis, jitter))
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NotPositiveDefinite(
@@ -81,27 +82,27 @@ def _factors(spec: GrfSpec, axes) -> list:
     """Cholesky factors, outermost grid axis first, whose Kronecker product
     factors the covariance over the tensor grid `axes` (x first).
 
-    The x factor is the plain 1D one, and every other axis uses the
-    unit-variance kernel with jitter jitter/alpha, so each factor carries
-    the same relative jitter.  Only rbf separates over the axes: the
-    exp_sine_squared kernel of the Euclidean distance does not, so over
-    more than one axis it is a ValueError, raised before any factorization.
+    The x factor is the plain 1D one, starting at JITTER, and every other
+    axis uses the unit-variance kernel starting at JITTER/alpha, so each
+    factor carries the same relative jitter.  Only rbf separates over the
+    axes: the exp_sine_squared kernel of the Euclidean distance does not,
+    so over more than one axis it is a ValueError, raised before any
+    factorization.
     """
     if len(axes) > 1 and spec.kernel != "rbf":
         raise ValueError(f"the {spec.kernel} GRF kernel does not separate over "
                          f"{len(axes)} grid axes; use kernel = rbf")
-    unit = replace(spec, alpha=1.0, jitter=spec.jitter / spec.alpha)
-    return [_cholesky(unit, axis) for axis in reversed(axes[1:])] \
-        + [_cholesky(spec, axes[0])]
+    unit = replace(spec, alpha=1.0)
+    return [_cholesky(unit, axis, JITTER / spec.alpha)
+            for axis in reversed(axes[1:])] + [_cholesky(spec, axes[0], JITTER)]
 
 
-def sample_grf(spec: GrfSpec, axes, count: int, seed: int,
-               stream_index: int = 0) -> np.ndarray:
+def sample_grf(spec: GrfSpec, axes, count: int, seed: int) -> np.ndarray:
     """`count` zero-mean draws over the tensor grid `axes` (x first, as
     PdeSpec.grid() gives them), one row per draw with x varying fastest,
     as in a flattened spatial field."""
     factors = _factors(spec, axes)
-    rng = stream(seed, "grf", stream_index)
+    rng = stream(seed, "grf")
     shape = tuple(len(chol) for chol in factors)
     z = rng.standard_normal((count, int(np.prod(shape))))
     # L_y Z L_x^T for the Kronecker factor L_y (x) L_x: each factor acts
@@ -214,10 +215,9 @@ def estimate_reliability(surrogate, ics, ls: LimitState,
     )
 
 
-def grf_initial_conditions(grf_spec: GrfSpec, spec, n: int, seed: int,
-                           stream_index: int = 0) -> np.ndarray:
+def grf_initial_conditions(grf_spec: GrfSpec, spec, n: int, seed: int) -> np.ndarray:
     """GRF draws shaped as solver states (n,) + spec.state_shape(); every
     channel holds the same field."""
-    draws = sample_grf(grf_spec, spec.grid(), n, seed, stream_index)
+    draws = sample_grf(grf_spec, spec.grid(), n, seed)
     fields = draws.reshape((n, 1) + spec.spatial_shape())
     return np.broadcast_to(fields, (n,) + spec.state_shape()).copy()

@@ -58,7 +58,6 @@ class TrainConfig:
     learning_rate: float = 0.005
     seed: int = 0
     checkpoint_every: int = 0
-    grad_clip_norm: float = 10.0  # None disables clipping
 
     def __post_init__(self):
         for key in ("epochs", "batch_size"):
@@ -100,6 +99,8 @@ class TrainReport:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# every batch's gradients are scaled to at most this global norm
+GRAD_CLIP_NORM = 10.0
 
 
 class Adam:
@@ -124,11 +125,11 @@ class Adam:
             self.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def clip_gradients(grads: dict, max_norm) -> tuple:
+def clip_gradients(grads: dict, max_norm: float) -> tuple:
     """(grads scaled to a global norm of at most `max_norm`, the global norm
-    before clipping); max_norm None leaves the gradients as they are."""
+    before clipping)."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-    if max_norm is None or total <= max_norm or total == 0.0:
+    if total <= max_norm or total == 0.0:
         return grads, total
     scale = max_norm / total
     return {k: g * scale for k, g in grads.items()}, total
@@ -177,7 +178,7 @@ class AugmentedSurrogate:
                 f"{spec.state_shape()} need {fields(expected)}")
         self.spec = spec
         self.model = model
-        self.params = params
+        self.params = model.params if params is None else params
         self.coords = spec.coordinates()
         widest = max(model.config.width, model.config.fc1_dim)
         points = int(np.prod(spec.spatial_shape()))
@@ -210,9 +211,9 @@ def rollout(step, ic, t_steps: int):
 
 
 def rollout_loss(model, spec: ph.PdeSpec, batch_ics, batch_targets,
-                 t_steps: int, params=None):
+                 t_steps: int, params):
     """Mean squared rollout error over (batch, T, space) of the augmented
-    step of `model` with `params` (default: the model's own)."""
+    step of `model` with `params` (taped leaves make it differentiable)."""
     targets = np.asarray(batch_targets, dtype=np.float64)
     if targets.shape[1] < t_steps + 1:
         raise ValueError(
@@ -264,7 +265,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
             t_forward = time.perf_counter()
             try:
                 loss = rollout_loss(model, partial_spec, batch[:, 0], batch,
-                                    t_steps, params=staged)
+                                    t_steps, staged)
                 loss_val = float(loss.data)
                 t_backward = time.perf_counter()
                 ad.backward(tape, loss)
@@ -274,14 +275,14 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
                     f"T={t_steps}: {exc}") from exc
             t_optimizer = time.perf_counter()
             grads = {name: ad.grad_of(tape, leaf) for name, leaf in staged.items()}
-            grads, norm = clip_gradients(grads, cfg.grad_clip_norm)
+            grads, norm = clip_gradients(grads, GRAD_CLIP_NORM)
             opt.step(grads)
             t_done = time.perf_counter()
             forward_s += t_backward - t_forward
             backward_s += t_optimizer - t_backward
             optimizer_s += t_done - t_optimizer
             norm_max = max(norm_max, norm)
-            if cfg.grad_clip_norm is not None and norm > cfg.grad_clip_norm:
+            if norm > GRAD_CLIP_NORM:
                 clipped += 1
             tape_nodes = max(tape_nodes, len(tape.nodes))
             tape_bytes = max(tape_bytes, sum(node.value.nbytes for node in tape.nodes))

@@ -1,4 +1,4 @@
-"""Multilevel Daubechies wavelet transforms for 1D signals and 2D fields.
+"""Multilevel Daubechies (db6) wavelet transforms for 1D signals and 2D fields.
 
 Transforms are realized as per-level banded matrices with periodic
 extension, so every level matrix is orthogonal: its adjoint (the transpose)
@@ -16,7 +16,6 @@ band and record nothing for it; the WNO kernel layer truncates its
 unweighted sub-bands this way.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,63 +23,31 @@ import numpy as np
 from . import autodiff as ad
 from .errors import InconsistentCoeffLengths, SignalTooShort
 
-# Orthonormal Daubechies scaling filters (reconstruction low-pass, natural
-# order, sum = sqrt(2)).  dbN has N vanishing moments and 2N taps.  Values are
-# the standard double-precision constants obtained by minimal-phase spectral
+# Orthonormal Daubechies db6 scaling filter (reconstruction low-pass, natural
+# order, sum = sqrt(2)): 6 vanishing moments, 12 taps.  The values are the
+# standard double-precision constants obtained by minimal-phase spectral
 # factorization of the Daubechies half-band polynomial (Daubechies,
 # "Ten Lectures on Wavelets", 1992, ch. 6); they match the widely published
-# tables for db2/db4/db6.
-_REC_LO = {
-    "db2": (
-        0.48296291314453416,
-        0.8365163037378079,
-        0.2241438680420134,
-        -0.12940952255126037,
-    ),
-    "db4": (
-        0.2303778133088965,
-        0.7148465705529157,
-        0.6308807679298589,
-        -0.027983769416859854,
-        -0.18703481171909309,
-        0.030841381835560764,
-        0.0328830116668852,
-        -0.010597401785069032,
-    ),
-    "db6": (
-        0.11154074335010947,
-        0.49462389039845306,
-        0.7511339080210954,
-        0.31525035170919763,
-        -0.22626469396543983,
-        -0.12976686756726194,
-        0.09750160558732304,
-        0.027522865530305727,
-        -0.03158203931748603,
-        0.0005538422011614961,
-        0.004777257510945511,
-        -0.0010773010853084796,
-    ),
-}
-
-FAMILIES = tuple(_REC_LO)
+# db6 table.  It is the one family the operator uses.
+_REC_LO = (
+    0.11154074335010947,
+    0.49462389039845306,
+    0.7511339080210954,
+    0.31525035170919763,
+    -0.22626469396543983,
+    -0.12976686756726194,
+    0.09750160558732304,
+    0.027522865530305727,
+    -0.03158203931748603,
+    0.0005538422011614961,
+    0.004777257510945511,
+    -0.0010773010853084796,
+)
 
 
-@dataclass(frozen=True)
-class WaveletSpec:
-    family: str = "db6"
-    levels: int = 4
-
-    def __post_init__(self):
-        if self.family not in _REC_LO:
-            raise ValueError(f"unknown wavelet family {self.family!r}; choose from {FAMILIES}")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-
-
-def filters(family: str):
-    """Return (rec_lo, rec_hi) for the family; rec_hi is the QMF mirror."""
-    h = np.asarray(_REC_LO[family], dtype=np.float64)
+def filters():
+    """Return (rec_lo, rec_hi); rec_hi is the QMF mirror."""
+    h = np.asarray(_REC_LO, dtype=np.float64)
     n = len(h)
     g = np.array([(-1) ** k * h[n - 1 - k] for k in range(n)])
     return h, g
@@ -91,12 +58,12 @@ def coeff_length(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def level_analysis(n: int, family: str):
+def level_analysis(n: int):
     """Single-level analysis matrices (A_lo, A_hi), each (n/2, n)."""
     if n % 2:
         raise SignalTooShort(
             f"periodic extension needs an even length at every level, got {n}")
-    h, g = filters(family)
+    h, g = filters()
     k_out = n // 2
     lo = np.zeros((k_out, n))
     hi = np.zeros((k_out, n))
@@ -111,23 +78,23 @@ def level_analysis(n: int, family: str):
 
 
 @lru_cache(maxsize=None)
-def level_synthesis(n: int, family: str):
+def level_synthesis(n: int):
     """Single-level synthesis matrices (S_lo, S_hi), each (n, n/2): the
     analysis matrices transposed, so S_lo @ approx + S_hi @ detail
     reconstructs the level input exactly."""
-    lo, hi = level_analysis(n, family)
+    lo, hi = level_analysis(n)
     return lo.T.copy(), hi.T.copy()
 
 
-def level_shapes(shape, spec: WaveletSpec) -> tuple:
-    """Input shape (one extent per transform axis) at each level, finest
-    first."""
+def level_shapes(shape, levels: int) -> tuple:
+    """Input shape (one extent per transform axis) at each of `levels`
+    levels, finest first."""
     shape = tuple(shape)
-    if min(shape) < 2 ** spec.levels:
+    if min(shape) < 2 ** levels:
         raise SignalTooShort(
-            f"extents {shape} shorter than 2^levels = {2 ** spec.levels}")
+            f"extents {shape} shorter than 2^levels = {2 ** levels}")
     shapes = []
-    for _ in range(spec.levels):
+    for _ in range(levels):
         shapes.append(shape)
         shape = tuple(coeff_length(n) for n in shape)
     return tuple(shapes)
@@ -148,17 +115,18 @@ class WaveletCoeffs:
         self.original_shapes = tuple(original_shapes)
 
 
-def dwt_multilevel(x, spec: WaveletSpec, dims: int = 1) -> WaveletCoeffs:
-    """Separable forward transform over the `dims` trailing axes.
+def dwt_multilevel(x, levels: int, dims: int) -> WaveletCoeffs:
+    """Separable `levels`-level forward transform over the `dims` trailing
+    axes.
 
     Each level splits every band along x, then y; a split emits (hi, lo), so
     the all-low band, the next level's input, comes out last."""
-    shapes = level_shapes(ad.value_of(x).shape[-dims:], spec)
+    shapes = level_shapes(ad.value_of(x).shape[-dims:], levels)
     details = []
     for shape in shapes:
         bands = [x]
         for axis in range(-1, -dims - 1, -1):
-            lo, hi = level_analysis(shape[axis], spec.family)
+            lo, hi = level_analysis(shape[axis])
             bands = [ad.level_matmul("dwt_level", mat, band, axis)
                      for band in bands for mat in (hi, lo)]
         x, *level = reversed(bands)
@@ -177,7 +145,7 @@ def _merge(s_lo, lo, s_hi, hi, axis):
     return parts[0] if len(parts) == 1 else ad.add(*parts)
 
 
-def idwt_multilevel(coeffs: WaveletCoeffs, spec: WaveletSpec, dims: int = 1):
+def idwt_multilevel(coeffs: WaveletCoeffs, dims: int):
     """Exact left inverse of :func:`dwt_multilevel`: merges each level's
     (lo, hi) pairs along y, then x."""
     shapes = coeffs.original_shapes
@@ -197,7 +165,7 @@ def idwt_multilevel(coeffs: WaveletCoeffs, spec: WaveletSpec, dims: int = 1):
                     f"level input {shape}: expected band shape {expected}, "
                     f"got {ad.value_of(band).shape[-dims:]}")
         for axis in range(-dims, 0):
-            s_lo, s_hi = level_synthesis(shape[axis], spec.family)
+            s_lo, s_hi = level_synthesis(shape[axis])
             bands = [_merge(s_lo, lo, s_hi, hi, axis)
                      for lo, hi in zip(bands[0::2], bands[1::2])]
         (x,) = bands

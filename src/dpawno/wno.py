@@ -20,7 +20,7 @@ known-physics solver.
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ DETAIL_KINDS = {1: ("detail",), 2: ("lh", "hl", "hh")}
 class WnoConfig:
     width: int = 64
     layers: int = 4
-    wavelet: wv.WaveletSpec = field(default_factory=wv.WaveletSpec)
+    levels: int = 4  # of the db6 transform
     fc1_dim: int = 128
     in_channels: int = 2
     out_channels: int = 1
@@ -54,8 +54,8 @@ class WnoConfig:
     bands: str = "coarsest"  # or "all"
 
     def __post_init__(self):
-        if self.width < 1 or self.layers < 1 or self.fc1_dim < 1:
-            raise ValueError("width, layers and fc1_dim must be >= 1")
+        if min(self.width, self.layers, self.levels, self.fc1_dim) < 1:
+            raise ValueError("width, layers, levels and fc1_dim must be >= 1")
         if self.spatial_dims not in DETAIL_KINDS:
             raise ValueError("spatial_dims must be 1 or 2")
         if self.bands not in ("coarsest", "all"):
@@ -63,7 +63,7 @@ class WnoConfig:
 
     def kernel_bands(self) -> tuple:
         """Names of the sub-bands that carry mixing weights, coarsest first."""
-        levels = self.wavelet.levels if self.bands == "all" else 1
+        levels = self.levels if self.bands == "all" else 1
         return ("approx",) + tuple(f"{kind}{j}" for j in range(levels)
                                    for kind in DETAIL_KINDS[self.spatial_dims])
 
@@ -131,11 +131,12 @@ def _channel_axis(x, spatial_dims):
     return ad.value_of(x).ndim - spatial_dims - 1
 
 
-def lift(u, coords, model: WnoModel, params=None):
+def lift(u, coords, model: WnoModel, params):
     """Pointwise affine map of (state, coordinates) into the width channels;
     `coords` is the (dims,) + spatial coordinate array of
-    physics.PdeSpec.coordinates()."""
-    p = params if params is not None else model.params
+    physics.PdeSpec.coordinates().  `params` maps each name of
+    model.config.parameter_shapes() to an array or a tape leaf; so do the
+    other blocks'."""
     cfg = model.config
     ca = _channel_axis(u, cfg.spatial_dims)
     shape = ad.value_of(u).shape
@@ -149,15 +150,13 @@ def lift(u, coords, model: WnoModel, params=None):
         raise ShapeMismatch(
             f"coordinates {np.shape(coords)} vs state {shape}; expected {expected}")
     x = ad.concat(u, np.broadcast_to(coords, shape[:ca] + expected), ca)
-    v = ad.matmul(p["lift.weight"], x, channel_axis=ca)
-    return ad.bias_add(v, p["lift.bias"], channel_axis=ca)
+    v = ad.matmul(params["lift.weight"], x, channel_axis=ca)
+    return ad.bias_add(v, params["lift.bias"], channel_axis=ca)
 
 
-def kernel_layer(v, layer: int, model: WnoModel, params=None, final=False):
+def kernel_layer(v, layer: int, model: WnoModel, params, final=False):
     """One wavelet kernel integral block; `final` drops the activation."""
-    p = params if params is not None else model.params
     cfg = model.config
-    wspec = cfg.wavelet
     ca = _channel_axis(v, cfg.spatial_dims)
     bands = cfg.kernel_bands()
 
@@ -165,38 +164,39 @@ def kernel_layer(v, layer: int, model: WnoModel, params=None, final=False):
         # bands not carrying weights are truncated from the kernel path
         if band not in bands:
             return None
-        return ad.matmul(p[f"layer{layer}.kernel.{band}"], value, channel_axis=ca)
+        return ad.matmul(params[f"layer{layer}.kernel.{band}"], value,
+                         channel_axis=ca)
 
     # v feeds the transform and the pointwise path; recording the transform
     # first fixes the order in which backward sums v's gradient
-    c = wv.dwt_multilevel(v, wspec, cfg.spatial_dims)
+    c = wv.dwt_multilevel(v, cfg.levels, cfg.spatial_dims)
     kinds = DETAIL_KINDS[cfg.spatial_dims]
     details = [tuple(mix(f"{kind}{j}", d) for kind, d in zip(kinds, level))
                for j, level in enumerate(c.details)]
     x = wv.idwt_multilevel(
         wv.WaveletCoeffs(mix("approx", c.approx), details, c.original_shapes),
-        wspec, cfg.spatial_dims)
+        cfg.spatial_dims)
 
-    w = ad.matmul(p[f"layer{layer}.pointwise.weight"], v, channel_axis=ca)
-    w = ad.bias_add(w, p[f"layer{layer}.pointwise.bias"], channel_axis=ca)
+    w = ad.matmul(params[f"layer{layer}.pointwise.weight"], v, channel_axis=ca)
+    w = ad.bias_add(w, params[f"layer{layer}.pointwise.bias"], channel_axis=ca)
     out = ad.add(x, w)
     return out if final else ad.gelu(out)
 
 
-def downlift(v, model: WnoModel, params=None):
-    p = params if params is not None else model.params
+def downlift(v, model: WnoModel, params):
     ca = _channel_axis(v, model.config.spatial_dims)
-    v = ad.matmul(p["downlift1.weight"], v, channel_axis=ca)
-    v = ad.bias_add(v, p["downlift1.bias"], channel_axis=ca)
+    v = ad.matmul(params["downlift1.weight"], v, channel_axis=ca)
+    v = ad.bias_add(v, params["downlift1.bias"], channel_axis=ca)
     v = ad.gelu(v)
-    v = ad.matmul(p["downlift2.weight"], v, channel_axis=ca)
-    return ad.bias_add(v, p["downlift2.bias"], channel_axis=ca)
+    v = ad.matmul(params["downlift2.weight"], v, channel_axis=ca)
+    return ad.bias_add(v, params["downlift2.bias"], channel_axis=ca)
 
 
-def wno_forward(u, coords, model: WnoModel, params=None):
+def wno_forward(u, coords, model: WnoModel, params):
     """Correction field for state `u` on the grid whose coordinate array is
-    `coords` (see lift); shaped like `u`, differentiable when `u` or any
-    parameter is a Tensor."""
+    `coords` (see lift) under the parameters `params` (e.g. model.params);
+    shaped like `u`, differentiable when `u` or any parameter is a
+    Tensor."""
     v = lift(u, coords, model, params)
     last = model.config.layers - 1
     for layer in range(model.config.layers):
@@ -211,9 +211,10 @@ def _config_header(config: WnoConfig) -> bytes:
     doc = {
         "width": config.width,
         "layers": config.layers,
-        "wavelet_family": config.wavelet.family,
-        "wavelet_levels": config.wavelet.levels,
-        # the only extension; kept so checkpoint bytes stay unchanged
+        # the only family and extension; kept so checkpoint bytes stay
+        # unchanged
+        "wavelet_family": "db6",
+        "wavelet_levels": config.levels,
         "wavelet_extension": "periodic",
         "fc1_dim": config.fc1_dim,
         "in_channels": config.in_channels,
@@ -225,13 +226,14 @@ def _config_header(config: WnoConfig) -> bytes:
 
 
 def config_from_header(doc: dict) -> WnoConfig:
-    if doc["wavelet_extension"] != "periodic":
-        raise ValueError(f"unsupported wavelet extension "
-                         f"{doc['wavelet_extension']!r}; only 'periodic' is read")
+    for key, only in (("wavelet_family", "db6"), ("wavelet_extension", "periodic")):
+        if doc[key] != only:
+            raise ValueError(f"unsupported {key.replace('_', ' ')} "
+                             f"{doc[key]!r}; only {only!r} is read")
     return WnoConfig(
         width=doc["width"],
         layers=doc["layers"],
-        wavelet=wv.WaveletSpec(doc["wavelet_family"], doc["wavelet_levels"]),
+        levels=doc["wavelet_levels"],
         fc1_dim=doc["fc1_dim"],
         in_channels=doc["in_channels"],
         out_channels=doc["out_channels"],
@@ -272,10 +274,10 @@ def load_checkpoint(path) -> WnoModel:
         if magic != CHECKPOINT_MAGIC:
             raise FormatVersionMismatch(f"not a checkpoint file: magic {magic!r}")
         version, header_len = struct.unpack("<II", _read(fh, 8, "header"))
-        if version > CHECKPOINT_VERSION:
+        if version != CHECKPOINT_VERSION:
             raise FormatVersionMismatch(
-                f"checkpoint format version {version} is newer than supported "
-                f"{CHECKPOINT_VERSION}")
+                f"checkpoint format version {version}; only version "
+                f"{CHECKPOINT_VERSION} is read")
         raw = _read(fh, header_len, "header")
         try:
             config = config_from_header(json.loads(raw.decode()))

@@ -40,10 +40,10 @@ def desk_artifacts():
     cfg = cf.load_config(preset=DESK)
     full, partial = cfg.full_spec(), cfg.partial_spec()
     donly_spec = cfg.data_only_spec()
-    train_ds = dg.generate(full, cfg.families("train"), cfg.n_train,
-                           cfg.nt_train, cfg.seed, purpose="data")
-    test_ds = dg.generate(full, cfg.families("test"), cfg.n_test,
-                          cfg.nt_test, cfg.seed, purpose="test")
+    train_ds = dg.generate(full, cfg.families("train"), cfg.nt_train, cfg.seed,
+                           purpose="data")
+    test_ds = dg.generate(full, cfg.families("test"), cfg.nt_test, cfg.seed,
+                          purpose="test")
     wcfg, tcfg = cfg.wno_config(), cfg.train_config()
     t0 = time.perf_counter()
     dpa = wno_mod.WnoModel.initialize(wcfg, cfg.seed)
@@ -80,14 +80,14 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_wavelet_exactness(self):
-        spec = wv.WaveletSpec("db6", 4)
+        levels = 4
         rng = np.random.default_rng(1234)
         t0 = time.perf_counter()
         worst_pr, worst_adj = 0.0, 0.0
         for n in (64, 112):
             x = rng.standard_normal((1000, n))
-            c = wv.dwt_multilevel(x, spec)
-            xr = wv.idwt_multilevel(c, spec)
+            c = wv.dwt_multilevel(x, levels, 1)
+            xr = wv.idwt_multilevel(c, 1)
             worst_pr = max(worst_pr, float(np.max(np.abs(xr - x))))
             y = wv.WaveletCoeffs(rng.standard_normal(c.approx.shape),
                                  [(rng.standard_normal(d.shape),) for (d,) in c.details],
@@ -98,7 +98,7 @@ class TestCriterion2:
             # A^T y is the tape's VJP of the transform the WNO records
             tape = ad.Tape()
             leaf = tape.leaf(x)
-            ct = wv.dwt_multilevel(leaf, spec)
+            ct = wv.dwt_multilevel(leaf, levels, 1)
             pairing = ad.total_sum(ad.mul(ct.approx, y.approx))
             for (dc,), (dy,) in zip(ct.details, y.details):
                 pairing = ad.add(pairing, ad.total_sum(ad.mul(dc, dy)))
@@ -106,8 +106,8 @@ class TestCriterion2:
             rhs = np.sum(x * ad.grad_of(tape, leaf), axis=-1)
             worst_adj = max(worst_adj, float(np.max(np.abs(lhs - rhs))))
         f = rng.standard_normal((100, 64, 64))
-        c2 = wv.dwt_multilevel(f, spec, dims=2)
-        fr = wv.idwt_multilevel(c2, spec, dims=2)
+        c2 = wv.dwt_multilevel(f, levels, 2)
+        fr = wv.idwt_multilevel(c2, 2)
         worst_pr = max(worst_pr, float(np.max(np.abs(fr - f))))
         elapsed = time.perf_counter() - t0
         report(2, worst_pr < 1e-10 and worst_adj < 1e-10 and elapsed < 10.0,
@@ -171,8 +171,7 @@ class TestCriterion4:
             fams = cfg.families("train")
             fams = [dataclasses.replace(f, count=min(f.count, 1))
                     for f in fams[:2]]
-            n = sum(f.count for f in fams)
-            ds = dg.generate(full, fams, n, 5, cfg.seed)
+            ds = dg.generate(full, fams, 5, cfg.seed)
             states = tr.rollout(
                 lambda u, m=missing, p=partial:
                 ph.euler_step_values(u, p, ph.rhs_values(u, m)), ds.ics, 5)
@@ -349,8 +348,7 @@ class TestCriterion9:
             model = wno_mod.WnoModel.initialize(wcfg, cfg.seed)
             fams = [dataclasses.replace(f, count=min(f.count, 2))
                     for f in cfg.families("train")[:1]]
-            n = sum(f.count for f in fams)
-            ds = dg.generate(cfg.full_spec(), fams, n, 0, cfg.seed)
+            ds = dg.generate(cfg.full_spec(), fams, 0, cfg.seed)
             with_model = tr.rollout(tr.AugmentedSurrogate(partial, model).step,
                                     ds.ics, 5)
             physics = tr.rollout(tr.PhysicsSurrogate(partial).step, ds.ics, 5)

@@ -407,18 +407,25 @@ class TestDamagedCheckpoint:
         assert calls == []
 
     def test_symmetric_extension_header_exits_4(self, tmp_path, capsys, monkeypatch):
-        # periodic is the only wavelet extension the transforms implement
-        def symmetric(raw):
-            (size,) = struct.unpack("<I", raw[8:12])
-            doc = json.loads(raw[12:12 + size])
-            doc["wavelet_extension"] = "symmetric"
-            header = json.dumps(doc, sort_keys=True).encode()
-            return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + size:]
+        # periodic is the only wavelet extension the transforms implement,
+        # and db6 the only family
+        def setting(key, value):
+            def edit(raw):
+                (size,) = struct.unpack("<I", raw[8:12])
+                doc = json.loads(raw[12:12 + size])
+                doc[key] = value
+                header = json.dumps(doc, sort_keys=True).encode()
+                return (raw[:8] + struct.pack("<I", len(header)) + header
+                        + raw[12 + size:])
+            return edit
 
         calls = count_cholesky(monkeypatch)
-        assert self.reliability(tmp_path, self.model(), edit=symmetric) == 4
-        err = capsys.readouterr().err
-        assert "checkpoint header is malformed" in err and "'symmetric'" in err
+        for key, value in (("wavelet_extension", "symmetric"),
+                           ("wavelet_family", "db4")):
+            assert self.reliability(tmp_path, self.model(),
+                                    edit=setting(key, value)) == 4
+            err = capsys.readouterr().err
+            assert "checkpoint header is malformed" in err and f"'{value}'" in err
         assert calls == []
 
 
@@ -434,6 +441,10 @@ UNKNOWN_KEYS = [
                  id="diverged"),
     pytest.param(["--set", "train.grad_clp=0"], "[train] grad_clp",
                  id="grad_clp"),
+    pytest.param(["--set", "wno.family=db6"], "[wno] family", id="family"),
+    pytest.param(["--set", "train.grad_clip=10"], "[train] grad_clip",
+                 id="grad_clip"),
+    pytest.param(["--set", "grf.jitter=1e-8"], "[grf] jitter", id="jitter"),
     pytest.param("[plot]\ncolor = red\n", "[plot]", id="section"),
     pytest.param("[DEFAULT]\nseed = 1\n", "[DEFAULT] seed", id="DEFAULT"),
     # keys another context reads
@@ -752,24 +763,24 @@ class TestTrainLog:
                            "tape_bytes,minor_faults")
         assert [row.split(",")[:2] for row in rows[1:]] == [["0", "3"], ["1", "3"]]
 
-    def train_log(self, tmp_path, name, grad_clip):
+    def train_log(self, tmp_path, monkeypatch, name, clip_norm):
         data, out = tmp_path / "data", tmp_path / name
         if not data.exists():
             assert cli.main(["gen-data", "--preset", DESK, "--out", str(data),
                              *SMALL_DATA]) == 0
+        monkeypatch.setattr(tr, "GRAD_CLIP_NORM", clip_norm)
         assert cli.main(["train", "--preset", DESK, "--data", str(data), "--out",
                          str(out), *SMALL_DATA, "--set", "train.epochs=3",
-                         "--set", "train.schedule=pairs: 0:2 2:4",
-                         "--set", f"train.grad_clip={grad_clip}"]) == 0
+                         "--set", "train.schedule=pairs: 0:2 2:4"]) == 0
         lines = (out / "train_log.csv").read_text().splitlines()
         header = lines[0].split(",")
         return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
-    def test_phase_columns_plausible(self, tmp_path):
+    def test_phase_columns_plausible(self, tmp_path, monkeypatch):
         cfg = cf.load_config(preset=DESK, overrides=SMALL_DATA[1::2])
         batches = -(-cfg.n_train // cfg.train_config().batch_size)
-        clipped = self.train_log(tmp_path, "clipped", 1e-9)
-        free = self.train_log(tmp_path, "free", 0)
+        clipped = self.train_log(tmp_path, monkeypatch, "clipped", 1e-9)
+        free = self.train_log(tmp_path, monkeypatch, "free", np.inf)
         ds = dg.load(str(tmp_path / "data" / "train.dpds"))
         for rows in (clipped, free):
             assert [(r["epoch"], r["T"]) for r in rows] == [

@@ -87,24 +87,24 @@ class TestSampleIcs:
 
 class TestGenerate:
     def test_benchmark_scale_shapes(self):
-        ds = dg.generate(burgers_spec(), benchmark_families(), 32, 50, seed=2)
+        ds = dg.generate(burgers_spec(), benchmark_families(), 50, seed=2)
         assert ds.trajectories.shape == (32, 51, 1, 112)
         assert np.all(np.isfinite(ds.trajectories))
 
     def test_nt_zero_keeps_only_ics(self):
-        ds = dg.generate(burgers_spec(), benchmark_families(), 32, 0, seed=2)
+        ds = dg.generate(burgers_spec(), benchmark_families(), 0, seed=2)
         assert ds.trajectories.shape[1] == 1
         assert np.array_equal(ds.ics, ds.trajectories[:, 0])
 
     def test_same_seed_bit_identical(self):
-        a = dg.generate(burgers_spec(), benchmark_families(), 32, 10, seed=4)
-        b = dg.generate(burgers_spec(), benchmark_families(), 32, 10, seed=4)
+        a = dg.generate(burgers_spec(), benchmark_families(), 10, seed=4)
+        b = dg.generate(burgers_spec(), benchmark_families(), 10, seed=4)
         assert a == b
 
     def test_partial_terms_rejected(self):
         spec = burgers_spec().with_terms(("advection",))
         with pytest.raises(ValueError):
-            dg.generate(spec, benchmark_families(), 32, 10, seed=0)
+            dg.generate(spec, benchmark_families(), 10, seed=0)
 
     def test_blowup_reports_sample_index(self):
         spec = ph.PdeSpec("burgers1d", {"nu": 0.3 / np.pi},
@@ -113,7 +113,7 @@ class TestGenerate:
         fams = [dg.IcFamily("sine", 4, amplitudes=(1.0, 2.0, 4.0, 8.0),
                             frequencies=(4,))]
         with pytest.raises(NonFiniteState, match="sample"):
-            dg.generate(spec, fams, 4, 50, seed=0)
+            dg.generate(spec, fams, 50, seed=0)
 
     def test_advective_cfl_warning(self):
         # max|u0| dt/dx = 8 * 0.004 / (2/63) = 1.008
@@ -122,12 +122,12 @@ class TestGenerate:
         ics = dg.sample_families(fams, spec, seed=0)
         assert np.max(np.abs(ics)) * spec.dt / spec.dx > 1.0
         with pytest.warns(RuntimeWarning, match="advective CFL number 1.00"):
-            dg.generate(spec, fams, 1, 0, seed=0)
+            dg.generate(spec, fams, 0, seed=0)
 
     def test_no_advective_cfl_warning_below_one(self, recwarn):
         spec = burgers_spec(nx=64, dt=0.0035)  # Courant number 0.882
         fams = [dg.IcFamily("sine", 1, amplitudes=(8.0,), frequencies=(1,))]
-        dg.generate(spec, fams, 1, 0, seed=0)
+        dg.generate(spec, fams, 0, seed=0)
         assert not [w for w in recwarn if "CFL" in str(w.message)]
 
     def test_advective_cfl_counts_both_2d_directions(self):
@@ -139,12 +139,12 @@ class TestGenerate:
         ics = dg.sample_families(fams, spec, seed=0)
         assert np.max(np.abs(ics)) * spec.dt / spec.dx < 1.0
         with pytest.warns(RuntimeWarning, match="advective CFL"):
-            dg.generate(spec, fams, 1, 0, seed=0)
+            dg.generate(spec, fams, 0, seed=0)
 
     def test_stored_states_satisfy_euler_recurrence(self):
         spec = burgers_spec(nx=64)
         ds = dg.generate(spec, [dg.IcFamily("sine", 4, amplitudes=(1., 2., 3., 4.),
-                                            frequencies=(2,))], 4, 20, seed=6)
+                                            frequencies=(2,))], 20, seed=6)
         for t in range(20):
             stepped = ph.euler_step_values(ds.trajectories[:, t], spec)
             assert np.array_equal(stepped, ds.trajectories[:, t + 1])
@@ -154,7 +154,7 @@ class TestFileFormat:
     def make_dataset(self):
         return dg.generate(burgers_spec(nx=64),
                            [dg.IcFamily("sine", 3, amplitudes=(1., 2., 3.),
-                                        frequencies=(2,))], 3, 8, seed=8)
+                                        frequencies=(2,))], 8, seed=8)
 
     def test_round_trip_bit_exact(self, tmp_path):
         ds = self.make_dataset()
@@ -186,11 +186,14 @@ class TestFileFormat:
         ds = self.make_dataset()
         path = tmp_path / "d.dpds"
         dg.save(ds, path)
-        raw = bytearray(path.read_bytes())
-        raw[4] = 99
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatVersionMismatch):
-            dg.load(path)
+        saved = path.read_bytes()
+        # a newer version, and version 0, which nothing ever wrote
+        for version in (99, 0):
+            raw = bytearray(saved)
+            raw[4] = version
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatVersionMismatch, match=f"version {version};"):
+                dg.load(path)
 
     def test_missing_file_io_error(self, tmp_path):
         with pytest.raises(DatasetIoError):

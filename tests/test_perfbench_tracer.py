@@ -17,17 +17,17 @@ tracer.install()
 # the WNO reaches level_matmul through dpawno.wavelet, which the tracer does
 # not list: a `from .autodiff import level_matmul` there would escape it
 import numpy as np
-from dpawno import wavelet as wv
 from dpawno import wno
 axis = np.linspace(0, 1, 16)
 for dims, shape, coords in [
         (1, (1, 1, 16), axis[None]),
         (2, (1, 2, 16, 16), np.stack(np.meshgrid(axis, axis)))]:
     before = tracer.calls["autodiff.level_matmul"]
-    cfg = wno.WnoConfig(width=2, layers=1, wavelet=wv.WaveletSpec("db2", 2),
+    cfg = wno.WnoConfig(width=2, layers=1, levels=2,
                         fc1_dim=2, in_channels=shape[1] + dims,
                         out_channels=shape[1], spatial_dims=dims)
-    wno.wno_forward(np.zeros(shape), coords, wno.WnoModel.initialize(cfg, 0))
+    model = wno.WnoModel.initialize(cfg, 0)
+    wno.wno_forward(np.zeros(shape), coords, model, model.params)
     assert tracer.calls["autodiff.level_matmul"] > before, dims
 
 # the 2D GRF draw reaches sample_grf through the module, so the traced

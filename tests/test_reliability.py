@@ -24,18 +24,18 @@ def burgers_full(nx=64):
 
 class TestCovariance:
     def test_diagonal_is_alpha_plus_jitter(self):
-        k = rel.grf_covariance(PERIODIC_GRF, np.linspace(0, 1, 8))
-        assert np.allclose(np.diag(k), 4.0 + PERIODIC_GRF.jitter, atol=1e-15)
+        k = rel.grf_covariance(PERIODIC_GRF, np.linspace(0, 1, 8), rel.JITTER)
+        assert np.allclose(np.diag(k), 4.0 + 1e-8, atol=1e-15)
 
     def test_periodicity(self):
         # separation equal to the period recovers full covariance
-        k = rel.grf_covariance(PERIODIC_GRF, np.array([0.0, 1.0]))
+        k = rel.grf_covariance(PERIODIC_GRF, np.array([0.0, 1.0]), rel.JITTER)
         assert abs(k[0, 1] - 4.0) < 1e-12
 
     def test_matches_scalar_formula(self):
         pts = np.array([0.0, 0.13, 0.5, 0.77])
-        spec = rel.GrfSpec("exp_sine_squared", 4.0, 0.5, 1.0, jitter=0.0)
-        k = rel.grf_covariance(spec, pts)
+        spec = rel.GrfSpec("exp_sine_squared", 4.0, 0.5, 1.0)
+        k = rel.grf_covariance(spec, pts, 0.0)
         for i in range(4):
             for j in range(4):
                 d = abs(pts[i] - pts[j])
@@ -44,13 +44,13 @@ class TestCovariance:
 
     def test_rbf_formula(self):
         pts = np.array([0.0, 0.5])
-        spec = rel.GrfSpec("rbf", 4.0, 0.9, jitter=0.0)
-        k = rel.grf_covariance(spec, pts)
+        spec = rel.GrfSpec("rbf", 4.0, 0.9)
+        k = rel.grf_covariance(spec, pts, 0.0)
         want = 4.0 * np.exp(-0.25 / (2 * 0.81))
         assert abs(k[0, 1] - want) < 1e-14
 
     def test_symmetric(self):
-        k = rel.grf_covariance(PERIODIC_GRF, np.linspace(0, 2, 30))
+        k = rel.grf_covariance(PERIODIC_GRF, np.linspace(0, 2, 30), rel.JITTER)
         assert np.array_equal(k, k.T)
 
     def test_invalid_params(self):
@@ -67,7 +67,7 @@ class TestCovariance:
             rel.sample_grf(PERIODIC_GRF, (np.linspace(0, 1, 8),), 1, seed=0)
 
 
-def broadcast_covariance(spec, points):
+def broadcast_covariance(spec, points, jitter):
     """The (n, n, d) broadcast construction that grf_covariance replaced,
     kept as the reference its values must equal bit for bit."""
     pts = np.asarray(points, dtype=np.float64)
@@ -80,7 +80,7 @@ def broadcast_covariance(spec, points):
             * np.sin(np.pi * dist / spec.periodicity) ** 2)
     else:
         k = spec.alpha * np.exp(-(dist ** 2) / (2.0 * spec.length_scale ** 2))
-    return k + spec.jitter * np.eye(len(pts))
+    return k + jitter * np.eye(len(pts))
 
 
 class TestInPlaceCovariance:
@@ -88,10 +88,10 @@ class TestInPlaceCovariance:
     @pytest.mark.parametrize("kernel", rel.KERNELS)
     def test_equals_broadcast_expression(self, kernel, jitter):
         spec = rel.GrfSpec(kernel, alpha=3.7, length_scale=0.45,
-                           periodicity=1.3, jitter=jitter)
+                           periodicity=1.3)
         pts = np.linspace(-1.0, 1.0, 64)
-        assert np.array_equal(rel.grf_covariance(spec, pts),
-                              broadcast_covariance(spec, pts))
+        assert np.array_equal(rel.grf_covariance(spec, pts, jitter),
+                              broadcast_covariance(spec, pts, jitter))
 
     def test_retries_factor_base_plus_jitter_eye(self, monkeypatch):
         received = []
@@ -106,8 +106,7 @@ class TestInPlaceCovariance:
         monkeypatch.setattr(np.linalg, "cholesky", fails_twice)
         pts = np.linspace(0.0, 1.0, 12)
         rel.sample_grf(PERIODIC_GRF, (pts,), 1, seed=0)
-        base = broadcast_covariance(
-            dataclasses.replace(PERIODIC_GRF, jitter=0.0), pts)
+        base = broadcast_covariance(PERIODIC_GRF, pts, 0.0)
         # the jitter grows tenfold per retry, as the factorization computes it
         jitters = (1e-8, 1e-8 * 10.0, 1e-8 * 10.0 * 10.0)
         assert len(received) == 3
@@ -120,12 +119,15 @@ class TestSampleGrf:
         pts = np.array([0.1, 0.35])
         draws = rel.sample_grf(PERIODIC_GRF, (pts,), 50_000, seed=1)
         emp = draws.T @ draws / len(draws)
-        want = rel.grf_covariance(PERIODIC_GRF, pts)
+        want = rel.grf_covariance(PERIODIC_GRF, pts, rel.JITTER)
         assert np.max(np.abs(emp - want) / np.abs(want)) < 0.05
 
-    def test_degenerate_variance_limit(self):
+    def test_degenerate_variance_limit(self, monkeypatch):
+        # a jitter as small as the variance, so that it does not set the
+        # draws' scale
+        monkeypatch.setattr(rel, "JITTER", 1e-16)
         tiny = rel.GrfSpec("exp_sine_squared", alpha=1e-12, length_scale=0.5,
-                           periodicity=1.0, jitter=1e-16)
+                           periodicity=1.0)
         draws = rel.sample_grf(tiny, (np.linspace(0, 1, 16),), 100, seed=2)
         assert np.max(np.abs(draws)) < 1e-4
 
@@ -135,8 +137,11 @@ class TestSampleGrf:
         assert np.array_equal(a, b)
 
 
-def unit_variance(spec):
-    return dataclasses.replace(spec, alpha=1.0, jitter=spec.jitter / spec.alpha)
+def unit_variance_covariance(spec, axis):
+    """The covariance of a non-x axis: the unit-variance kernel with the
+    jitter divided by alpha."""
+    return rel.grf_covariance(dataclasses.replace(spec, alpha=1.0), axis,
+                              rel.JITTER / spec.alpha)
 
 
 class TestPerAxisFactors:
@@ -148,8 +153,8 @@ class TestPerAxisFactors:
 
     def test_kron_of_axis_factors_factors_kron_covariance(self):
         x, y = np.linspace(0.0, 2.0, 8), np.linspace(0.0, 1.5, 6)
-        k_x = rel.grf_covariance(self.RBF, x)
-        k_y = rel.grf_covariance(unit_variance(self.RBF), y)
+        k_x = rel.grf_covariance(self.RBF, x, rel.JITTER)
+        k_y = unit_variance_covariance(self.RBF, y)
         l_y, l_x = rel._factors(self.RBF, (x, y))
         assert np.array_equal(l_x, np.linalg.cholesky(k_x))
         assert np.array_equal(l_y, np.linalg.cholesky(k_y))
@@ -161,15 +166,16 @@ class TestPerAxisFactors:
         spec = rel.GrfSpec("rbf", alpha=4.0, length_scale=0.8)
         draws = rel.sample_grf(spec, (x, y), 10_000, seed=11)
         gx, gy = np.meshgrid(x, y)
-        want = broadcast_covariance(spec, np.column_stack([gx.ravel(), gy.ravel()]))
+        want = broadcast_covariance(spec, np.column_stack([gx.ravel(), gy.ravel()]),
+                                    rel.JITTER)
         emp = draws.T @ draws / len(draws)
         assert np.max(np.abs(emp - want)) < 0.05 * spec.alpha
 
     def test_1d_draws_are_z_times_factor_transposed(self):
         x = np.linspace(-1.0, 1.0, 64)
-        z = stream(3, "grf", 2).standard_normal((100, len(x)))
-        chol = np.linalg.cholesky(rel.grf_covariance(PERIODIC_GRF, x))
-        draws = rel.sample_grf(PERIODIC_GRF, (x,), 100, seed=3, stream_index=2)
+        z = stream(3, "grf").standard_normal((100, len(x)))
+        chol = np.linalg.cholesky(rel.grf_covariance(PERIODIC_GRF, x, rel.JITTER))
+        draws = rel.sample_grf(PERIODIC_GRF, (x,), 100, seed=3)
         assert draws.tobytes() == (z @ chol.T).tobytes()
 
     def test_2d_exp_sine_squared_rejected_before_factorization(self, monkeypatch):
@@ -261,7 +267,8 @@ class TestGrfInitialConditions:
         # the factor of the draws is one over the column-stacked meshgrid
         # points: its product with its transpose is their covariance
         chol = np.kron(*rel._factors(grf, (x, y)))
-        assert np.allclose(chol @ chol.T, broadcast_covariance(grf, points),
+        assert np.allclose(chol @ chol.T,
+                           broadcast_covariance(grf, points, rel.JITTER),
                            rtol=0.0, atol=1e-7)
         z = stream(7, "grf", 0).standard_normal((5, len(points)))
         fields = (z @ chol.T).reshape(5, 1, len(y), len(x))

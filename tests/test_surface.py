@@ -1,10 +1,16 @@
 """Every public function and method of the package has a caller in the
 package itself or in the benchmark harness: an entry point that only tests
-reach is surface to delete, not to keep."""
+reach is surface to delete, not to keep.  Likewise every config key takes
+more than one value across the inputs the program is run on: a key with
+one value is a constant to fold into the code."""
 
 import ast
-from collections import Counter
+import configparser
+import re
+from collections import Counter, defaultdict
 from pathlib import Path
+
+from dpawno import config
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dpawno").glob("*.py")) + sorted(
@@ -48,3 +54,55 @@ def test_every_public_name_has_a_caller():
               for node in public_defs(tree)
               if used[node.name] - references(node)[node.name] < 1]
     assert not unused, f"public names with no caller outside tests: {unused}"
+
+
+# Keys that keep one value across the presets and the benchmark inputs, each
+# for a reason that outlasts the inputs.
+ONE_VALUE_KEYS = {
+    ("pde", "ny"): "there is one 2D benchmark",
+    ("probe", "y"): "there is one 2D benchmark",
+    ("wno", "levels"): "gradcheck runs depth 2 through the same field",
+    ("train", "checkpoint_every"): "the resume work of ROADMAP item 3 builds on it",
+    ("grf", "alpha"): "every reliability.jsonl record writes it, and "
+                      "perfbench/reference.json pins those records",
+    ("grf", "periodicity"): "every reliability.jsonl record writes it, and "
+                            "perfbench/reference.json pins those records",
+}
+
+
+def pooled(section):
+    """The config.KEYS entry of a section, with the train and test IC
+    families pooled into one."""
+    return re.sub(r"^ic\.(train|test)\.(\d+|N)$", "ic.N", section)
+
+
+def workload_overrides():
+    """SECTION.KEY=VALUE strings of every WORKLOADS entry in perfbench/run.py,
+    read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "WORKLOADS" for t in node.targets):
+            for workload in node.value.values:
+                for key, value in zip(workload.keys, workload.values):
+                    if key.value == "sets":
+                        yield from (item.value for item in value.elts)
+
+
+def test_every_config_key_takes_two_values():
+    values = defaultdict(set)
+    for preset in config.PRESETS:
+        parser = configparser.ConfigParser()
+        parser.read_string(config.preset_text(preset))
+        for section in parser.sections():
+            for key, value in parser.items(section):
+                values[pooled(section), key].add(value.strip())
+    for item in workload_overrides():
+        name, value = item.split("=", 1)
+        section, key = name.rsplit(".", 1)
+        values[pooled(section), key].add(value.strip())
+    single = [f"[{section}] {key}: {sorted(values[pooled(section), key])}"
+              for section, keys in config.KEYS.items() for key in keys
+              if len(values[pooled(section), key]) < 2
+              and (section, key) not in ONE_VALUE_KEYS]
+    assert not single, f"config keys with one value, constants to fold: {single}"

@@ -122,7 +122,7 @@ class TestProbeEnsemble:
                                (-1.0, 1.0), nx=32, dt=3e-4)
         fams = [dg.IcFamily("sine", 4, amplitudes=(1.0, 2.0, 3.0, 4.0),
                             frequencies=(2,))]
-        self.ds = dg.generate(self.spec, fams, 4, 10, seed=9)
+        self.ds = dg.generate(self.spec, fams, 10, seed=9)
 
     def test_truth_surrogate_reproduces_stored_values(self):
         sur = tr.PhysicsSurrogate(self.spec)

@@ -21,7 +21,7 @@ def mean(y):
 
 def small_config(**kw):
     defaults = dict(width=4, layers=2,
-                    wavelet=wv.WaveletSpec("db6", 2),
+                    levels=2,
                     fc1_dim=8, in_channels=2, out_channels=1, spatial_dims=1)
     defaults.update(kw)
     return wno.WnoConfig(**defaults)
@@ -50,7 +50,7 @@ class TestLift:
         m.params["lift.weight"][:] = 0.0
         m.params["lift.bias"][:] = 2.5
         u = np.random.default_rng(1).standard_normal((3, 1, 16))
-        out = wno.lift(u, COORDS16, m)
+        out = wno.lift(u, COORDS16, m, m.params)
         assert np.all(out == 2.5)
 
     def test_identity_weights_copy_channels(self):
@@ -59,7 +59,7 @@ class TestLift:
         m.params["lift.weight"] = np.eye(2)
         m.params["lift.bias"][:] = 0.0
         u = np.random.default_rng(2).standard_normal((1, 1, 16))
-        out = wno.lift(u, COORDS16, m)
+        out = wno.lift(u, COORDS16, m, m.params)
         assert np.array_equal(out[:, 0], u[:, 0])
         assert np.allclose(out[:, 1], COORDS16[0])
 
@@ -67,7 +67,7 @@ class TestLift:
         cfg = small_config()
         m = randomized(cfg, 3)
         u = np.random.default_rng(4).standard_normal((2, 1, 16))
-        out = wno.lift(u, COORDS16, m)
+        out = wno.lift(u, COORDS16, m, m.params)
         stacked = np.concatenate(
             [u, np.broadcast_to(COORDS16, (2, 1, 16))], axis=1)
         expected = np.einsum("wc,bcx->bwx", m.params["lift.weight"], stacked) \
@@ -78,10 +78,11 @@ class TestLift:
         cfg = small_config()
         m = wno.WnoModel.initialize(cfg, 0)
         with pytest.raises(ShapeMismatch):
-            wno.lift(np.zeros((1, 1, 16)), np.linspace(0, 1, 8)[None], m)
+            wno.lift(np.zeros((1, 1, 16)), np.linspace(0, 1, 8)[None], m,
+                     m.params)
         # the coordinate array carries its (dims,) axis
         with pytest.raises(ShapeMismatch):
-            wno.lift(np.zeros((1, 1, 16)), np.linspace(0, 1, 16), m)
+            wno.lift(np.zeros((1, 1, 16)), np.linspace(0, 1, 16), m, m.params)
 
     def test_2d_coordinate_channels_follow_the_state(self):
         # identity lift: state channels, then x, then y of every point
@@ -93,13 +94,13 @@ class TestLift:
         m = wno.WnoModel.initialize(cfg, 0)
         m.params["lift.weight"] = np.eye(4)
         u = np.random.default_rng(5).standard_normal((3, 2, 4, 8))
-        out = wno.lift(u, spec.coordinates(), m)
+        out = wno.lift(u, spec.coordinates(), m, m.params)
         x, y = spec.grid()
         assert np.array_equal(out[:, :2], u)
         assert np.array_equal(out[:, 2], np.broadcast_to(x, (3, 4, 8)))
         assert np.array_equal(out[:, 3], np.broadcast_to(y[:, None], (3, 4, 8)))
         with pytest.raises(ShapeMismatch):  # (y, x) order swapped
-            wno.lift(u, spec.coordinates().transpose(0, 2, 1), m)
+            wno.lift(u, spec.coordinates().transpose(0, 2, 1), m, m.params)
 
 
 class TestKernelLayer:
@@ -110,7 +111,7 @@ class TestKernelLayer:
             if name.startswith("layer0."):
                 m.params[name] = np.zeros_like(m.params[name])
         v = np.random.default_rng(5).standard_normal((2, 4, 16))
-        out = wno.kernel_layer(v, 0, m)
+        out = wno.kernel_layer(v, 0, m, m.params)
         assert np.all(out.data if isinstance(out, ad.Tensor) else out == 0.0)
 
     def test_zero_kernel_identity_pointwise_no_activation_is_identity(self):
@@ -121,7 +122,7 @@ class TestKernelLayer:
         m.params["layer0.pointwise.weight"] = np.eye(4)
         m.params["layer0.pointwise.bias"] = np.zeros(4)
         v = np.random.default_rng(6).standard_normal((2, 4, 16))
-        out = wno.kernel_layer(v, 0, m, final=True)
+        out = wno.kernel_layer(v, 0, m, m.params, final=True)
         assert np.array_equal(out, v)
 
     def test_layer_linear_without_activation(self):
@@ -130,9 +131,9 @@ class TestKernelLayer:
         m.params["layer0.pointwise.bias"] = np.zeros(4)
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((2, 4, 16)), rng.standard_normal((2, 4, 16))
-        lhs = wno.kernel_layer(1.5 * x - 2.0 * y, 0, m, final=True)
-        rhs = 1.5 * wno.kernel_layer(x, 0, m, final=True) \
-            - 2.0 * wno.kernel_layer(y, 0, m, final=True)
+        lhs = wno.kernel_layer(1.5 * x - 2.0 * y, 0, m, m.params, final=True)
+        rhs = 1.5 * wno.kernel_layer(x, 0, m, m.params, final=True) \
+            - 2.0 * wno.kernel_layer(y, 0, m, m.params, final=True)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
     def test_untouched_bands_truncated_from_kernel_path(self):
@@ -143,8 +144,8 @@ class TestKernelLayer:
         m.params["layer0.pointwise.weight"] = np.zeros((4, 4))
         m.params["layer0.pointwise.bias"] = np.zeros(4)
         v = np.random.default_rng(10).standard_normal((1, 4, 16))
-        out = wno.kernel_layer(v, 0, m, final=True)
-        coeffs = wv.dwt_multilevel(out, cfg.wavelet)
+        out = wno.kernel_layer(v, 0, m, m.params, final=True)
+        coeffs = wv.dwt_multilevel(out, cfg.levels, 1)
         (finest,) = coeffs.details[-1]
         assert np.max(np.abs(finest)) < 1e-12
 
@@ -154,29 +155,29 @@ class TestWnoForward:
         cfg = small_config()
         m = wno.WnoModel.initialize(cfg, 1)
         u = np.random.default_rng(11).standard_normal((4, 1, 16))
-        assert np.all(wno.wno_forward(u, COORDS16, m) == 0.0)
+        assert np.all(wno.wno_forward(u, COORDS16, m, m.params) == 0.0)
 
     @pytest.mark.parametrize("nx", [112, 64])
     def test_shape_contract_1d(self, nx):
         cfg = wno.WnoConfig(width=6, layers=2,
-                            wavelet=wv.WaveletSpec("db6", 4),
+                            levels=4,
                             fc1_dim=8, in_channels=2, out_channels=1,
                             spatial_dims=1)
         m = randomized(cfg, 12)
         u = np.random.default_rng(nx).standard_normal((2, 1, nx))
-        out = wno.wno_forward(u, np.linspace(-1, 1, nx)[None], m)
+        out = wno.wno_forward(u, np.linspace(-1, 1, nx)[None], m, m.params)
         assert out.shape == u.shape
 
     def test_shape_contract_2d(self):
         cfg = wno.WnoConfig(width=3, layers=2,
-                            wavelet=wv.WaveletSpec("db6", 2),
+                            levels=2,
                             fc1_dim=6, in_channels=4, out_channels=2,
                             spatial_dims=2)
         m = randomized(cfg, 13)
         u = np.random.default_rng(14).standard_normal((2, 2, 64, 64))
         axis = np.linspace(0, 2, 64)
         coords = np.stack(np.meshgrid(axis, axis))
-        assert wno.wno_forward(u, coords, m).shape == u.shape
+        assert wno.wno_forward(u, coords, m, m.params).shape == u.shape
 
     def test_one_euler_step_mse_through_wno_gradient(self):
         from dpawno import physics as ph
@@ -198,7 +199,8 @@ class TestWnoForward:
             return mean(ad.square(ad.sub(stepped, target)))
 
         def loss_wrt_state(t):
-            stepped = ph.euler_step_values(t, spec, wno.wno_forward(t, coords, m))
+            stepped = ph.euler_step_values(
+                t, spec, wno.wno_forward(t, coords, m, m.params))
             return mean(ad.square(ad.sub(stepped, target)))
 
         # parameter influence is dt-suppressed through a single step; the
@@ -223,7 +225,7 @@ class TestWnoForward:
                 return mean(ad.square(ad.sub(out, target)))
             worst = max(worst, gradient_error(loss_fn, m.params[name], 1e-5))
         def loss_u(t):
-            out = wno.wno_forward(t, COORDS16, m)
+            out = wno.wno_forward(t, COORDS16, m, m.params)
             return mean(ad.square(ad.sub(out, target)))
         worst = max(worst, gradient_error(loss_u, u, 1e-5))
         assert worst < 1e-5
@@ -235,13 +237,13 @@ class TestInvariants:
         m = randomized(cfg, 17)
         for nx in (64, 112):
             u = np.zeros((1, 1, nx))
-            out = wno.wno_forward(u, np.linspace(-1, 1, nx)[None], m)
+            out = wno.wno_forward(u, np.linspace(-1, 1, nx)[None], m, m.params)
             assert out.shape == u.shape
         assert parameter_count(cfg) == sum(v.size for v in m.params.values())
 
     def test_bands_all_count_independent_of_resolution(self):
         cfg = small_config(bands="all")
-        assert len(cfg.kernel_bands()) == 1 + cfg.wavelet.levels
+        assert len(cfg.kernel_bands()) == 1 + cfg.levels
         assert parameter_count(cfg) > parameter_count(small_config())
 
     def test_kernel_band_names(self):
@@ -261,15 +263,15 @@ class TestInvariants:
         a.params["downlift2.weight"] += 0.5  # same perturbation both sides
         b.params["downlift2.weight"] += 0.5
         u = np.random.default_rng(18).standard_normal((2, 1, 16))
-        out_a = wno.wno_forward(u, COORDS16, a)
-        out_b = wno.wno_forward(u, COORDS16, b)
+        out_a = wno.wno_forward(u, COORDS16, a, a.params)
+        out_b = wno.wno_forward(u, COORDS16, b, b.params)
         assert np.array_equal(out_a, out_b)
 
     def test_taped_forward_matches_plain(self):
         cfg = small_config()
         m = randomized(cfg, 19)
         u = np.random.default_rng(20).standard_normal((2, 1, 16))
-        plain = wno.wno_forward(u, COORDS16, m)
+        plain = wno.wno_forward(u, COORDS16, m, m.params)
         tape = ad.Tape()
         staged = {k: tape.leaf(v) for k, v in m.params.items()}
         taped = wno.wno_forward(tape.leaf(u), COORDS16, m, params=staged)
@@ -291,11 +293,14 @@ class TestCheckpoint:
         m = wno.WnoModel.initialize(cfg, 0)
         path = tmp_path / "model.dpaw"
         wno.save_checkpoint(m, path)
-        raw = bytearray(path.read_bytes())
-        raw[4] = 99  # bump the little-endian version field
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatVersionMismatch):
-            wno.load_checkpoint(path)
+        saved = path.read_bytes()
+        # a newer version, and version 0, which nothing ever wrote
+        for version in (99, 0):
+            raw = bytearray(saved)
+            raw[4] = version  # the little-endian version field
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatVersionMismatch, match=f"version {version};"):
+                wno.load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.dpaw"
