@@ -507,8 +507,7 @@ PRIMITIVES = {
     "concat": (_fw_concat, _vjp_concat, ()),
     "boundary_overwrite": (_fw_boundary_overwrite, _vjp_boundary_overwrite, ()),
     "circ_stencil": (_fw_circ_stencil, _vjp_circ_stencil, ()),
-    "dwt_level": (_fw_level_matmul, _vjp_level_matmul, ()),
-    "idwt_level": (_fw_level_matmul, _vjp_level_matmul, ()),
+    "level_matmul": (_fw_level_matmul, _vjp_level_matmul, ()),
 }
 
 
@@ -580,12 +579,10 @@ def circ_stencil(x, taps, axis: int):
     return _apply("circ_stencil", x, taps=taps, axis=axis)
 
 
-def level_matmul(kind: str, matrix, x, axis: int):
-    """Apply a constant per-level wavelet matrix along `axis`.
-
-    `kind` tags the tape node as "dwt_level" or "idwt_level".
-    """
-    return _apply(kind, x, matrix=np.asarray(matrix, dtype=np.float64), axis=axis)
+def level_matmul(matrix, x, axis: int):
+    """Apply a constant per-level wavelet matrix along `axis`."""
+    return _apply("level_matmul", x, matrix=np.asarray(matrix, dtype=np.float64),
+                  axis=axis)
 
 
 def value_of(x) -> np.ndarray:

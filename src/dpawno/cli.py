@@ -290,6 +290,11 @@ def _density_or_delta(samples):
                           np.array([0.0, 1.0, 0.0]), eps)
 
 
+# (pdf_probe*.csv column, density name), in column order
+PDF_COLUMNS = (("mass_model", "dpa-wno"), ("mass_truth", "truth"),
+               ("mass_partial", "physics-only"), ("mass_dataonly", "data-only"))
+
+
 def cmd_uq(args) -> int:
     cfg = _load_cfg(args)
     out = _ensure_outdir(args.out)
@@ -315,16 +320,13 @@ def cmd_uq(args) -> int:
         for name, probe in predicted.items():
             densities[name] = _density_or_delta(probe[t_star - 1])
         rebinned = dict(zip(densities, uq.on_shared_support(densities.values())))
-        support = rebinned["truth"].support
+        # one mass column per density, only for the models that were given
+        columns = [(c, rebinned[name]) for c, name in PDF_COLUMNS if name in rebinned]
         _write_csv(
             os.path.join(out, f"pdf_probe{k}.csv"),
-            ["support", "mass_model", "mass_truth", "mass_partial", "mass_dataonly"],
-            [(s,
-              rebinned.get("dpa-wno", rebinned["truth"]).mass[i],
-              rebinned["truth"].mass[i],
-              rebinned["physics-only"].mass[i],
-              rebinned.get("data-only", rebinned["truth"]).mass[i])
-             for i, s in enumerate(support)])
+            ["support"] + [c for c, _ in columns],
+            [(s, *(d.mass[i] for _, d in columns))
+             for i, s in enumerate(rebinned["truth"].support)])
         meta["probes"].append({"x": snapped, "t": t_star, "index": index,
                                "bandwidths": {n: d.bandwidth
                                               for n, d in densities.items()}})

@@ -33,10 +33,6 @@ class SignalTooShort(DpawnoError):
     pass
 
 
-class InconsistentCoeffLengths(DpawnoError):
-    pass
-
-
 class UnsupportedTermForBenchmark(DpawnoError):
     pass
 

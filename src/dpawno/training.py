@@ -92,7 +92,6 @@ class EpochLog:
 @dataclass
 class TrainReport:
     losses: list
-    schedule_trace: list  # (epoch, T) actually used
     wall_time_s: float
 
 
@@ -242,7 +241,6 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
     shuffle_rng = stream(cfg.seed, "shuffle")
     n = dataset.n_samples
     losses = []
-    trace = []
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         t_steps = schedule_lookup(cfg.unroll_schedule, epoch)
@@ -291,7 +289,6 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
             del tape, staged, loss
         mean_loss = float(np.mean(epoch_losses))
         losses.append(mean_loss)
-        trace.append((epoch, t_steps))
         if log_sink is not None:
             wall_ms = (time.perf_counter() - epoch_t0) * 1e3
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
@@ -302,7 +299,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
         if checkpoint_fn is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
             checkpoint_fn(epoch, model)
-    return TrainReport(losses, trace, time.perf_counter() - t0)
+    return TrainReport(losses, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +318,11 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
       probe         (steps, B) channel-0 values at `probe_index`, a spatial
                     index such as uq.nearest_grid_index returns, when given
       snapshots     {t: state copy} for the requested step indices
-      sse / count   squared error against `truth` over min(steps, mse_steps)
+      mse           mean squared error against `truth` over
+                    min(steps, mse_steps) steps (0.0 without `truth`)
       diverged      per-sample blow-up flags (frozen at last finite state)
       diverged_at   per-sample step at which the sample was first flagged
                     (0 for a non-finite IC), -1 for samples still alive
-      final         the state after the last step
     """
     rolled = ph.masked_steps(surrogate.step, ics, steps, surrogate.block)
     _, u, alive = next(rolled)
@@ -355,10 +352,7 @@ def rollout_statistics(surrogate, ics, steps: int, probe_index=None,
         "max_response": max_response,
         "probe": probe,
         "snapshots": snaps,
-        "sse": sse,
-        "count": count,
         "mse": sse / count if count else 0.0,
         "diverged": ~alive,
         "diverged_at": diverged_at,
-        "final": u,
     }

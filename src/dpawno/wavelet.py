@@ -8,12 +8,15 @@ trailing axes (the last is x, the one before it y) and applies the 1D level
 step along each axis in turn (Mallat 1989); leading axes (batch, channels)
 pass through untouched.
 
-Every level is one :func:`autodiff.level_matmul`, so the transforms accept an
-ndarray or a tape :class:`autodiff.Tensor`: on a Tensor they record
-"dwt_level"/"idwt_level" nodes, and the tape's VJP of the forward transform
-is its adjoint.  The inverses read a detail band given as ``None`` as a zero
-band and record nothing for it; the WNO kernel layer truncates its
-unweighted sub-bands this way.
+Coefficients are a plain ``(approx, details)`` pair (see
+:func:`dwt_multilevel`).  Every level is one :func:`autodiff.level_matmul`
+per band and axis, so the transforms accept an ndarray or a tape
+:class:`autodiff.Tensor`: on a Tensor they record "level_matmul" nodes, wide
+(n/2, n) analysis matrices forward and tall (n, n/2) synthesis matrices in
+the inverse, and the tape's VJP of the forward transform is its adjoint.
+The inverse reads a detail band given as ``None`` as a zero band and records
+nothing for it; the WNO kernel layer truncates its unweighted sub-bands this
+way.
 """
 
 from functools import lru_cache
@@ -21,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InconsistentCoeffLengths, SignalTooShort
+from .errors import SignalTooShort
 
 # Orthonormal Daubechies db6 scaling filter (reconstruction low-pass, natural
 # order, sum = sqrt(2)): 6 vanishing moments, 12 taps.  The values are the
@@ -53,10 +56,6 @@ def filters():
     return h, g
 
 
-def coeff_length(n: int) -> int:
-    return n // 2
-
-
 @lru_cache(maxsize=None)
 def level_analysis(n: int):
     """Single-level analysis matrices (A_lo, A_hi), each (n/2, n)."""
@@ -86,86 +85,57 @@ def level_synthesis(n: int):
     return lo.T.copy(), hi.T.copy()
 
 
-def level_shapes(shape, levels: int) -> tuple:
-    """Input shape (one extent per transform axis) at each of `levels`
-    levels, finest first."""
-    shape = tuple(shape)
-    if min(shape) < 2 ** levels:
-        raise SignalTooShort(
-            f"extents {shape} shorter than 2^levels = {2 ** levels}")
-    shapes = []
-    for _ in range(levels):
-        shapes.append(shape)
-        shape = tuple(coeff_length(n) for n in shape)
-    return tuple(shapes)
-
-
-class WaveletCoeffs:
-    """Multilevel coefficients over the `dims` trailing axes: one
-    approximation band plus, per level (coarsest first, finest last), a
-    tuple of 2^dims - 1 detail bands.  In 1D a level is ``(h,)``.  In 2D it
-    is ``(lh, hl, hh)``: the first letter is the filter along x (the last
-    axis), the second along y, so ``lh`` is low-pass along x and high-pass
-    along y.  ``original_shapes`` holds each level's input extents, finest
-    first."""
-
-    def __init__(self, approx, details, original_shapes):
-        self.approx = approx
-        self.details = list(details)
-        self.original_shapes = tuple(original_shapes)
-
-
-def dwt_multilevel(x, levels: int, dims: int) -> WaveletCoeffs:
+def dwt_multilevel(x, levels: int, dims: int):
     """Separable `levels`-level forward transform over the `dims` trailing
-    axes.
+    axes; returns ``(approx, details)``.
+
+    `approx` is the coarsest approximation band.  `details` holds, per level
+    (coarsest first, finest last), a tuple of 2^dims - 1 detail bands.  In
+    1D a level is ``(h,)``.  In 2D it is ``(lh, hl, hh)``: the first letter
+    is the filter along x (the last axis), the second along y, so ``lh`` is
+    low-pass along x and high-pass along y.
 
     Each level splits every band along x, then y; a split emits (hi, lo), so
     the all-low band, the next level's input, comes out last."""
-    shapes = level_shapes(ad.value_of(x).shape[-dims:], levels)
+    extents = ad.value_of(x).shape[-dims:]
+    if min(extents) < 2 ** levels:
+        raise SignalTooShort(
+            f"extents {extents} shorter than 2^levels = {2 ** levels}")
     details = []
-    for shape in shapes:
+    for _ in range(levels):
+        shape = ad.value_of(x).shape
         bands = [x]
         for axis in range(-1, -dims - 1, -1):
             lo, hi = level_analysis(shape[axis])
-            bands = [ad.level_matmul("dwt_level", mat, band, axis)
+            bands = [ad.level_matmul(mat, band, axis)
                      for band in bands for mat in (hi, lo)]
         x, *level = reversed(bands)
         details.append(tuple(level))
     details.reverse()
-    return WaveletCoeffs(x, details, shapes)
+    return x, details
 
 
 def _merge(s_lo, lo, s_hi, hi, axis):
     """S_lo . lo + S_hi . hi along `axis`; a None band is zero and records
     nothing."""
-    parts = [ad.level_matmul("idwt_level", mat, band, axis)
+    parts = [ad.level_matmul(mat, band, axis)
              for mat, band in ((s_lo, lo), (s_hi, hi)) if band is not None]
     if not parts:
         return None
     return parts[0] if len(parts) == 1 else ad.add(*parts)
 
 
-def idwt_multilevel(coeffs: WaveletCoeffs, dims: int):
+def idwt_multilevel(approx, details, dims: int):
     """Exact left inverse of :func:`dwt_multilevel`: merges each level's
-    (lo, hi) pairs along y, then x."""
-    shapes = coeffs.original_shapes
-    if len(coeffs.details) != len(shapes):
-        raise InconsistentCoeffLengths(
-            f"{len(coeffs.details)} detail levels for {len(shapes)} levels")
-    x = coeffs.approx
-    for level, shape in zip(coeffs.details, reversed(shapes)):
-        if len(level) != 2 ** dims - 1:
-            raise InconsistentCoeffLengths(
-                f"{len(level)} detail bands in a level, expected {2 ** dims - 1}")
+    (lo, hi) pairs along y, then x.  A level's input extents are twice its
+    approximation band's; a band of any other extent fails in the level
+    matmul or the add that merges it (ShapeMismatch)."""
+    x = approx
+    for level in details:
+        shape = ad.value_of(x).shape
         bands = [x, *level]
-        expected = tuple(coeff_length(n) for n in shape)
-        for band in bands:
-            if band is not None and ad.value_of(band).shape[-dims:] != expected:
-                raise InconsistentCoeffLengths(
-                    f"level input {shape}: expected band shape {expected}, "
-                    f"got {ad.value_of(band).shape[-dims:]}")
         for axis in range(-dims, 0):
-            s_lo, s_hi = level_synthesis(shape[axis])
+            s_lo, s_hi = level_synthesis(2 * shape[axis])
             bands = [_merge(s_lo, lo, s_hi, hi, axis)
                      for lo, hi in zip(bands[0::2], bands[1::2])]
         (x,) = bands

@@ -37,8 +37,8 @@ from .rng import stream
 CHECKPOINT_MAGIC = b"DPAW"
 CHECKPOINT_VERSION = 1
 
-# parameter-name stem of each detail band of a level, in the order of
-# wavelet.WaveletCoeffs.details
+# parameter-name stem of each detail band of a level, in the order of a
+# level's bands in wavelet.dwt_multilevel's details
 DETAIL_KINDS = {1: ("detail",), 2: ("lh", "hl", "hh")}
 
 
@@ -169,13 +169,11 @@ def kernel_layer(v, layer: int, model: WnoModel, params, final=False):
 
     # v feeds the transform and the pointwise path; recording the transform
     # first fixes the order in which backward sums v's gradient
-    c = wv.dwt_multilevel(v, cfg.levels, cfg.spatial_dims)
+    approx, details = wv.dwt_multilevel(v, cfg.levels, cfg.spatial_dims)
     kinds = DETAIL_KINDS[cfg.spatial_dims]
     details = [tuple(mix(f"{kind}{j}", d) for kind, d in zip(kinds, level))
-               for j, level in enumerate(c.details)]
-    x = wv.idwt_multilevel(
-        wv.WaveletCoeffs(mix("approx", c.approx), details, c.original_shapes),
-        cfg.spatial_dims)
+               for j, level in enumerate(details)]
+    x = wv.idwt_multilevel(mix("approx", approx), details, cfg.spatial_dims)
 
     w = ad.matmul(params[f"layer{layer}.pointwise.weight"], v, channel_axis=ca)
     w = ad.bias_add(w, params[f"layer{layer}.pointwise.bias"], channel_axis=ca)

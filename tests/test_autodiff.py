@@ -87,8 +87,8 @@ class TestBackwardExamples:
         full = np.vstack([lo, hi])
         t = ad.Tape()
         x = t.leaf(RNG.standard_normal(8))
-        out = ad.add(ad.total_sum(ad.level_matmul("dwt_level", lo, x, -1)),
-                     ad.total_sum(ad.level_matmul("dwt_level", hi, x, -1)))
+        out = ad.add(ad.total_sum(ad.level_matmul(lo, x, -1)),
+                     ad.total_sum(ad.level_matmul(hi, x, -1)))
         ad.backward(t, out)
         assert np.allclose(ad.grad_of(t, x), full.sum(axis=0), atol=1e-12)
 
@@ -150,9 +150,10 @@ class TestPrimitiveGradients:
             "boundary": (lambda t: quad(ad.boundary_overwrite(t, mask, 1.5)), x),
             "stencil": (lambda t: quad(
                 ad.circ_stencil(t, [(1, 2.0), (0, -1.0), (-1, 3.0)], -1)), x),
-            "dwt_level": (lambda t: quad(ad.level_matmul("dwt_level", lo, t, -1)), x),
-            "idwt_level": (lambda t: quad(
-                ad.level_matmul("idwt_level", lo.T, t, -1)), away_from_zero((2, 3, 4))),
+            # a wide analysis and a tall synthesis matrix
+            "level_matmul_wide": (lambda t: quad(ad.level_matmul(lo, t, -1)), x),
+            "level_matmul_tall": (lambda t: quad(
+                ad.level_matmul(lo.T, t, -1)), away_from_zero((2, 3, 4))),
         }
 
     def test_all_primitives_within_1e5(self):
@@ -237,9 +238,8 @@ class TestInvariants:
             ("concat", lambda a, d: ad.concat(a, d, 1), (x, c)),
             ("boundary_overwrite", lambda a: ad.boundary_overwrite(a, mask, 0.5), (x,)),
             ("circ_stencil", lambda a: ad.circ_stencil(a, taps, -1), (x,)),
-            ("dwt_level", lambda a: ad.level_matmul("dwt_level", lo, a, -1), (x,)),
-            ("idwt_level", lambda a: ad.level_matmul("idwt_level", lo.T, a, -1),
-             (x[..., :8],)),
+            ("level_matmul", lambda a: ad.level_matmul(lo, a, -1), (x,)),
+            ("level_matmul", lambda a: ad.level_matmul(lo.T, a, -1), (x[..., :8],)),
         ]
 
     def test_taped_and_plain_paths_bit_identical(self):
@@ -358,7 +358,7 @@ class TestKernelEquivalence:
         for v, axis in axis_cases():
             mat = RNG.standard_normal((7, v.shape[axis]))
             tape = ad.Tape()
-            out = ad.level_matmul("dwt_level", mat, tape.leaf(v), axis)
+            out = ad.level_matmul(mat, tape.leaf(v), axis)
             g = RNG.standard_normal(out.shape)
             (gx,) = ad._vjp_level_matmul(tape, tape.nodes[out.node_id], g)
             ref = moveaxis_matmul(mat.T, g, axis)

@@ -225,6 +225,24 @@ class TestCliPipeline:
             assert r["n"] == 40
             assert 0.0 <= r["reliability"] <= 1.0
 
+    def test_uq_writes_only_the_given_models(self, tmp_path, desk_data):
+        # the zero-initialized checkpoint steps exactly like the known
+        # physics, so its column equals mass_partial, not the truth; no
+        # data-only model was given, so there is no mass_dataonly column
+        ponly = str(tmp_path / "ponly")
+        assert self.run("train", "--preset", DESK, "--data", str(desk_data),
+                        "--out", ponly, "--mode", "physics-only",
+                        *SMALL_DATA) == 0
+        uqd = tmp_path / "uq"
+        assert self.run("uq", "--preset", DESK, "--data", str(desk_data),
+                        "--dpa", f"{ponly}/model.dpaw", "--out", str(uqd),
+                        *SMALL_DATA) == 0
+        header, *lines = (uqd / "pdf_probe0.csv").read_text().splitlines()
+        assert header == "support,mass_model,mass_truth,mass_partial"
+        rows = [line.split(",") for line in lines]
+        assert all(len(row) == 4 and row[1] == row[3] for row in rows)
+        assert any(row[1] != row[2] for row in rows)
+
     def test_usage_error_exit_code(self, capsys):
         assert self.run("gen-data", "--preset", DESK, "--out", "") == 2
 
@@ -922,8 +940,7 @@ EXIT_CODES = [
 # error in config and an i/o error in datagen.load; DegenerateSamples falls
 # back to a point mass in uq)
 UNMAPPED = {errors.UnknownPrimitive, errors.NonScalarSeed, errors.EmptyTape,
-            errors.InconsistentCoeffLengths, errors.UnsupportedTermForBenchmark,
-            errors.DegenerateSamples}
+            errors.UnsupportedTermForBenchmark, errors.DegenerateSamples}
 
 
 class TestExitCodeTable:

@@ -2,7 +2,8 @@
 package itself or in the benchmark harness: an entry point that only tests
 reach is surface to delete, not to keep.  Likewise every config key takes
 more than one value across the inputs the program is run on: a key with
-one value is a constant to fold into the code."""
+one value is a constant to fold into the code, and every tape primitive has
+its own (forward, VJP) pair: two names for one pair are one primitive."""
 
 import ast
 import configparser
@@ -10,7 +11,7 @@ import re
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from dpawno import config
+from dpawno import autodiff, config
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dpawno").glob("*.py")) + sorted(
@@ -106,3 +107,11 @@ def test_every_config_key_takes_two_values():
               if len(values[pooled(section), key]) < 2
               and (section, key) not in ONE_VALUE_KEYS]
     assert not single, f"config keys with one value, constants to fold: {single}"
+
+
+def test_every_primitive_has_its_own_rule_pair():
+    names = defaultdict(list)
+    for name, (forward, vjp, _) in autodiff.PRIMITIVES.items():
+        names[forward, vjp].append(name)
+    shared = [sorted(group) for group in names.values() if len(group) > 1]
+    assert not shared, f"primitive names sharing one (forward, vjp) pair: {shared}"

@@ -6,7 +6,7 @@ import pytest
 from dpawno import autodiff as ad
 from dpawno import wavelet as wv
 from dpawno import wno
-from dpawno.errors import InconsistentCoeffLengths, SignalTooShort
+from dpawno.errors import ShapeMismatch, SignalTooShort
 
 
 def transform_matrix(n, levels):
@@ -20,7 +20,8 @@ def transform_matrix(n, levels):
 
 
 def bands(c):
-    return [c.approx] + [b for level in c.details for b in level]
+    approx, details = c
+    return [approx] + [b for level in details for b in level]
 
 
 def flatten(c):
@@ -68,17 +69,17 @@ class TestFilters:
 class TestDwt1d:
     def test_constant_signal_details_vanish(self):
         levels = 4
-        c = wv.dwt_multilevel(np.full(64, 3.7), levels, 1)
-        for (d,) in c.details:
+        approx, details = wv.dwt_multilevel(np.full(64, 3.7), levels, 1)
+        for (d,) in details:
             assert np.max(np.abs(d)) < 1e-13 * 3.7
         # approximation picks up 2^(levels/2) per coefficient
-        assert np.allclose(c.approx, 3.7 * 2 ** (4 / 2), atol=1e-12)
+        assert np.allclose(approx, 3.7 * 2 ** (4 / 2), atol=1e-12)
 
     def test_zero_signal(self):
         levels = 3
-        c = wv.dwt_multilevel(np.zeros(32), levels, 1)
-        assert np.all(c.approx == 0.0)
-        assert all(np.all(d == 0.0) for (d,) in c.details)
+        approx, details = wv.dwt_multilevel(np.zeros(32), levels, 1)
+        assert np.all(approx == 0.0)
+        assert all(np.all(d == 0.0) for (d,) in details)
 
     def test_matches_matrix_oracle(self):
         levels = 4
@@ -99,65 +100,54 @@ class TestIdwt1d:
     def test_round_trip_length_112(self):
         levels = 4
         x = np.random.default_rng(1).standard_normal(112)
-        xr = wv.idwt_multilevel(wv.dwt_multilevel(x, levels, 1), 1)
+        xr = wv.idwt_multilevel(*wv.dwt_multilevel(x, levels, 1), 1)
         assert np.max(np.abs(xr - x)) < 1e-10
 
     def test_zero_coeffs_give_zero_signal(self):
         levels = 2
         c = wv.dwt_multilevel(np.zeros(32), levels, 1)
-        assert np.all(wv.idwt_multilevel(c, 1) == 0.0)
+        assert np.all(wv.idwt_multilevel(*c, 1) == 0.0)
 
     def test_delta_approx_reproduces_inverse_matrix_column(self):
         levels = 3
         n = 64
         mat = transform_matrix(n, levels)
         inv = np.linalg.inv(mat)
-        c = wv.dwt_multilevel(np.zeros(n), levels, 1)
-        delta = np.zeros_like(c.approx)
+        approx, details = wv.dwt_multilevel(np.zeros(n), levels, 1)
+        delta = np.zeros_like(approx)
         delta[2] = 1.0
-        c = wv.WaveletCoeffs(delta, [(np.zeros_like(d),) for (d,) in c.details],
-                             c.original_shapes)
-        assert np.max(np.abs(wv.idwt_multilevel(c, 1) - inv[:, 2])) < 1e-11
+        assert np.max(np.abs(wv.idwt_multilevel(delta, details, 1) - inv[:, 2])) < 1e-11
 
     def test_inconsistent_lengths_raise(self):
         levels = 2
-        c = wv.dwt_multilevel(np.random.default_rng(2).standard_normal(32),
-                              levels, 1)
-        broken = wv.WaveletCoeffs(c.approx[:-1], c.details, c.original_shapes)
-        with pytest.raises(InconsistentCoeffLengths):
-            wv.idwt_multilevel(broken, 1)
-
-    def test_wrong_band_count_raises(self):
-        levels = 2
-        c = wv.dwt_multilevel(np.random.default_rng(2).standard_normal((16, 32)),
-                              levels, 1)
-        with pytest.raises(InconsistentCoeffLengths):
-            wv.idwt_multilevel(c, 2)
-        c2 = wv.dwt_multilevel(np.ones((16, 16)), levels, 2)
-        with pytest.raises(InconsistentCoeffLengths):
-            wv.idwt_multilevel(c2, 1)
+        approx, details = wv.dwt_multilevel(
+            np.random.default_rng(2).standard_normal(32), levels, 1)
+        # a short approximation band: the level's detail band no longer fits
+        with pytest.raises(ShapeMismatch):
+            wv.idwt_multilevel(approx[:-1], details, 1)
 
 
 class TestDwt2d:
     def test_constant_field_detail_bands_vanish(self):
         levels = 2
-        c = wv.dwt_multilevel(np.full((8, 8), 2.0), levels, 2)
-        for lh, hl, hh in c.details:
+        _, details = wv.dwt_multilevel(np.full((8, 8), 2.0), levels, 2)
+        for lh, hl, hh in details:
             assert max(np.max(np.abs(b)) for b in (lh, hl, hh)) < 1e-13
 
     def test_round_trip_64x64(self):
         levels = 4
         f = np.random.default_rng(3).standard_normal((64, 64))
-        fr = wv.idwt_multilevel(wv.dwt_multilevel(f, levels, 2), 2)
+        fr = wv.idwt_multilevel(*wv.dwt_multilevel(f, levels, 2), 2)
         assert np.max(np.abs(fr - f)) < 1e-10
 
     def test_separability_on_outer_product(self):
         levels = 3
         rng = np.random.default_rng(4)
         a, b = rng.standard_normal(64), rng.standard_normal(64)
-        c2 = wv.dwt_multilevel(np.outer(a, b), levels, 2)
-        ca, cb = wv.dwt_multilevel(a, levels, 1), wv.dwt_multilevel(b, levels, 1)
-        assert np.max(np.abs(c2.approx - np.outer(ca.approx, cb.approx))) < 1e-11
+        approx2, _ = wv.dwt_multilevel(np.outer(a, b), levels, 2)
+        (approx_a, _), (approx_b, _) = (wv.dwt_multilevel(a, levels, 1),
+                                        wv.dwt_multilevel(b, levels, 1))
+        assert np.max(np.abs(approx2 - np.outer(approx_a, approx_b))) < 1e-11
 
     @pytest.mark.parametrize("depths", [(1, 2, 3)], ids=["periodic"])
     def test_band_names_on_outer_product(self, depths):
@@ -168,19 +158,19 @@ class TestDwt2d:
         rng = np.random.default_rng(24)
         a, b = rng.standard_normal(40), rng.standard_normal(48)
         for levels in depths:
-            lh, hl, hh = wv.dwt_multilevel(np.outer(a, b), levels, 2).details[0]
-            ca, cb = wv.dwt_multilevel(a, levels, 1), wv.dwt_multilevel(b, levels, 1)
-            (hi_a,), (hi_b,) = ca.details[0], cb.details[0]
-            assert np.max(np.abs(lh - np.outer(hi_a, cb.approx))) < 1e-12
-            assert np.max(np.abs(hl - np.outer(ca.approx, hi_b))) < 1e-12
+            lh, hl, hh = wv.dwt_multilevel(np.outer(a, b), levels, 2)[1][0]
+            lo_a, ((hi_a,), *_) = wv.dwt_multilevel(a, levels, 1)
+            lo_b, ((hi_b,), *_) = wv.dwt_multilevel(b, levels, 1)
+            assert np.max(np.abs(lh - np.outer(hi_a, lo_b))) < 1e-12
+            assert np.max(np.abs(hl - np.outer(lo_a, hi_b))) < 1e-12
             assert np.max(np.abs(hh - np.outer(hi_a, hi_b))) < 1e-12
 
     def test_channel_dims_pass_through(self):
         levels = 2
         f = np.random.default_rng(5).standard_normal((3, 2, 16, 16))
-        c = wv.dwt_multilevel(f, levels, 2)
-        assert c.approx.shape[:2] == (3, 2)
-        assert np.max(np.abs(wv.idwt_multilevel(c, 2) - f)) < 1e-10
+        approx, details = wv.dwt_multilevel(f, levels, 2)
+        assert approx.shape[:2] == (3, 2)
+        assert np.max(np.abs(wv.idwt_multilevel(approx, details, 2) - f)) < 1e-10
 
 
 class TestInvariants:
@@ -191,7 +181,7 @@ class TestInvariants:
         for _ in range(25):
             x = rng.standard_normal(n)
             c = wv.dwt_multilevel(x, levels, 1)
-            assert np.max(np.abs(wv.idwt_multilevel(c, 1) - x)) < 1e-10
+            assert np.max(np.abs(wv.idwt_multilevel(*c, 1) - x)) < 1e-10
             e_sig = float(np.sum(x * x))
             e_coef = float(np.sum(flatten(c) ** 2))
             assert abs(e_sig - e_coef) < 1e-9 * e_sig
@@ -210,10 +200,9 @@ class TestInvariants:
         rng = np.random.default_rng(10)
         for _ in range(20):
             x = rng.standard_normal(64)
-            c = wv.dwt_multilevel(x, levels, 1)
-            y = wv.WaveletCoeffs(rng.standard_normal(c.approx.shape),
-                                 [(rng.standard_normal(d.shape),) for (d,) in c.details],
-                                 c.original_shapes)
+            c = approx, details = wv.dwt_multilevel(x, levels, 1)
+            y = (rng.standard_normal(approx.shape),
+                 [(rng.standard_normal(d.shape),) for (d,) in details])
             lhs = float(np.dot(flatten(c), flatten(y)))
             rhs = float(np.dot(x, adjoint_apply(x, y, levels)))
             assert abs(lhs - rhs) < 1e-10
@@ -224,7 +213,7 @@ class TestInvariants:
         x = rng.standard_normal(64)
         c = wv.dwt_multilevel(x, levels, 1)
         assert np.max(np.abs(adjoint_apply(x, c, levels)
-                             - wv.idwt_multilevel(c, 1))) < 1e-12
+                             - wv.idwt_multilevel(*c, 1))) < 1e-12
 
 
 class TestTapeTensors:
@@ -244,8 +233,8 @@ class TestTapeTensors:
         for t_band, p_band in zip(bands(taped), bands(plain)):
             assert isinstance(t_band, ad.Tensor)
             assert np.array_equal(t_band.data, p_band)
-        back = wv.idwt_multilevel(taped, dims)
-        assert np.array_equal(back.data, wv.idwt_multilevel(plain, dims))
+        back = wv.idwt_multilevel(*taped, dims)
+        assert np.array_equal(back.data, wv.idwt_multilevel(*plain, dims))
         # idwt(dwt(x)) = x, so its VJP returns the cotangent unchanged
         w = np.random.default_rng(23).standard_normal(shape)
         ad.backward(tape, ad.total_sum(ad.mul(back, w)))
@@ -253,24 +242,22 @@ class TestTapeTensors:
 
     @pytest.mark.parametrize("levels", [3], ids=["periodic"])
     def test_none_detail_band_is_a_zero_band_1d(self, levels):
-        c = wv.dwt_multilevel(
+        approx, details = wv.dwt_multilevel(
             np.random.default_rng(21).standard_normal((2, 64)), levels, 1)
 
         def inverse(coarsest):
-            return wv.idwt_multilevel(wv.WaveletCoeffs(
-                c.approx, [(coarsest,)] + c.details[1:], c.original_shapes), 1)
+            return wv.idwt_multilevel(approx, [(coarsest,)] + details[1:], 1)
 
-        assert np.array_equal(inverse(None), inverse(np.zeros_like(c.details[0][0])))
+        assert np.array_equal(inverse(None), inverse(np.zeros_like(details[0][0])))
 
     @pytest.mark.parametrize("levels", [2], ids=["periodic"])
     def test_none_detail_band_is_a_zero_band_2d(self, levels):
-        c = wv.dwt_multilevel(
+        approx, details = wv.dwt_multilevel(
             np.random.default_rng(22).standard_normal((2, 32, 24)), levels, 2)
-        lh, hl, hh = c.details[-1]
+        lh, hl, hh = details[-1]
 
         def inverse(finest):
-            return wv.idwt_multilevel(wv.WaveletCoeffs(
-                c.approx, c.details[:-1] + [finest], c.original_shapes), 2)
+            return wv.idwt_multilevel(approx, details[:-1] + [finest], 2)
 
         assert np.array_equal(inverse((None, hl, None)),
                               inverse((np.zeros_like(lh), hl, np.zeros_like(hh))))
@@ -278,19 +265,15 @@ class TestTapeTensors:
     def test_wrong_length_tensor_band_raises(self):
         levels = 2
         tape = ad.Tape()
-        c = wv.dwt_multilevel(tape.leaf(np.ones(32)), levels, 1)
-        short = ad.slice_axis(c.details[0][0], -1, 0, 7)
-        with pytest.raises(InconsistentCoeffLengths):
+        approx, details = wv.dwt_multilevel(tape.leaf(np.ones(32)), levels, 1)
+        short = ad.slice_axis(details[0][0], -1, 0, 7)
+        with pytest.raises(ShapeMismatch):
+            wv.idwt_multilevel(approx, [(short,)] + details[1:], 1)
+        approx2, details2 = wv.dwt_multilevel(tape.leaf(np.ones((16, 16))), levels, 2)
+        lh, hl, hh = details2[0]
+        with pytest.raises(ShapeMismatch):
             wv.idwt_multilevel(
-                wv.WaveletCoeffs(c.approx, [(short,)] + c.details[1:],
-                                 c.original_shapes), 1)
-        c2 = wv.dwt_multilevel(tape.leaf(np.ones((16, 16))), levels, 2)
-        lh, hl, hh = c2.details[0]
-        with pytest.raises(InconsistentCoeffLengths):
-            wv.idwt_multilevel(
-                wv.WaveletCoeffs(c2.approx,
-                                 [(lh, ad.slice_axis(hl, -2, 0, 3), hh)]
-                                 + c2.details[1:], c2.original_shapes), 2)
+                approx2, [(lh, ad.slice_axis(hl, -2, 0, 3), hh)] + details2[1:], 2)
 
 
 class TestSpecValidation:
@@ -307,7 +290,6 @@ class TestSpecValidation:
 
     def test_coefficient_length_rule(self):
         # ceil(n / 2^k) per level for the periodic lengths used here
-        c = wv.dwt_multilevel(np.zeros(112), 4, 1)
-        assert [d.shape[-1] for (d,) in c.details] == [7, 14, 28, 56]
-        assert c.approx.shape[-1] == 7
-        assert wv.coeff_length(64) == 32
+        approx, details = wv.dwt_multilevel(np.zeros(112), 4, 1)
+        assert [d.shape[-1] for (d,) in details] == [7, 14, 28, 56]
+        assert approx.shape[-1] == 7
