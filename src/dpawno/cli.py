@@ -203,15 +203,15 @@ def cmd_train(args) -> int:
 
 
 def _load_dataset(cfg, data_dir, name):
-    """The stored `name` set ("train" or "test"); one made for another
-    benchmark or grid than the configuration's is a usage error."""
+    """The stored `name` set ("train" or "test"); one made for other physics
+    or another grid than the configuration's is a usage error."""
     ds = dg.load(os.path.join(data_dir, f"{name}.dpds"))
-    spec = cfg.partial_spec()
-    if (ds.spec.benchmark, ds.ics.shape[1:]) != (spec.benchmark, spec.state_shape()):
-        raise UsageError(
-            f"{name} set holds {ds.spec.benchmark} states of shape "
-            f"{ds.ics.shape[1:]}; the configuration expects {spec.benchmark} "
-            f"states of shape {spec.state_shape()}")
+    stored, wanted = dg._spec_doc(ds.spec), dg._spec_doc(cfg.full_spec())
+    differ = [f"{key} {stored[key]!r} (configured {wanted[key]!r})"
+              for key in wanted if stored[key] != wanted[key]]
+    if differ:
+        raise UsageError(f"{name} set was made for other physics: "
+                         + "; ".join(differ))
     return ds
 
 

@@ -1,20 +1,19 @@
 """Ground-truth generation: initial-condition families, full-physics
-trajectories, and the dataset file format."""
+trajectories, and the dataset file: a :mod:`dpawno.container` file (magic
+``DPDS``) whose header holds the full-physics spec, seed and family
+description, with the (N, Nt+1, C) + spatial trajectories as its one
+block."""
 
-import hashlib
-import json
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from . import physics as ph
 from .errors import (
-    ChecksumMismatch,
     CountExceedsFamily,
     DatasetIoError,
-    FormatVersionMismatch,
     NonFiniteState,
     UnsupportedTermForBenchmark,
 )
@@ -22,7 +21,6 @@ from .rng import stream
 from .training import PhysicsSurrogate
 
 DATASET_MAGIC = b"DPDS"
-DATASET_VERSION = 1
 
 # the [ic.*] keys each kind reads besides kind and count: the first fills
 # IcFamily.amplitudes, the second (if any) IcFamily.frequencies
@@ -197,8 +195,7 @@ def generate(spec: ph.PdeSpec, families, nt: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# file format: magic, version, JSON header, float64 payload, then the first
-# 64 bits of the payload's SHA-256 as checksum
+# file format: a dpawno.container file with one "trajectories" block
 
 def _spec_doc(spec: ph.PdeSpec) -> dict:
     return {
@@ -226,90 +223,22 @@ def spec_from_doc(doc: dict) -> ph.PdeSpec:
         nx=doc["nx"],
         ny=doc["ny"],
         dt=doc["dt"],
-        advection_scheme=doc.get("advection", "central"),
+        advection_scheme=doc["advection"],
     )
 
 
 def save(dataset: Dataset, path):
-    spec = dataset.spec
-    header = {
-        "spec": _spec_doc(spec),
-        "n": dataset.n_samples,
-        "nt": dataset.n_steps,
-        "dx": spec.dx,
-        "dy": spec.dy if spec.is_2d else None,
-        "seed": dataset.seed,
-        "family": dataset.family_desc,
-        "shape": list(dataset.trajectories.shape),
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    arr = np.ascontiguousarray(dataset.trajectories, dtype="<f8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(DATASET_MAGIC)
-            fh.write(struct.pack("<II", DATASET_VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<Q", arr.nbytes))
-            # written (and hashed) per sample: full-scale 2D payloads run to
-            # gigabytes and must not be duplicated through tobytes()
-            digest = hashlib.sha256()
-            for sample in arr:
-                chunk = sample.tobytes()
-                digest.update(chunk)
-                fh.write(chunk)
-            fh.write(struct.pack("<Q", int.from_bytes(digest.digest()[:8], "little")))
-    except OSError as exc:
-        raise DatasetIoError(f"cannot write dataset to {path}: {exc}") from exc
+    header = {"spec": _spec_doc(dataset.spec), "seed": dataset.seed,
+              "family": dataset.family_desc}
+    container.write(path, DATASET_MAGIC, header,
+                    {"trajectories": dataset.trajectories})
 
 
 def load(path) -> Dataset:
+    header, blocks = container.read(path, DATASET_MAGIC)
     try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DatasetIoError(f"cannot read dataset from {path}: {exc}") from exc
-    with fh:
-        magic = fh.read(4)
-        if magic != DATASET_MAGIC:
-            raise DatasetIoError(f"not a dataset file: magic {magic!r}")
-        raw = fh.read(8)
-        if len(raw) < 8:
-            raise ChecksumMismatch("file truncated inside the header")
-        version, blob_len = struct.unpack("<II", raw)
-        if version != DATASET_VERSION:
-            raise FormatVersionMismatch(
-                f"dataset format version {version}; only version "
-                f"{DATASET_VERSION} is read")
-        blob = fh.read(blob_len)
-        raw = fh.read(8)
-        if len(blob) < blob_len or len(raw) < 8:
-            raise ChecksumMismatch("file truncated inside the header")
-        try:
-            header = json.loads(blob.decode())
-            shape = tuple(header["shape"])
-            spec = spec_from_doc(header["spec"])
-            seed, family = header["seed"], header["family"]
-        except (ValueError, KeyError, TypeError, UnsupportedTermForBenchmark) as exc:
-            raise DatasetIoError(
-                f"dataset header is malformed: {type(exc).__name__}: {exc}") from exc
-        (payload_len,) = struct.unpack("<Q", raw)
-        expected = int(np.prod(shape)) * 8
-        if payload_len != expected:
-            raise ChecksumMismatch(
-                f"payload length {payload_len} does not match shape {shape}")
-        trajectories = np.empty(shape)
-        digest = hashlib.sha256()
-        flat = trajectories.reshape(shape[0], -1)
-        per_sample = flat.shape[1] * 8
-        for i in range(shape[0]):
-            chunk = fh.read(per_sample)
-            if len(chunk) < per_sample:
-                raise ChecksumMismatch("file truncated inside the payload")
-            digest.update(chunk)
-            flat[i] = np.frombuffer(chunk, dtype="<f8")
-        raw = fh.read(8)
-        if len(raw) < 8:
-            raise ChecksumMismatch("file truncated inside the payload")
-        (stored,) = struct.unpack("<Q", raw)
-        if int.from_bytes(digest.digest()[:8], "little") != stored:
-            raise ChecksumMismatch("payload checksum does not match")
-    return Dataset(spec, trajectories, seed, family)
+        return Dataset(spec_from_doc(header["spec"]), blocks["trajectories"],
+                       header["seed"], header["family"])
+    except (ValueError, KeyError, TypeError, UnsupportedTermForBenchmark) as exc:
+        raise DatasetIoError(
+            f"dataset header is malformed: {type(exc).__name__}: {exc}") from exc

@@ -16,26 +16,22 @@ independent of the grid resolution.
 The downlift output layer is zero-initialized: a freshly initialized model is
 the exact zero correction, so an augmented solver starts bit-identical to the
 known-physics solver.
+
+A checkpoint is a :mod:`dpawno.container` file (magic ``DPAW``) whose header
+holds exactly the WnoConfig fields, with one block per parameter.
 """
 
-import json
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from . import wavelet as wv
-from .errors import (
-    ChecksumMismatch,
-    DatasetIoError,
-    FormatVersionMismatch,
-    ShapeMismatch,
-)
+from .errors import DatasetIoError, ShapeMismatch
 from .rng import stream
 
 CHECKPOINT_MAGIC = b"DPAW"
-CHECKPOINT_VERSION = 1
 
 # parameter-name stem of each detail band of a level, in the order of a
 # level's bands in wavelet.dwt_multilevel's details
@@ -203,97 +199,33 @@ def wno_forward(u, coords, model: WnoModel, params):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, config header, named shape-tagged blocks
-
-def _config_header(config: WnoConfig) -> bytes:
-    doc = {
-        "width": config.width,
-        "layers": config.layers,
-        # the only family and extension; kept so checkpoint bytes stay
-        # unchanged
-        "wavelet_family": "db6",
-        "wavelet_levels": config.levels,
-        "wavelet_extension": "periodic",
-        "fc1_dim": config.fc1_dim,
-        "in_channels": config.in_channels,
-        "out_channels": config.out_channels,
-        "spatial_dims": config.spatial_dims,
-        "bands": config.bands,
-    }
-    return json.dumps(doc, sort_keys=True).encode()
-
+# checkpoint format: a dpawno.container file, one block per parameter
 
 def config_from_header(doc: dict) -> WnoConfig:
-    for key, only in (("wavelet_family", "db6"), ("wavelet_extension", "periodic")):
-        if doc[key] != only:
-            raise ValueError(f"unsupported {key.replace('_', ' ')} "
-                             f"{doc[key]!r}; only {only!r} is read")
-    return WnoConfig(
-        width=doc["width"],
-        layers=doc["layers"],
-        levels=doc["wavelet_levels"],
-        fc1_dim=doc["fc1_dim"],
-        in_channels=doc["in_channels"],
-        out_channels=doc["out_channels"],
-        spatial_dims=doc["spatial_dims"],
-        bands=doc["bands"],
-    )
+    """The WnoConfig of a checkpoint header, which holds exactly its fields."""
+    expected = {field.name for field in fields(WnoConfig)}
+    if set(doc) != expected:
+        raise ValueError(f"keys {sorted(doc)}; expected {sorted(expected)}")
+    return WnoConfig(**doc)
 
 
 def save_checkpoint(model: WnoModel, path):
-    header = _config_header(model.config)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<I", len(model.params)))
-        for name, value in model.params.items():
-            raw = name.encode()
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}Q", *value.shape))
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-
-
-def _read(fh, size: int, what: str) -> bytes:
-    raw = fh.read(size)
-    if len(raw) < size:
-        raise ChecksumMismatch(f"checkpoint truncated inside the {what}")
-    return raw
+    container.write(path, CHECKPOINT_MAGIC, asdict(model.config), model.params)
 
 
 def load_checkpoint(path) -> WnoModel:
-    """Read a checkpoint; a short read raises ChecksumMismatch, and a
-    malformed header, a non-finite parameter or parameter blocks that do not
-    match the header DatasetIoError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatVersionMismatch(f"not a checkpoint file: magic {magic!r}")
-        version, header_len = struct.unpack("<II", _read(fh, 8, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise FormatVersionMismatch(
-                f"checkpoint format version {version}; only version "
-                f"{CHECKPOINT_VERSION} is read")
-        raw = _read(fh, header_len, "header")
-        try:
-            config = config_from_header(json.loads(raw.decode()))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetIoError(
-                f"checkpoint header is malformed: {type(exc).__name__}: {exc}") from exc
-        (count,) = struct.unpack("<I", _read(fh, 4, "header"))
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read(fh, 2, "parameter name"))
-            name = _read(fh, name_len, "parameter name").decode()
-            (ndim,) = struct.unpack("<B", _read(fh, 1, f"shape of {name}"))
-            shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, f"shape of {name}"))
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(_read(fh, 8 * size, f"data of {name}"), dtype="<f8")
-            if not np.all(np.isfinite(data)):
-                raise DatasetIoError(f"checkpoint parameter {name} is not finite")
-            params[name] = data.reshape(shape).astype(np.float64)
+    """Read a checkpoint; a header that is not a WnoConfig, a non-finite
+    parameter or parameter blocks that do not match the header raise
+    DatasetIoError, like the container's own checks."""
+    header, params = container.read(path, CHECKPOINT_MAGIC)
+    try:
+        config = config_from_header(header)
+    except (ValueError, TypeError) as exc:
+        raise DatasetIoError(
+            f"checkpoint header is malformed: {type(exc).__name__}: {exc}") from exc
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise DatasetIoError(f"checkpoint parameter {name} is not finite")
     try:
         return WnoModel(config, params)
     except ShapeMismatch as exc:

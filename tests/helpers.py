@@ -1,10 +1,14 @@
 """Helpers shared by the test modules: a gradient check built from a tape
-and `autodiff.central_differences`, and a surrogate that replays stored
-trajectories."""
+and `autodiff.central_differences`, a surrogate that replays stored
+trajectories, and a re-sealer for edited container files."""
+
+import hashlib
+import struct
 
 import numpy as np
 
 from dpawno import autodiff as ad
+from dpawno import container
 
 
 def gradient_error(loss_fn, point, step: float) -> float:
@@ -38,3 +42,16 @@ class Replay:
     def step(self, u):
         self.t += 1
         return self.trajectories[:, self.t]
+
+
+def reseal(path, edit):
+    """Rewrite the container file at `path` with its JSON header replaced by
+    edit(header bytes), and a fresh header length and digest: the edit
+    reaches the header checks behind the checksum."""
+    raw = open(path, "rb").read()
+    (size,) = struct.unpack("<I", raw[8:12])
+    header = edit(raw[12:12 + size])
+    body = (raw[:8] + struct.pack("<I", len(header)) + header
+            + raw[12 + size:-container.DIGEST_BYTES])
+    with open(path, "wb") as fh:
+        fh.write(body + hashlib.sha256(body).digest()[:container.DIGEST_BYTES])

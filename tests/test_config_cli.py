@@ -2,7 +2,6 @@ import configparser
 import json
 import os
 import re
-import struct
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from dpawno import reliability as rel
 from dpawno import training as tr
 from dpawno import wno
 from dpawno.errors import NonFiniteLoss, UsageError
+from helpers import reseal
 
 FAST_TRAIN = [
     "--set", "train.epochs=2",
@@ -369,14 +369,17 @@ def test_paired_disagreement_counts():
 
 
 class TestDamagedCheckpoint:
-    """A cut or non-finite checkpoint is an i/o error (exit 4), not a usage
-    error or a plausible-looking report."""
+    """A cut, non-finite or malformed checkpoint is an i/o error (exit 4),
+    not a usage error or a plausible-looking report.  The header edits are
+    re-sealed with a fresh digest, so they reach the checks behind it."""
 
-    def reliability(self, tmp_path, model, keep=1.0, edit=lambda raw: raw):
+    def reliability(self, tmp_path, model, keep=1.0, edit=None):
         path = tmp_path / "model.dpaw"
         wno.save_checkpoint(model, path)
+        if edit:
+            reseal(path, edit)
         raw = path.read_bytes()
-        path.write_bytes(edit(raw[:int(len(raw) * keep)]))
+        path.write_bytes(raw[:int(len(raw) * keep)])
         return cli.main(["reliability", "--preset", DESK, "--dpa", str(path),
                          "--out", str(tmp_path / "rel"), *SMALL_DATA])
 
@@ -387,7 +390,7 @@ class TestDamagedCheckpoint:
         calls = count_cholesky(monkeypatch)
         assert self.reliability(tmp_path, self.model(), keep=0.5) == 4
         assert calls == []  # fails before the GRF factorization
-        assert "checkpoint truncated" in capsys.readouterr().err
+        assert "model.dpaw is truncated" in capsys.readouterr().err
         assert not (tmp_path / "rel" / "reliability.jsonl").exists()
 
     def test_nan_parameter_exits_4(self, tmp_path, capsys):
@@ -399,17 +402,17 @@ class TestDamagedCheckpoint:
 
     def test_undecodable_header_exits_4(self, tmp_path, capsys, monkeypatch):
         calls = count_cholesky(monkeypatch)
-        # byte 20 lies inside the JSON header, which starts after 12 bytes
         assert self.reliability(tmp_path, self.model(),
-                                edit=lambda raw: raw[:20] + b"\xff" + raw[21:]) == 4
-        assert "checkpoint header" in capsys.readouterr().err
+                                edit=lambda h: h[:8] + b"\xff" + h[9:]) == 4
+        assert "model.dpaw header is malformed: UnicodeDecodeError" in \
+            capsys.readouterr().err
         assert calls == []
 
     def test_header_missing_key_exits_4(self, tmp_path, capsys, monkeypatch):
         calls = count_cholesky(monkeypatch)
         assert self.reliability(
             tmp_path, self.model(),
-            edit=lambda raw: raw.replace(b'"bands"', b'"bandz"', 1)) == 4
+            edit=lambda h: h.replace(b'"bands"', b'"bandz"', 1)) == 4
         err = capsys.readouterr().err
         assert "checkpoint header" in err and "bands" in err
         assert calls == []
@@ -420,21 +423,18 @@ class TestDamagedCheckpoint:
         calls = count_cholesky(monkeypatch)
         assert self.reliability(
             tmp_path, self.model(),
-            edit=lambda raw: raw.replace(b'"width": 24', b'"width": 25', 1)) == 4
+            edit=lambda h: h.replace(b'"width": 24', b'"width": 25', 1)) == 4
         assert "checkpoint blocks do not match its header" in capsys.readouterr().err
         assert calls == []
 
     def test_symmetric_extension_header_exits_4(self, tmp_path, capsys, monkeypatch):
-        # periodic is the only wavelet extension the transforms implement,
-        # and db6 the only family
+        # periodic db6 is the only wavelet, so the header names none: a
+        # header that adds a wavelet key, or any other unknown key, is damage
         def setting(key, value):
-            def edit(raw):
-                (size,) = struct.unpack("<I", raw[8:12])
-                doc = json.loads(raw[12:12 + size])
+            def edit(header):
+                doc = json.loads(header)
                 doc[key] = value
-                header = json.dumps(doc, sort_keys=True).encode()
-                return (raw[:8] + struct.pack("<I", len(header)) + header
-                        + raw[12 + size:])
+                return json.dumps(doc, sort_keys=True).encode()
             return edit
 
         calls = count_cholesky(monkeypatch)
@@ -443,7 +443,7 @@ class TestDamagedCheckpoint:
             assert self.reliability(tmp_path, self.model(),
                                     edit=setting(key, value)) == 4
             err = capsys.readouterr().err
-            assert "checkpoint header is malformed" in err and f"'{value}'" in err
+            assert "checkpoint header is malformed" in err and f"'{key}'" in err
         assert calls == []
 
 
@@ -592,7 +592,8 @@ class TestMalformedInput:
         data.mkdir()
         raw = (desk_data / "train.dpds").read_bytes()
         assert raw.count(b'"burgers1d"') == 1
-        (data / "train.dpds").write_bytes(raw.replace(b'"burgers1d"', b'"burgers9d"'))
+        (data / "train.dpds").write_bytes(raw)
+        reseal(data / "train.dpds", lambda h: h.replace(b'"burgers1d"', b'"burgers9d"'))
         out = tmp_path / "train"
         code = cli.main(["train", "--preset", DESK, "--data", str(data),
                          "--out", str(out), *SMALL_DATA, *FAST_TRAIN])
@@ -603,14 +604,35 @@ class TestMalformedInput:
     def test_undecodable_dataset_header_exits_4(self, tmp_path, desk_data, capsys):
         data = tmp_path / "data"
         data.mkdir()
-        raw = (desk_data / "train.dpds").read_bytes()
-        (data / "train.dpds").write_bytes(raw[:20] + b"\xff" + raw[21:])
+        (data / "train.dpds").write_bytes((desk_data / "train.dpds").read_bytes())
+        reseal(data / "train.dpds", lambda h: h[:8] + b"\xff" + h[9:])
         out = tmp_path / "train"
         code = cli.main(["train", "--preset", DESK, "--data", str(data),
                          "--out", str(out), *SMALL_DATA, *FAST_TRAIN])
         assert code == 4
-        assert "dataset header" in capsys.readouterr().err
+        assert "train.dpds header is malformed" in capsys.readouterr().err
         assert not (out / "model.dpaw").exists()
+
+
+SMALL_2D = [
+    "--set", "pde.nx=16", "--set", "pde.ny=16",
+    "--set", "data.n_train=1", "--set", "ic.train.1.count=1",
+    "--set", "data.nt_train=1", "--set", "data.n_test=1",
+    "--set", "ic.test.1.count=1", "--set", "data.nt_test=1",
+]
+# (preset, override, the _spec_doc field it changes): one case per field
+# that --set changes alone (benchmark also changes terms and params, and
+# terms are always the benchmark's full set)
+PHYSICS_FIELDS = [
+    (DESK, "pde.nu=0.05", "params"),
+    (DESK, "pde.bc=periodic", "bc"),
+    (DESK, "pde.bc_value=0.5", "bc_value"),
+    (DESK, "pde.domain=-2, 2", "domain"),
+    (DESK, "pde.nx=32", "nx"),
+    (DESK, "pde.dt=0.0002", "dt"),
+    (DESK, "pde.advection=central", "advection"),
+    ("burgers2d-missing-xdiff", "pde.ny=8", "ny"),
+]
 
 
 class TestConfigErrors:
@@ -701,6 +723,25 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset, override, field", PHYSICS_FIELDS,
+                             ids=[field for _, _, field in PHYSICS_FIELDS])
+    def test_dataset_for_other_physics_exits_2(self, tmp_path, desk_data, capsys,
+                                               preset, override, field):
+        data, sets = desk_data, SMALL_DATA
+        if preset != DESK:
+            data, sets = tmp_path / "data", SMALL_2D
+            assert cli.main(["gen-data", "--preset", preset, *sets,
+                             "--out", str(data)]) == 0
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", preset, "--data", str(data),
+                         "--out", str(out), *sets, "--set", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        prefix = "usage error: train set was made for other physics: "
+        assert err.startswith(prefix)
+        assert [part.split()[0] for part in err[len(prefix):].split("; ")] == [field]
+        assert not (out / "model.dpaw").exists()
+
     def test_count_beyond_family_exits_2(self, tmp_path, capsys):
         out = tmp_path / "data"
         code = cli.main(["gen-data", "--preset", DESK, "--out", str(out),
@@ -739,19 +780,21 @@ class TestConfigErrors:
         assert sorted(p.name for p in out.glob("snapshot_t*.csv")) == ["snapshot_t5.csv"]
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "uq"])
-    @pytest.mark.parametrize("config", [
-        ["--preset", "burgers2d-missing-xdiff"],
-        ["--preset", DESK, *SMALL_DATA, "--set", "pde.nx=32"],
+    @pytest.mark.parametrize("config, differs", [
+        (["--preset", "burgers2d-missing-xdiff"],
+         "benchmark 'burgers1d' (configured 'burgers2d')"),
+        (["--preset", DESK, *SMALL_DATA, "--set", "pde.nx=32"],
+         "nx 64 (configured 32)"),
     ], ids=["benchmark", "grid"])
     def test_dataset_of_another_config_exits_2(self, tmp_path, desk_data, capsys,
-                                               command, config):
+                                               command, config, differs):
         out = tmp_path / command
         code = cli.main([command, *config, *FAST_TRAIN, "--data", str(desk_data),
                          "--out", str(out)])
         assert code == 2
         name = "train" if command == "train" else "test"
-        assert f"{name} set holds burgers1d states of shape (1, 64)" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{name} set was made for other physics: " in err and differs in err
         assert not any(out.iterdir())
 
 

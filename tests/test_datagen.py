@@ -187,12 +187,14 @@ class TestFileFormat:
         path = tmp_path / "d.dpds"
         dg.save(ds, path)
         saved = path.read_bytes()
-        # a newer version, and version 0, which nothing ever wrote
-        for version in (99, 0):
+        # a newer version, version 1 (the layout before the shared
+        # container) and version 0, which nothing ever wrote
+        for version in (99, 1, 0):
             raw = bytearray(saved)
             raw[4] = version
             path.write_bytes(bytes(raw))
-            with pytest.raises(FormatVersionMismatch, match=f"version {version};"):
+            with pytest.raises(FormatVersionMismatch,
+                               match=f"version {version};.*re-run gen-data or train"):
                 dg.load(path)
 
     def test_missing_file_io_error(self, tmp_path):
@@ -202,5 +204,5 @@ class TestFileFormat:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.dpds"
         path.write_bytes(b"JUNKJUNKJUNK")
-        with pytest.raises(DatasetIoError):
+        with pytest.raises(DatasetIoError, match="not a DPDS file"):
             dg.load(path)

@@ -3,7 +3,9 @@ package itself or in the benchmark harness: an entry point that only tests
 reach is surface to delete, not to keep.  Likewise every config key takes
 more than one value across the inputs the program is run on: a key with
 one value is a constant to fold into the code, and every tape primitive has
-its own (forward, VJP) pair: two names for one pair are one primitive."""
+its own (forward, VJP) pair: two names for one pair are one primitive.  Only
+`container.py` knows a file's byte layout, so no other module packs bytes
+or hashes them."""
 
 import ast
 import configparser
@@ -115,3 +117,18 @@ def test_every_primitive_has_its_own_rule_pair():
         names[forward, vjp].append(name)
     shared = [sorted(group) for group in names.values() if len(group) > 1]
     assert not shared, f"primitive names sharing one (forward, vjp) pair: {shared}"
+
+
+def test_only_the_container_reads_bytes():
+    package = ROOT / "src" / "dpawno"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "container.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name in ("struct", "hashlib")]
+    assert not offenders, f"byte-layout imports outside container.py: {offenders}"

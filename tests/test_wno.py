@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -294,31 +292,34 @@ class TestCheckpoint:
         path = tmp_path / "model.dpaw"
         wno.save_checkpoint(m, path)
         saved = path.read_bytes()
-        # a newer version, and version 0, which nothing ever wrote
-        for version in (99, 0):
+        # a newer version, version 1 (the layout before the shared
+        # container) and version 0, which nothing ever wrote
+        for version in (99, 1, 0):
             raw = bytearray(saved)
             raw[4] = version  # the little-endian version field
             path.write_bytes(bytes(raw))
-            with pytest.raises(FormatVersionMismatch, match=f"version {version};"):
+            with pytest.raises(FormatVersionMismatch,
+                               match=f"version {version};.*re-run gen-data or train"):
                 wno.load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.dpaw"
         path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(FormatVersionMismatch):
+        with pytest.raises(DatasetIoError, match="not a DPAW file"):
             wno.load_checkpoint(path)
 
     @pytest.mark.parametrize("where", ["version", "config", "name", "data"])
     def test_truncated_rejected(self, tmp_path, where):
+        # cut inside the version field, the JSON header, the first named
+        # block, and 16 bytes short (the digest read from the payload)
         path = tmp_path / "model.dpaw"
         wno.save_checkpoint(randomized(small_config(), 22), path)
         raw = path.read_bytes()
-        (header_len,) = struct.unpack("<I", raw[8:12])
-        first_name = 12 + header_len + 4 + 2  # after the count and name length
+        header_len = int.from_bytes(raw[8:12], "little")
         cut = {"version": 6, "config": 12 + header_len // 2,
-               "name": first_name + 3, "data": len(raw) - 4}[where]
+               "name": 12 + header_len + 3, "data": len(raw) - 16}[where]
         path.write_bytes(raw[:cut])
-        with pytest.raises(ChecksumMismatch, match="checkpoint truncated"):
+        with pytest.raises(ChecksumMismatch):
             wno.load_checkpoint(path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
