@@ -2,16 +2,21 @@
 
 Define-by-run: every operation appends a node to the active :class:`Tape`;
 :func:`backward` walks the tape once in reverse and keeps only the gradients
-of leaf nodes.  Each primitive is defined once, as a (forward, vjp, reads)
-entry in :data:`PRIMITIVES`, and every public op goes through one dispatch
-path: it is recorded when any input is a Tensor, otherwise its forward
-function is evaluated on the plain operands.  Evaluating a model with or
+of leaf nodes.  Each primitive is defined once, as a (forward, vjp, reads,
+rebuilt) entry in :data:`PRIMITIVES`, and every public op goes through one
+dispatch path: it is recorded when any input is a Tensor, otherwise its
+forward function is evaluated on the plain operands.  Evaluating a model with or
 without a tape therefore produces bit-identical values.
 
 A node keeps an input value only when its VJP reads it (`reads`): the
 output array belongs to the returned :class:`Tensor` and is saved on its
 node when, and only when, a consumer that reads it is recorded.  Values
 nothing reads in reverse are freed as soon as the forward pass drops them.
+The output of a `rebuilt` primitive (GELU, a cheap elementwise op whose VJP
+already keeps its input) is never saved: a VJP that reads it gets it by
+re-running the forward on the primitive's own kept inputs, which gives the
+same bits.  That trades one GELU per read in the reverse sweep for a tape
+without the activations.
 
 GELU and its VJP, the largest kernels outside BLAS, walk a large array in
 its memory order in cache-sized chunks, with one output array and
@@ -150,7 +155,8 @@ class Node:
     def __init__(self, op, parents, ctx):
         self.op = op
         self.parents = parents
-        self.value = _UNSAVED  # the output, once a consumer's VJP reads it
+        # the output, once a consumer's VJP reads it (never for a rebuilt op)
+        self.value = _UNSAVED
         self.ctx = ctx
 
 
@@ -205,11 +211,23 @@ def _operand(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def _rebuilt(op):
+    entry = PRIMITIVES.get(op)  # None for a leaf
+    return entry is not None and entry[3]
+
+
 def _input_value(tape, node, i):
+    """The value of input `i` of `node`: a constant from its ctx, a kept
+    value from its parent's node, or the output of a rebuilt parent,
+    computed again from that parent's inputs."""
     pid = node.parents[i]
-    if pid is not None:
-        return tape.nodes[pid].value
-    return node.ctx["consts"][i]
+    if pid is None:
+        return node.ctx["consts"][i]
+    parent = tape.nodes[pid]
+    if not _rebuilt(parent.op):
+        return parent.value
+    values = [_input_value(tape, parent, j) for j in range(len(parent.parents))]
+    return PRIMITIVES[parent.op][0](values, {})[0]
 
 
 def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
@@ -217,7 +235,8 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
 
     Inputs may be Tensors (on this tape), arrays or scalars; the latter two
     are constants that receive no gradient.  The inputs the op's VJP reads
-    are kept: a Tensor's value on its node, a constant in the ctx.
+    are kept: a Tensor's value on its node (unless a rebuilt op made it), a
+    constant in the ctx.
     """
     entry = PRIMITIVES.get(op)
     if entry is None:
@@ -233,7 +252,7 @@ def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
                 raise ValueError("inputs registered on a different tape")
             parents.append(x.node_id)
             values.append(x.data)
-            if i in reads:
+            if i in reads and not _rebuilt(nodes[x.node_id].op):
                 nodes[x.node_id].value = x.data
         else:
             val = x if isinstance(x, float) else _operand(x)
@@ -490,24 +509,28 @@ def _vjp_level_matmul(tape, node, g):
     return (k_axis_matmul(node.ctx["matrix"].T, g, node.ctx["axis"]),)
 
 
-# name -> (forward, vjp, reads).  forward(values, params) returns (output,
-# ctx); vjp(tape, node, g) returns one cotangent per input and may read the
-# values of the inputs whose indices are in `reads`, no others.
+# name -> (forward, vjp, reads, rebuilt).  forward(values, params) returns
+# (output, ctx); vjp(tape, node, g) returns one cotangent per input and may
+# read the values of the inputs whose indices are in `reads`, no others.  A
+# rebuilt op's output is never kept: a VJP that reads it gets
+# forward(inputs, {})[0] again, so a rebuilt op reads all of its inputs and
+# takes no params.
 PRIMITIVES = {
-    "add": (_fw_add, _vjp_add, ()),
-    "sub": (_fw_sub, _vjp_sub, ()),
-    "mul": (_fw_mul, _vjp_mul, (0, 1)),
-    "scalar_mul": (_fw_scalar_mul, _vjp_scalar_mul, ()),
-    "matmul": (_fw_matmul, _vjp_matmul, (0, 1)),
-    "bias_add": (_fw_bias_add, _vjp_bias_add, ()),
-    "gelu": (_fw_gelu, _vjp_gelu, (0,)),
-    "square": (_fw_square, _vjp_square, (0,)),
-    "sum": (_fw_sum, _vjp_sum, ()),
-    "slice_axis": (_fw_slice_axis, _vjp_slice_axis, ()),
-    "concat": (_fw_concat, _vjp_concat, ()),
-    "boundary_overwrite": (_fw_boundary_overwrite, _vjp_boundary_overwrite, ()),
-    "circ_stencil": (_fw_circ_stencil, _vjp_circ_stencil, ()),
-    "level_matmul": (_fw_level_matmul, _vjp_level_matmul, ()),
+    "add": (_fw_add, _vjp_add, (), False),
+    "sub": (_fw_sub, _vjp_sub, (), False),
+    "mul": (_fw_mul, _vjp_mul, (0, 1), False),
+    "scalar_mul": (_fw_scalar_mul, _vjp_scalar_mul, (), False),
+    "matmul": (_fw_matmul, _vjp_matmul, (0, 1), False),
+    "bias_add": (_fw_bias_add, _vjp_bias_add, (), False),
+    "gelu": (_fw_gelu, _vjp_gelu, (0,), True),
+    "square": (_fw_square, _vjp_square, (0,), False),
+    "sum": (_fw_sum, _vjp_sum, (), False),
+    "slice_axis": (_fw_slice_axis, _vjp_slice_axis, (), False),
+    "concat": (_fw_concat, _vjp_concat, (), False),
+    "boundary_overwrite": (_fw_boundary_overwrite, _vjp_boundary_overwrite, (),
+                           False),
+    "circ_stencil": (_fw_circ_stencil, _vjp_circ_stencil, (), False),
+    "level_matmul": (_fw_level_matmul, _vjp_level_matmul, (), False),
 }
 
 

@@ -247,13 +247,15 @@ def cmd_evaluate(args) -> int:
 
     truth_probe = np.stack(
         [uq.probe_trajectories(truth, index, t) for t in range(1, steps + 1)])
+    truth_densities = uq.step_densities(truth_probe)
     rows = []
     snapshot_fields = {}
     for name, sur in surrogates.items():
         stats = tr.rollout_statistics(sur, test.ics, horizon,
                                       probe_index=index, snapshots=snap_steps,
                                       truth=truth, mse_steps=steps)
-        er2 = uq.mean_hellinger_from_samples(stats["probe"][:steps], truth_probe)
+        er2 = uq.mean_hellinger_from_samples(stats["probe"][:steps], truth_probe,
+                                             truth_densities)
         rows.append((name, stats["mse"], er2, str(int(np.sum(stats["diverged"])))))
         snapshot_fields[name] = stats["snapshots"]
     _write_csv(os.path.join(out, "metrics.csv"),

@@ -126,9 +126,9 @@ class Adam:
 
 def clip_gradients(grads: dict, max_norm: float) -> tuple:
     """(grads scaled to a global norm of at most `max_norm`, the global norm
-    before clipping)."""
+    before clipping); a non-finite norm leaves the grads unscaled."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-    if total <= max_norm or total == 0.0:
+    if not max_norm < total < np.inf:
         return grads, total
     scale = max_norm / total
     return {k: g * scale for k, g in grads.items()}, total
@@ -260,6 +260,7 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
             batch = dataset.trajectories[idx]
             tape = ad.Tape()
             staged = {name: tape.leaf(value) for name, value in model.params.items()}
+            where = f"epoch {epoch}, batch {start // cfg.batch_size}, T={t_steps}"
             t_forward = time.perf_counter()
             try:
                 loss = rollout_loss(model, partial_spec, batch[:, 0], batch,
@@ -268,12 +269,13 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
                 t_backward = time.perf_counter()
                 ad.backward(tape, loss)
             except (NonFiniteValue, NonFiniteState) as exc:
-                raise NonFiniteLoss(
-                    f"epoch {epoch}, batch {start // cfg.batch_size}, "
-                    f"T={t_steps}: {exc}") from exc
+                raise NonFiniteLoss(f"{where}: {exc}") from exc
             t_optimizer = time.perf_counter()
             grads = {name: ad.grad_of(tape, leaf) for name, leaf in staged.items()}
             grads, norm = clip_gradients(grads, GRAD_CLIP_NORM)
+            # an Adam step on it would write non-finite parameters
+            if not np.isfinite(norm):
+                raise NonFiniteLoss(f"{where}: gradient norm is {norm}")
             opt.step(grads)
             t_done = time.perf_counter()
             forward_s += t_backward - t_forward

@@ -100,23 +100,34 @@ def probe_trajectories(trajectories: np.ndarray, index, t_star: int) -> np.ndarr
     return trajectories[(slice(None), t_star, 0) + tuple(index)]
 
 
-def mean_hellinger_from_samples(pred_probe, true_probe) -> float:
+def _density_or_none(samples):
+    try:
+        return estimate_pdf(samples, 256)
+    except DegenerateSamples:
+        return None
+
+
+def step_densities(probe) -> list:
+    """The 256-point response density of each step of a (steps, samples)
+    probe, None for a step with fewer than two distinct samples."""
+    return [_density_or_none(row) for row in np.asarray(probe, dtype=np.float64)]
+
+
+def mean_hellinger_from_samples(pred_probe, true_probe, true_densities) -> float:
     """Arithmetic mean over steps of the Hellinger distance between the
     predicted and true response densities, each estimated on 256 points;
-    inputs are (steps, samples)."""
+    probes are (steps, samples) and `true_densities` is
+    step_densities(true_probe), so one truth serves many predictions."""
     pred_probe = np.asarray(pred_probe, dtype=np.float64)
     true_probe = np.asarray(true_probe, dtype=np.float64)
     if pred_probe.shape != true_probe.shape:
         raise ShapeMismatch(f"{pred_probe.shape} vs {true_probe.shape}")
     values = []
-    for p, q in zip(pred_probe, true_probe):
-        try:
-            dp = estimate_pdf(p, 256)
-            dq = estimate_pdf(q, 256)
-        except DegenerateSamples:
+    for p, q, dq in zip(pred_probe, true_probe, true_densities):
+        dp = None if dq is None else _density_or_none(p)
+        if dp is None:
             # an ensemble still sitting on a single value (early steps)
             values.append(0.0 if np.array_equal(p, q) else 1.0)
-            continue
-        values.append(hellinger(dp, dq))
+        else:
+            values.append(hellinger(dp, dq))
     return float(np.mean(values))
-

@@ -824,6 +824,38 @@ class TestTrainLog:
                            "tape_bytes,minor_faults")
         assert [row.split(",")[:2] for row in rows[1:]] == [["0", "3"], ["1", "3"]]
 
+    def test_nonfinite_gradient_stops_before_the_update(self, tmp_path,
+                                                        monkeypatch, capsys):
+        data, out = str(tmp_path / "data"), tmp_path / "dpa"
+        assert cli.main(["gen-data", "--preset", DESK, "--out", data,
+                         *SMALL_DATA]) == 0
+        cfg = cf.load_config(preset=DESK, overrides=SMALL_DATA[1::2])
+        batches = -(-cfg.n_train // cfg.train_config().batch_size)
+        sweeps, steps = [], []
+
+        def backward(tape, seed, original=ad.backward):
+            grads = original(tape, seed)
+            sweeps.append(1)
+            if len(sweeps) == batches:  # the last batch of the only epoch
+                leaf = min(grads)  # the first parameter
+                grads[leaf] = np.full_like(grads[leaf], np.inf)
+            return grads
+
+        def step(opt, grads, original=tr.Adam.step):
+            steps.append(1)
+            return original(opt, grads)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        monkeypatch.setattr(tr.Adam, "step", step)
+        code = cli.main(["train", "--preset", DESK, "--data", data, "--out",
+                         str(out), *SMALL_DATA, "--set", "train.epochs=1",
+                         "--set", "train.schedule=pairs: 0:3"])
+        assert code == 3
+        assert (f"epoch 0, batch {batches - 1}, T=3: gradient norm is inf"
+                in capsys.readouterr().err)
+        assert len(steps) == batches - 1
+        assert not (out / "model.dpaw").exists()
+
     def train_log(self, tmp_path, monkeypatch, name, clip_norm):
         data, out = tmp_path / "data", tmp_path / name
         if not data.exists():

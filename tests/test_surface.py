@@ -3,7 +3,8 @@ package itself or in the benchmark harness: an entry point that only tests
 reach is surface to delete, not to keep.  Likewise every config key takes
 more than one value across the inputs the program is run on: a key with
 one value is a constant to fold into the code, and every tape primitive has
-its own (forward, VJP) pair: two names for one pair are one primitive.  Only
+its own (forward, VJP) pair: two names for one pair are one primitive, and
+a primitive whose output the tape rebuilds reads all of its inputs.  Only
 `container.py` knows a file's byte layout, so no other module packs bytes
 or hashes them."""
 
@@ -113,10 +114,30 @@ def test_every_config_key_takes_two_values():
 
 def test_every_primitive_has_its_own_rule_pair():
     names = defaultdict(list)
-    for name, (forward, vjp, _) in autodiff.PRIMITIVES.items():
+    for name, (forward, vjp, *_) in autodiff.PRIMITIVES.items():
         names[forward, vjp].append(name)
     shared = [sorted(group) for group in names.values() if len(group) > 1]
     assert not shared, f"primitive names sharing one (forward, vjp) pair: {shared}"
+
+
+def test_rebuilt_primitives_read_every_input():
+    """The reverse sweep re-runs a rebuilt primitive's forward on its kept
+    inputs with no params, so it must read (keep) every input and take no
+    params.  Inputs and params are the positional and keyword arguments of
+    the public op's `_apply(name, ...)` call."""
+    calls = {}
+    tree = ast.parse((ROOT / "src" / "dpawno" / "autodiff.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_apply" \
+                and isinstance(node.args[0], ast.Constant):
+            calls[node.args[0].value] = (len(node.args) - 1, len(node.keywords))
+    assert calls.keys() == autodiff.PRIMITIVES.keys()
+    rebuilt = [name for name, entry in autodiff.PRIMITIVES.items() if entry[3]]
+    wrong = [name for name in rebuilt
+             if sorted(autodiff.PRIMITIVES[name][2]) != list(range(calls[name][0]))
+             or calls[name][1]]
+    assert not wrong, f"rebuilt primitives that skip an input or take params: {wrong}"
 
 
 def test_only_the_container_reads_bytes():

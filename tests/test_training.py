@@ -380,19 +380,30 @@ class TestBlockedRollout:
 
 
 def assert_only_read_values_kept(tape):
-    """A node holds its output exactly when a recorded consumer's VJP reads it."""
+    """A node holds its output exactly when a recorded consumer's VJP reads it
+    and its op is not rebuilt; every input of a rebuilt node is kept."""
     read = set()
     for node in tape.nodes:
         if node.op != "leaf":
             read.update(node.parents[i] for i in ad.PRIMITIVES[node.op][2]
                         if node.parents[i] is not None)
+    rebuilt = {nid for nid, node in enumerate(tape.nodes)
+               if node.op != "leaf" and ad.PRIMITIVES[node.op][3]}
+    kept = read - rebuilt
     for nid, node in enumerate(tape.nodes):
-        assert (node.value is not ad._UNSAVED) == (nid in read), (nid, node.op)
-        assert node.value.nbytes > 0 or nid not in read
+        assert (node.value is not ad._UNSAVED) == (nid in kept), (nid, node.op)
+        assert node.value.nbytes > 0 or nid not in kept
+        if nid in rebuilt:
+            assert all(pid in kept for pid in node.parents), (nid, node.op)
 
 
 TAPE_2D = ("pde.nx=32", "pde.ny=32", "wno.width=8", "wno.fc1_dim=16",
            "wno.levels=3", "wno.layers=2", "ic.train.1.count=1")
+DESK_BATCH = ("burgers1d-missing-diffusion-desk",
+              ("ic.train.1.count=2", "ic.train.2.count=2"), 4)
+SMALL_2D_BATCH = ("burgers2d-missing-xdiff",
+                  ("pde.nx=16", "pde.ny=16", "wno.width=4", "wno.fc1_dim=8",
+                   "wno.levels=2", "wno.layers=2", "ic.train.1.count=1"), 1)
 
 
 class TestTapeMemory:
@@ -400,31 +411,53 @@ class TestTapeMemory:
     tape at a time."""
 
     @staticmethod
-    def batch_tape(preset, overrides, n, t_steps):
+    def batch(preset, overrides, n, t_steps):
+        """(tape, staged parameter leaves, loss) of one batch, before backward."""
         cfg = cf.load_config(preset=preset, overrides=overrides)
         ds = dg.generate(cfg.full_spec(), cfg.families("train"), t_steps,
                          cfg.seed, purpose="data")
         model = wno.WnoModel.initialize(cfg.wno_config(), cfg.seed)
         tape = ad.Tape()
         staged = {k: tape.leaf(v) for k, v in model.params.items()}
-        tr.rollout_loss(model, cfg.partial_spec(), ds.ics, ds.trajectories,
-                        t_steps, params=staged)
-        return tape
+        loss = tr.rollout_loss(model, cfg.partial_spec(), ds.ics,
+                               ds.trajectories, t_steps, params=staged)
+        return tape, staged, loss
+
+    def batch_tape(self, preset, overrides, n, t_steps):
+        return self.batch(preset, overrides, n, t_steps)[0]
 
     def test_desk_batch_keeps_read_values_only(self):
-        # B=4, T=10: 6.6 MB of values the VJPs read; every output is 22.3 MB
-        tape = self.batch_tape("burgers1d-missing-diffusion-desk",
-                               ("ic.train.1.count=2", "ic.train.2.count=2"), 4, 10)
-        assert sum(node.value.nbytes for node in tape.nodes) <= 8e6
+        # B=4, T=10: 4.6 MB of values the VJPs read and the tape keeps (6.6 MB
+        # with the GELU outputs it rebuilds); every output is 22.3 MB
+        tape = self.batch_tape(*DESK_BATCH, 10)
+        assert sum(node.value.nbytes for node in tape.nodes) <= 5e6
         assert_only_read_values_kept(tape)
         ops = {node.op for node in tape.nodes}
-        assert {"level_matmul", "add", "bias_add"} <= ops
+        assert {"level_matmul", "add", "bias_add", "gelu"} <= ops
 
     def test_small_2d_keeps_read_values_only(self):
-        overrides = ("pde.nx=16", "pde.ny=16", "wno.width=4", "wno.fc1_dim=8",
-                     "wno.levels=2", "wno.layers=2", "ic.train.1.count=1")
-        assert_only_read_values_kept(
-            self.batch_tape("burgers2d-missing-xdiff", overrides, 1, 2))
+        assert_only_read_values_kept(self.batch_tape(*SMALL_2D_BATCH, 2))
+
+    @pytest.mark.parametrize("batch,t_steps", [(DESK_BATCH, 10),
+                                               (SMALL_2D_BATCH, 2)],
+                             ids=["desk-T10", "small-2d-T2"])
+    def test_rebuilt_gelu_gradients_equal_kept_ones(self, monkeypatch, batch,
+                                                     t_steps):
+        def sweep():
+            tape, staged, loss = self.batch(*batch, t_steps)
+            kept = sum(node.value.nbytes for node in tape.nodes)
+            ad.backward(tape, loss)
+            return kept, {k: ad.grad_of(tape, leaf) for k, leaf in staged.items()}
+
+        rebuilt_bytes, rebuilt = sweep()
+        # the reference keeps every GELU output its consumers read
+        monkeypatch.setitem(ad.PRIMITIVES, "gelu",
+                            ad.PRIMITIVES["gelu"][:3] + (False,))
+        kept_bytes, kept = sweep()
+        assert rebuilt_bytes < kept_bytes
+        assert rebuilt.keys() == kept.keys()
+        for name in kept:
+            assert rebuilt[name].tobytes() == kept[name].tobytes(), name
 
     @pytest.mark.parametrize("preset,overrides,n,bands,nodes,dwt,idwt", [
         ("burgers1d-missing-diffusion-desk",

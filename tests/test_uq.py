@@ -180,12 +180,36 @@ class TestMeanHellinger:
         return np.stack([uq.probe_trajectories(trajectories, (3,), s)
                          for s in range(1, 6)])
 
+    @staticmethod
+    def mean_hellinger(pred, truth):
+        return uq.mean_hellinger_from_samples(pred, truth, uq.step_densities(truth))
+
     def test_identical_trajectories_zero(self):
         t = np.random.default_rng(10).standard_normal((30, 6, 1, 8))
-        assert uq.mean_hellinger_from_samples(self.probe(t), self.probe(t)) == 0.0
+        assert self.mean_hellinger(self.probe(t), self.probe(t)) == 0.0
 
     def test_shifted_trajectories_positive(self):
         rng = np.random.default_rng(11)
         t = rng.standard_normal((30, 6, 1, 8))
-        assert uq.mean_hellinger_from_samples(self.probe(t + 2.0),
-                                              self.probe(t)) > 0.5
+        assert self.mean_hellinger(self.probe(t + 2.0), self.probe(t)) > 0.5
+
+    def test_shared_truth_densities_match_per_pair_estimates(self):
+        # steps: both spread, prediction constant, truth constant, both the
+        # same constant, both constant but apart
+        rng = np.random.default_rng(12)
+        spread = rng.standard_normal((2, 20))
+        pred = np.stack([spread[0], np.full(20, 0.3), spread[1],
+                         np.full(20, 0.7), np.full(20, 0.1)])
+        truth = np.stack([spread[1] + 0.5, spread[0], np.full(20, 0.2),
+                          np.full(20, 0.7), np.full(20, 0.2)])
+        expected = []
+        for p, q in zip(pred, truth):
+            try:
+                expected.append(uq.hellinger(uq.estimate_pdf(p, 256),
+                                             uq.estimate_pdf(q, 256)))
+            except DegenerateSamples:
+                expected.append(0.0 if np.array_equal(p, q) else 1.0)
+        assert [d is None for d in uq.step_densities(truth)] == [
+            False, False, True, True, True]
+        assert self.mean_hellinger(pred, truth) == float(np.mean(expected))
+        assert expected[1:] == [1.0, 1.0, 0.0, 1.0]
