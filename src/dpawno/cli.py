@@ -54,14 +54,17 @@ configuration keys (INI sections):
                 (list, lo..hi grid, uniform: lo, hi)
   [wno]         width, layers, levels, fc1_dim, bands
   [train]       epochs, learning_rate, batch_size, schedule
-                (auto: T0 @ HOLD, TMAX @ REACH  or  pairs: E:T ...),
-                checkpoint_every
+                (auto: T0 @ HOLD, TMAX @ REACH  or  pairs: E:T ...)
   [probe]       x, y (burgers2d only), t (list of step indices)
   [eval]        steps, snapshots
   [grf]         kernel (exp_sine_squared|rbf; rbf on 2D grids), alpha,
                 length_scale, periodicity
   [limit_state] threshold, horizon
   [reliability] n
+Every key is required except, with the default an omitted key takes:
+[pde] bc_value 0, ny = nx, advection central; [wno] bands coarsest;
+[train] batch_size 8; [grf] periodicity 1; [eval] steps 100;
+[reliability] n 1000.
 Any other section or key, [DEFAULT] included, and any key that the
 benchmark or the family's kind does not read is a usage error.
 Fixed, with no key: the db6 wavelet; gradient clipping at global norm 10;
@@ -171,11 +174,6 @@ def cmd_train(args) -> int:
     spec = cfg.data_only_spec() if args.mode == "data-only" else cfg.partial_spec()
     tcfg = cfg.train_config()
     dataset = _load_dataset(cfg, args.data, "train")
-
-    def checkpoint_fn(epoch, m):
-        wno_mod.save_checkpoint(
-            m, os.path.join(out, f"checkpoint_epoch{epoch + 1}.dpaw"))
-
     # wall_ms makes the log a sidecar, not a primary output; one row is
     # flushed per epoch so a failed or killed run keeps its history
     with open(os.path.join(out, "train_log.csv"), "w") as log:
@@ -187,8 +185,7 @@ def cmd_train(args) -> int:
             log.write(_csv_line([str(v) if isinstance(v, int) else v for v in cells]))
             log.flush()
 
-        report = tr.train(model, dataset, spec, tcfg, log_sink=log_sink,
-                          checkpoint_fn=checkpoint_fn)
+        report = tr.train(model, dataset, spec, tcfg, log_sink=log_sink)
     wno_mod.save_checkpoint(model, ckpt)
     _write_sidecar(os.path.join(out, "train.meta.json"), {
         "config": cfg.name,
@@ -206,7 +203,7 @@ def _load_dataset(cfg, data_dir, name):
     """The stored `name` set ("train" or "test"); one made for other physics
     or another grid than the configuration's is a usage error."""
     ds = dg.load(os.path.join(data_dir, f"{name}.dpds"))
-    stored, wanted = dg._spec_doc(ds.spec), dg._spec_doc(cfg.full_spec())
+    stored, wanted = dataclasses.asdict(ds.spec), dataclasses.asdict(cfg.full_spec())
     differ = [f"{key} {stored[key]!r} (configured {wanted[key]!r})"
               for key in wanted if stored[key] != wanted[key]]
     if differ:
@@ -380,10 +377,8 @@ def cmd_reliability(args) -> int:
             "diverged_at": report.diverged_at,
             "p_f_wilson95": report.p_f_interval,
         }
-        lines.append(report.to_json(
-            model=name, kernel=grf.kernel, alpha=grf.alpha,
-            length_scale=grf.length_scale, periodicity=grf.periodicity,
-            g_t=ls.threshold, horizon=ls.horizon))
+        lines.append(report.to_json(model=name, **dataclasses.asdict(grf),
+                                    g_t=ls.threshold, horizon=ls.horizon))
         print(f"{name}: reliability {report.reliability * 100:.2f}% "
               f"({report.failures}/{n} failures, {report.diverged} diverged)")
     if "dpa-wno" in margins:

@@ -12,6 +12,13 @@ Every key is listed in KEYS, documented in the README and in
 `dpawno <cmd> --help`. load_config rejects any other section or key, and
 any key that the benchmark or the family's kind (datagen.IC_KINDS) never reads.
 
+The [pde], [wno], [train], [grf] and [limit_state] sections are read straight
+into PdeSpec, WnoConfig, TrainConfig, GrfSpec and LimitState: each key names
+a field and is cast by its annotation, and a key may be omitted only where
+its field has a default, which is then the one place that default is stated.
+Besides those, only [eval] steps (100) and [reliability] n (1000) may be
+omitted; a missing required key is a UsageError naming it.
+
 Fixed in the code, with no key: the db6 wavelet family; gradient clipping
 at global norm 10 (training.GRAD_CLIP_NORM); and the GRF Cholesky jitter,
 1e-8 (reliability.JITTER), ten times larger on each retry up to 1e-4, and
@@ -20,7 +27,7 @@ jitter/alpha on the axes after x.
 
 import configparser
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 
@@ -68,8 +75,7 @@ KEYS = {
     "ic.train.N": _IC_KEYS,
     "ic.test.N": _IC_KEYS,
     "wno": ("width", "layers", "levels", "fc1_dim", "bands"),
-    "train": ("epochs", "learning_rate", "batch_size", "schedule",
-              "checkpoint_every"),
+    "train": ("epochs", "learning_rate", "batch_size", "schedule"),
     "probe": _union(keys["probe"] for keys in _BENCHMARK_KEYS.values()),
     "eval": ("steps", "snapshots"),
     "grf": ("kernel", "alpha", "length_scale", "periodicity"),
@@ -157,10 +163,21 @@ class ExperimentConfig:
                 return default
             raise UsageError(f"missing config key [{section}] {key}")
         try:
-            raw = self.parser.get(section, key)
-        except configparser.Error as exc:  # e.g. a lone '%' in the value
+            return cast(self.parser.get(section, key))
+        # a lone '%' in the value, or a number that does not parse
+        except (configparser.Error, ValueError) as exc:
             raise UsageError(f"[{section}] {key}: {exc}") from exc
-        return cast(raw)
+
+    def _read(self, cls, section, **given):
+        """A `cls` whose fields outside `given` come from the [section] keys
+        of their names, each cast by its field's annotation; a key may be
+        omitted only where its field has a default."""
+        for field in fields(cls):
+            if field.name not in given and (
+                    field.default is MISSING
+                    or self.parser.has_option(section, field.name)):
+                given[field.name] = self._get(section, field.name, field.type)
+        return cls(**given)
 
     def _count(self, section, key, default=None) -> int:
         """An integer key that must be at least 1."""
@@ -193,22 +210,12 @@ class ExperimentConfig:
 
     def _spec(self, terms) -> ph.PdeSpec:
         bench = self.benchmark
-        params = {k: self._get("pde", k, float) for k in ph.BENCHMARK_PARAMS[bench]}
-        domain = tuple(_parse_number_list(self._get("pde", "domain")))
-        ny = self._get("pde", "ny", int, 0) or None
         try:
-            return ph.PdeSpec(
-                benchmark=bench,
-                params=params,
-                terms=terms,
-                bc=self._get("pde", "bc"),
-                bc_value=self._get("pde", "bc_value", float, 0.0),
-                domain=domain,
-                nx=self._get("pde", "nx", int),
-                ny=ny,
-                dt=self._get("pde", "dt", float),
-                advection_scheme=self._get("pde", "advection", str, "central"),
-            )
+            return self._read(
+                ph.PdeSpec, "pde", benchmark=bench, terms=terms,
+                params={k: self._get("pde", k, float)
+                        for k in ph.BENCHMARK_PARAMS[bench]},
+                domain=_parse_number_list(self._get("pde", "domain")))
         except UnsupportedTermForBenchmark as exc:  # a partial_terms typo
             raise UsageError(str(exc)) from exc
 
@@ -248,40 +255,19 @@ class ExperimentConfig:
         return self._count("data", "nt_test")
 
     def wno_config(self) -> wno_mod.WnoConfig:
-        return wno_mod.WnoConfig(
-            width=self._get("wno", "width", int),
-            layers=self._get("wno", "layers", int),
-            levels=self._get("wno", "levels", int),
-            fc1_dim=self._get("wno", "fc1_dim", int),
-            bands=self._get("wno", "bands", str, "coarsest"),
-            # every term set shares one state shape; this spec reads the
-            # fewest keys
-            **wno_mod.io_fields(self.data_only_spec().state_shape()),
-        )
+        # every term set shares one state shape; this spec reads the fewest keys
+        return self._read(wno_mod.WnoConfig, "wno",
+                          **wno_mod.io_fields(self.data_only_spec().state_shape()))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self._get("train", "epochs", int),
-            unroll_schedule=parse_schedule(self._get("train", "schedule")),
-            batch_size=self._get("train", "batch_size", int, 8),
-            learning_rate=self._get("train", "learning_rate", float),
-            seed=self.seed,
-            checkpoint_every=self._get("train", "checkpoint_every", int, 0),
-        )
+        return self._read(TrainConfig, "train", seed=self.seed,
+                          unroll_schedule=parse_schedule(self._get("train", "schedule")))
 
     def grf_spec(self) -> GrfSpec:
-        return GrfSpec(
-            kernel=self._get("grf", "kernel"),
-            alpha=self._get("grf", "alpha", float),
-            length_scale=self._get("grf", "length_scale", float),
-            periodicity=self._get("grf", "periodicity", float, 1.0),
-        )
+        return self._read(GrfSpec, "grf")
 
     def limit_state(self) -> LimitState:
-        return LimitState(
-            threshold=self._get("limit_state", "threshold", float),
-            horizon=self._get("limit_state", "horizon", int),
-        )
+        return self._read(LimitState, "limit_state")
 
     @property
     def reliability_n(self) -> int:

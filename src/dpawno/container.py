@@ -18,6 +18,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -89,6 +90,15 @@ def read(path, magic: bytes):
     if stored != digest.digest()[:DIGEST_BYTES]:
         raise ChecksumMismatch(f"{path} does not match its checksum")
     return _parse(path, blob, flat)
+
+
+def dataclass_from(cls, doc: dict):
+    """cls(**doc) for a header entry that holds exactly the fields of the
+    dataclass `cls`; ValueError for a missing or extra key."""
+    expected = {field.name for field in fields(cls)}
+    if set(doc) != expected:
+        raise ValueError(f"keys {sorted(doc)}; expected {sorted(expected)}")
+    return cls(**doc)
 
 
 def _parse(path, blob: bytes, flat: np.ndarray):

@@ -1,11 +1,11 @@
 """Ground-truth generation: initial-condition families, full-physics
 trajectories, and the dataset file: a :mod:`dpawno.container` file (magic
-``DPDS``) whose header holds the full-physics spec, seed and family
-description, with the (N, Nt+1, C) + spatial trajectories as its one
-block."""
+``DPDS``) whose header holds the full-physics PdeSpec's fields, the seed
+and the family description, with the (N, Nt+1, C) + spatial trajectories as
+its one block."""
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -197,38 +197,8 @@ def generate(spec: ph.PdeSpec, families, nt: int, seed: int,
 # ---------------------------------------------------------------------------
 # file format: a dpawno.container file with one "trajectories" block
 
-def _spec_doc(spec: ph.PdeSpec) -> dict:
-    return {
-        "benchmark": spec.benchmark,
-        "params": dict(spec.params),
-        "terms": list(spec.terms),
-        "bc": spec.bc,
-        "bc_value": spec.bc_value,
-        "domain": list(spec.domain),
-        "nx": spec.nx,
-        "ny": spec.ny,
-        "dt": spec.dt,
-        "advection": spec.advection_scheme,
-    }
-
-
-def spec_from_doc(doc: dict) -> ph.PdeSpec:
-    return ph.PdeSpec(
-        benchmark=doc["benchmark"],
-        params=dict(doc["params"]),
-        terms=tuple(doc["terms"]),
-        bc=doc["bc"],
-        bc_value=doc["bc_value"],
-        domain=tuple(doc["domain"]),
-        nx=doc["nx"],
-        ny=doc["ny"],
-        dt=doc["dt"],
-        advection_scheme=doc["advection"],
-    )
-
-
 def save(dataset: Dataset, path):
-    header = {"spec": _spec_doc(dataset.spec), "seed": dataset.seed,
+    header = {"spec": asdict(dataset.spec), "seed": dataset.seed,
               "family": dataset.family_desc}
     container.write(path, DATASET_MAGIC, header,
                     {"trajectories": dataset.trajectories})
@@ -237,8 +207,8 @@ def save(dataset: Dataset, path):
 def load(path) -> Dataset:
     header, blocks = container.read(path, DATASET_MAGIC)
     try:
-        return Dataset(spec_from_doc(header["spec"]), blocks["trajectories"],
-                       header["seed"], header["family"])
+        spec = container.dataclass_from(ph.PdeSpec, header["spec"])
+        return Dataset(spec, blocks["trajectories"], header["seed"], header["family"])
     except (ValueError, KeyError, TypeError, UnsupportedTermForBenchmark) as exc:
         raise DatasetIoError(
             f"dataset header is malformed: {type(exc).__name__}: {exc}") from exc

@@ -82,34 +82,28 @@ BENCHMARK_PARAMS = {"burgers1d": ("nu",), "nagumo": ("epsilon", "alpha"),
 # benchmarks on an (ny, nx) grid; the others have one axis of nx points
 BENCHMARKS_2D = ("burgers2d",)
 
-DEFAULT_DOMAIN = {
-    "burgers1d": (-1.0, 1.0),
-    "nagumo": (0.0, 1.0),
-    "allen_cahn": (-1.0, 1.0),
-    "burgers2d": (0.0, 2.0),
-}
-
 
 @dataclass(frozen=True)
 class PdeSpec:
-    """One benchmark configuration: physics parameters, retained terms, grid."""
+    """One benchmark configuration: physics parameters, retained terms, grid.
+    Each field but benchmark, params and terms is the [pde] key of its name."""
 
     benchmark: str
     params: dict
     terms: tuple
     bc: str  # "periodic" or "dirichlet"
+    domain: tuple  # (lo, hi) of every axis
+    nx: int
+    dt: float
     bc_value: float = 0.0
-    domain: tuple = None
-    nx: int = 64
-    ny: int = None
-    dt: float = 1e-4
-    advection_scheme: str = "central"
+    ny: int = None  # 2D only; None means nx
+    advection: str = "central"  # or "upwind"
 
     def __post_init__(self):
         if self.benchmark not in BENCHMARK_TERMS:
             raise UnsupportedTermForBenchmark(f"unknown benchmark {self.benchmark!r}")
-        if self.advection_scheme not in ("central", "upwind"):
-            raise ValueError(f"unknown advection scheme {self.advection_scheme!r}")
+        if self.advection not in ("central", "upwind"):
+            raise ValueError(f"unknown advection scheme {self.advection!r}")
         full = BENCHMARK_TERMS[self.benchmark]
         for t in self.terms:
             if t not in full:
@@ -117,10 +111,18 @@ class PdeSpec:
                     f"term {t!r} not part of benchmark {self.benchmark!r}")
         # keep canonical ordering regardless of input order
         object.__setattr__(self, "terms", tuple(t for t in full if t in self.terms))
-        if self.domain is None:
-            object.__setattr__(self, "domain", DEFAULT_DOMAIN[self.benchmark])
+        object.__setattr__(self, "domain", tuple(self.domain))
+        if len(self.domain) != 2 or not np.all(np.isfinite(self.domain)) \
+                or self.domain[0] >= self.domain[1]:
+            raise ValueError(f"[pde] domain must be two finite numbers lo < hi, "
+                             f"got {self.domain}")
         if self.is_2d and self.ny is None:
             object.__setattr__(self, "ny", self.nx)
+        for key in ("nx", "ny") if self.is_2d else ("nx",):
+            if getattr(self, key) < 2:
+                raise ValueError(f"[pde] {key} must be >= 2, got {getattr(self, key)}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"[pde] dt must be finite and > 0, got {self.dt}")
         if self.bc not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown bc {self.bc!r}")
         self._cfl_check()
@@ -225,7 +227,7 @@ def _d1_upwind(speed, u, dx, axis):
 
 
 def _advective_d1(speed, u, dx, axis, spec):
-    if spec.advection_scheme == "upwind":
+    if spec.advection == "upwind":
         return _d1_upwind(speed, u, dx, axis)
     return _d1(u, dx, axis)
 

@@ -40,9 +40,9 @@ class GrfSpec:
     the kernel must be rbf, the one that separates over the axes.
     """
 
-    kernel: str = "exp_sine_squared"
-    alpha: float = 4.0
-    length_scale: float = 0.5
+    kernel: str
+    alpha: float
+    length_scale: float
     periodicity: float = 1.0
 
     def __post_init__(self):

@@ -9,7 +9,7 @@ roll, and gradients flow back through every step of the unroll.
 
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .errors import (
 from .rng import stream
 
 
-def default_schedule(t_start: int = 10, hold_epochs: int = 100,
-                     t_max: int = 50, reach_epoch: int = 400) -> tuple:
+def default_schedule(t_start: int, hold_epochs: int, t_max: int,
+                     reach_epoch: int) -> tuple:
     """(epoch, T) pairs: hold t_start, grow linearly to t_max, then hold."""
     pairs = [(0, t_start)]
     span = max(reach_epoch - hold_epochs, 1)
@@ -52,12 +52,11 @@ def schedule_lookup(schedule, epoch: int) -> int:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 500
-    unroll_schedule: tuple = field(default_factory=default_schedule)
+    epochs: int
+    unroll_schedule: tuple
+    learning_rate: float
+    seed: int
     batch_size: int = 8
-    learning_rate: float = 0.005
-    seed: int = 0
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         for key in ("epochs", "batch_size"):
@@ -228,12 +227,11 @@ def rollout_loss(model, spec: ph.PdeSpec, batch_ics, batch_targets,
 
 
 def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
-          log_sink=None, checkpoint_fn=None) -> TrainReport:
+          log_sink=None) -> TrainReport:
     """Algorithm: per epoch, shuffle; per batch, unroll T steps from the
     schedule, backpropagate through the whole rollout, Adam-update.
 
     `log_sink`: optional callable(EpochLog), called after every epoch.
-    `checkpoint_fn`: optional callable(epoch, model) honoring checkpoint_every.
     """
     if dataset.spec.benchmark != partial_spec.benchmark:
         raise ValueError("dataset and training spec target different benchmarks")
@@ -298,9 +296,6 @@ def train(model, dataset, partial_spec: ph.PdeSpec, cfg: TrainConfig,
                               forward_s * 1e3, backward_s * 1e3,
                               optimizer_s * 1e3, norm_max, clipped, tape_nodes,
                               tape_bytes, faults))
-        if checkpoint_fn is not None and cfg.checkpoint_every > 0 \
-                and (epoch + 1) % cfg.checkpoint_every == 0:
-            checkpoint_fn(epoch, model)
     return TrainReport(losses, time.perf_counter() - t0)
 
 

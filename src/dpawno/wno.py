@@ -21,7 +21,7 @@ A checkpoint is a :mod:`dpawno.container` file (magic ``DPAW``) whose header
 holds exactly the WnoConfig fields, with one block per parameter.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,13 +40,13 @@ DETAIL_KINDS = {1: ("detail",), 2: ("lh", "hl", "hh")}
 
 @dataclass(frozen=True)
 class WnoConfig:
-    width: int = 64
-    layers: int = 4
-    levels: int = 4  # of the db6 transform
-    fc1_dim: int = 128
-    in_channels: int = 2
-    out_channels: int = 1
-    spatial_dims: int = 1
+    width: int
+    layers: int
+    levels: int  # of the db6 transform
+    fc1_dim: int
+    in_channels: int
+    out_channels: int
+    spatial_dims: int
     bands: str = "coarsest"  # or "all"
 
     def __post_init__(self):
@@ -201,14 +201,6 @@ def wno_forward(u, coords, model: WnoModel, params):
 # ---------------------------------------------------------------------------
 # checkpoint format: a dpawno.container file, one block per parameter
 
-def config_from_header(doc: dict) -> WnoConfig:
-    """The WnoConfig of a checkpoint header, which holds exactly its fields."""
-    expected = {field.name for field in fields(WnoConfig)}
-    if set(doc) != expected:
-        raise ValueError(f"keys {sorted(doc)}; expected {sorted(expected)}")
-    return WnoConfig(**doc)
-
-
 def save_checkpoint(model: WnoModel, path):
     container.write(path, CHECKPOINT_MAGIC, asdict(model.config), model.params)
 
@@ -219,7 +211,7 @@ def load_checkpoint(path) -> WnoModel:
     DatasetIoError, like the container's own checks."""
     header, params = container.read(path, CHECKPOINT_MAGIC)
     try:
-        config = config_from_header(header)
+        config = container.dataclass_from(WnoConfig, header)
     except (ValueError, TypeError) as exc:
         raise DatasetIoError(
             f"checkpoint header is malformed: {type(exc).__name__}: {exc}") from exc

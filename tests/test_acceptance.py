@@ -119,7 +119,7 @@ class TestCriterion3:
         # analytic heat decay on a fine grid
         nu, nx = 0.05, 257
         spec = ph.PdeSpec("burgers1d", {"nu": nu}, ("diffusion",), "dirichlet",
-                          0.0, (-1.0, 1.0), nx=nx, dt=2.4e-4)
+                          (-1.0, 1.0), nx=nx, dt=2.4e-4)
         (x,) = spec.grid()
         u0 = np.sin(2 * np.pi * x)[None, :]
         u = u0.copy()

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import os
 import re
@@ -463,6 +464,8 @@ UNKNOWN_KEYS = [
     pytest.param(["--set", "train.grad_clip=10"], "[train] grad_clip",
                  id="grad_clip"),
     pytest.param(["--set", "grf.jitter=1e-8"], "[grf] jitter", id="jitter"),
+    pytest.param(["--set", "train.checkpoint_every=5"], "[train] checkpoint_every",
+                 id="checkpoint_every"),
     pytest.param("[plot]\ncolor = red\n", "[plot]", id="section"),
     pytest.param("[DEFAULT]\nseed = 1\n", "[DEFAULT] seed", id="DEFAULT"),
     # keys another context reads
@@ -601,6 +604,24 @@ class TestMalformedInput:
         assert "burgers9d" in capsys.readouterr().err
         assert not (out / "model.dpaw").exists()
 
+    @pytest.mark.parametrize("entry", [b'"advection": "upwind", ', b'"bc_value": 0.0, '])
+    def test_dataset_header_without_a_spec_field_exits_4(self, tmp_path, desk_data,
+                                                        capsys, entry):
+        # a field with a default is still written, so one left out is damage
+        data = tmp_path / "data"
+        data.mkdir()
+        raw = (desk_data / "train.dpds").read_bytes()
+        assert raw.count(entry) == 1
+        (data / "train.dpds").write_bytes(raw)
+        reseal(data / "train.dpds", lambda h: h.replace(entry, b""))
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(data),
+                         "--out", str(out), *SMALL_DATA, *FAST_TRAIN])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "dataset header is malformed: ValueError: keys" in err
+        assert not (out / "model.dpaw").exists()
+
     def test_undecodable_dataset_header_exits_4(self, tmp_path, desk_data, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -620,7 +641,7 @@ SMALL_2D = [
     "--set", "data.nt_train=1", "--set", "data.n_test=1",
     "--set", "ic.test.1.count=1", "--set", "data.nt_test=1",
 ]
-# (preset, override, the _spec_doc field it changes): one case per field
+# (preset, override, the PdeSpec field it changes): one case per field
 # that --set changes alone (benchmark also changes terms and params, and
 # terms are always the benchmark's full set)
 PHYSICS_FIELDS = [
@@ -633,6 +654,19 @@ PHYSICS_FIELDS = [
     (DESK, "pde.advection=central", "advection"),
     ("burgers2d-missing-xdiff", "pde.ny=8", "ny"),
 ]
+
+# section -> (its dataclass, the ExperimentConfig method that builds it, a
+# command that builds it before reading any dataset)
+READERS = {
+    "pde": (ph.PdeSpec, "full_spec", ["gen-data"]),
+    "wno": (wno.WnoConfig, "wno_config", ["train", "--data", "none"]),
+    "train": (tr.TrainConfig, "train_config", ["train", "--data", "none"]),
+    "grf": (rel.GrfSpec, "grf_spec", ["reliability"]),
+    "limit_state": (rel.LimitState, "limit_state", ["reliability"]),
+}
+# (section, key) of every dataclass field that a key of its name fills
+READ_FIELDS = [(section, f.name) for section, (cls, _, _) in READERS.items()
+               for f in dataclasses.fields(cls) if f.name in cf.KEYS[section]]
 
 
 class TestConfigErrors:
@@ -722,6 +756,62 @@ class TestConfigErrors:
         assert code == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset, override, message", [
+        (DESK, "pde.dt=0", "[pde] dt must be finite and > 0, got 0.0"),
+        (DESK, "pde.dt=-1e-4", "[pde] dt must be finite and > 0, got -0.0001"),
+        (DESK, "pde.dt=nan", "[pde] dt must be finite and > 0, got nan"),
+        (DESK, "pde.dt=inf", "[pde] dt must be finite and > 0, got inf"),
+        (DESK, "pde.nx=1", "[pde] nx must be >= 2, got 1"),
+        (DESK, "pde.nx=6x4",
+         "[pde] nx: invalid literal for int() with base 10: '6x4'"),
+        (DESK, "pde.domain=1, 1",
+         "[pde] domain must be two finite numbers lo < hi, got (1.0, 1.0)"),
+        (DESK, "pde.domain=1, -1",
+         "[pde] domain must be two finite numbers lo < hi, got (1.0, -1.0)"),
+        (DESK, "pde.domain=0, inf",
+         "[pde] domain must be two finite numbers lo < hi, got (0.0, inf)"),
+        (DESK, "pde.domain=1",
+         "[pde] domain must be two finite numbers lo < hi, got (1.0,)"),
+        ("burgers2d-missing-xdiff", "pde.ny=0", "[pde] ny must be >= 2, got 0"),
+        ("burgers2d-missing-xdiff", "pde.ny=1", "[pde] ny must be >= 2, got 1"),
+    ], ids=["dt=0", "dt<0", "dt=nan", "dt=inf", "nx=1", "nx=6x4", "domain=1,1",
+            "domain=1,-1", "domain=0,inf", "domain=1", "ny=0", "ny=1"])
+    def test_bad_grid_exits_2_before_any_write(self, tmp_path, capsys, preset,
+                                               override, message):
+        out = tmp_path / "data"
+        code = cli.main(["gen-data", "--preset", preset, "--set", override,
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", READ_FIELDS,
+                             ids=[f"{s}.{k}" for s, k in READ_FIELDS])
+    def test_omitted_key_takes_the_field_default_or_exits_2(self, tmp_path, capsys,
+                                                           section, key):
+        # desk, or the 2D preset for the keys desk does not set
+        for preset in (DESK, "burgers2d-missing-xdiff"):
+            parser = configparser.ConfigParser()
+            parser.read_string(cf.preset_text(preset))
+            if parser.remove_option(section, key):
+                break
+        path = tmp_path / "omitted.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        cls, method, command = READERS[section]
+        (field,) = (f for f in dataclasses.fields(cls) if f.name == key)
+        if field.default is not dataclasses.MISSING:
+            built = getattr(cf.load_config(preset=preset), method)()
+            omitted = getattr(cf.load_config(path=path), method)()
+            assert omitted == dataclasses.replace(built, **{key: field.default})
+            return
+        out = tmp_path / "out"
+        code = cli.main([*command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"usage error: missing config key [{section}] {key}\n"
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("preset, override, field", PHYSICS_FIELDS,
                              ids=[field for _, _, field in PHYSICS_FIELDS])

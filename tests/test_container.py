@@ -19,7 +19,7 @@ DESK = "burgers1d-missing-diffusion-desk"
 
 def tiny_dataset():
     spec = ph.PdeSpec("burgers1d", {"nu": 0.01}, ("advection", "diffusion"),
-                      "dirichlet", 0.0, (-1.0, 1.0), nx=16, dt=1e-3)
+                      "dirichlet", (-1.0, 1.0), nx=16, dt=1e-3)
     family = dg.IcFamily("sine", 2, amplitudes=(1.0, 2.0), frequencies=(1,))
     return dg.generate(spec, [family], 3, seed=0)
 

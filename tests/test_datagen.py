@@ -16,8 +16,8 @@ AMPS_16 = tuple(float(a) for a in range(-8, 9) if a)
 
 def burgers_spec(nx=112, dt=5e-4):
     return ph.PdeSpec("burgers1d", {"nu": 0.005 / np.pi},
-                      ("advection", "diffusion"), "dirichlet", 0.0,
-                      (-1.0, 1.0), nx=nx, dt=dt, advection_scheme="upwind")
+                      ("advection", "diffusion"), "dirichlet",
+                      (-1.0, 1.0), nx=nx, dt=dt, advection="upwind")
 
 
 def benchmark_families():
@@ -52,7 +52,7 @@ class TestSampleIcs:
     def test_square2d_background_value_plateau(self):
         spec = ph.PdeSpec("burgers2d", {"nu": 0.1 / np.pi},
                           ("advection", "diffusion_x", "diffusion_y"),
-                          "dirichlet", 1.0, (0.0, 2.0), nx=16, dt=1e-3)
+                          "dirichlet", (0.0, 2.0), nx=16, dt=1e-3, bc_value=1.0)
         fam = dg.IcFamily("square2d", 1, amplitudes=(1.0,))
         ics = dg.sample_ics(fam, 1, spec, seed=0)
         # plateau value equal to the background makes the field identically 1
@@ -108,7 +108,7 @@ class TestGenerate:
 
     def test_blowup_reports_sample_index(self):
         spec = ph.PdeSpec("burgers1d", {"nu": 0.3 / np.pi},
-                          ("advection", "diffusion"), "dirichlet", 0.0,
+                          ("advection", "diffusion"), "dirichlet",
                           (-1.0, 1.0), nx=64, dt=0.05)
         fams = [dg.IcFamily("sine", 4, amplitudes=(1.0, 2.0, 4.0, 8.0),
                             frequencies=(4,))]
@@ -134,7 +134,7 @@ class TestGenerate:
         # each direction alone is below 1, their sum is not
         spec = ph.PdeSpec("burgers2d", {"nu": 0.1 / np.pi},
                           ("advection", "diffusion_x", "diffusion_y"),
-                          "dirichlet", 1.0, (0.0, 2.0), nx=16, dt=0.07)
+                          "dirichlet", (0.0, 2.0), nx=16, dt=0.07, bc_value=1.0)
         fams = [dg.IcFamily("square2d", 1, amplitudes=(1.0,))]
         ics = dg.sample_families(fams, spec, seed=0)
         assert np.max(np.abs(ics)) * spec.dt / spec.dx < 1.0

@@ -36,8 +36,9 @@ from dpawno import physics as ph
 from dpawno import reliability as rel
 before = tracer.calls["reliability.sample_grf"]
 spec = ph.PdeSpec("burgers2d", dict(nu=0.01), (), "periodic", domain=(0.0, 2.0),
-                  nx=8, ny=6)
-rel.grf_initial_conditions(rel.GrfSpec("rbf"), spec, 2, 0)
+                  nx=8, ny=6, dt=1e-4)
+rel.grf_initial_conditions(rel.GrfSpec("rbf", alpha=4.0, length_scale=0.5),
+                           spec, 2, 0)
 assert tracer.calls["reliability.sample_grf"] == before + 1
 
 # the CLI saves and loads checkpoints through the module, so the traced

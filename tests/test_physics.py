@@ -14,8 +14,8 @@ def mean(y):
 
 def burgers(nx=64, nu=0.3 / np.pi, dt=3e-4, terms=("advection", "diffusion"),
             scheme="central"):
-    return ph.PdeSpec("burgers1d", {"nu": nu}, terms, "dirichlet", 0.0,
-                      (-1.0, 1.0), nx=nx, dt=dt, advection_scheme=scheme)
+    return ph.PdeSpec("burgers1d", {"nu": nu}, terms, "dirichlet",
+                      (-1.0, 1.0), nx=nx, dt=dt, advection=scheme)
 
 
 def nagumo(terms=("diffusion", "reaction"), epsilon=0.2, alpha=-0.5):
@@ -24,8 +24,8 @@ def nagumo(terms=("diffusion", "reaction"), epsilon=0.2, alpha=-0.5):
 
 
 def burgers2d(terms=("advection", "diffusion_x", "diffusion_y"), nx=16, dt=1e-3):
-    return ph.PdeSpec("burgers2d", {"nu": 0.1 / np.pi}, terms, "dirichlet", 1.0,
-                      (0.0, 2.0), nx=nx, dt=dt, advection_scheme="upwind")
+    return ph.PdeSpec("burgers2d", {"nu": 0.1 / np.pi}, terms, "dirichlet",
+                      (0.0, 2.0), nx=nx, dt=dt, bc_value=1.0, advection="upwind")
 
 
 class TestRhs:
@@ -185,7 +185,7 @@ class TestInvariants:
     def test_heat_equation_analytic_decay(self):
         nu, nx = 0.05, 257
         spec = ph.PdeSpec("burgers1d", {"nu": nu}, ("diffusion",), "dirichlet",
-                          0.0, (-1.0, 1.0), nx=nx, dt=2.4e-4)
+                          (-1.0, 1.0), nx=nx, dt=2.4e-4)
         (x,) = spec.grid()
         u0 = np.sin(2 * np.pi * x)[None, :]
         u = u0.copy()
@@ -236,7 +236,7 @@ class TestSpecValidation:
         (x,) = nagumo().grid()
         assert np.array_equal(x, np.arange(64) / 64)
         spec = ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "periodic",
-                          domain=(0.0, 2.0), nx=8, ny=4)
+                          domain=(0.0, 2.0), nx=8, ny=4, dt=1e-4)
         x, y = spec.grid()
         assert np.array_equal(x, 2.0 * np.arange(8) / 8)
         assert np.array_equal(y, 2.0 * np.arange(4) / 4)
@@ -248,7 +248,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("spec", [
         burgers(nx=16),
-        ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "dirichlet", nx=8, ny=4),
+        ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "dirichlet", (0.0, 2.0),
+                   nx=8, ny=4, dt=1e-4),
     ], ids=["1d", "2d"])
     def test_coordinates_hold_every_point_x_first(self, spec):
         coords = spec.coordinates()
@@ -263,7 +264,7 @@ class TestSpecValidation:
 
     def test_unknown_benchmark(self):
         with pytest.raises(UnsupportedTermForBenchmark):
-            ph.PdeSpec("kdv", {}, (), "periodic")
+            ph.PdeSpec("kdv", {}, (), "periodic", (0.0, 1.0), nx=8, dt=1e-4)
 
     def test_terms_canonicalized(self):
         spec = burgers(terms=("diffusion", "advection"))

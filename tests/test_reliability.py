@@ -18,8 +18,8 @@ PERIODIC_GRF = rel.GrfSpec("exp_sine_squared", alpha=4.0, length_scale=0.5,
 
 def burgers_full(nx=64):
     return ph.PdeSpec("burgers1d", {"nu": 0.3 / np.pi},
-                      ("advection", "diffusion"), "dirichlet", 0.0,
-                      (-1.0, 1.0), nx=nx, dt=3e-4, advection_scheme="upwind")
+                      ("advection", "diffusion"), "dirichlet",
+                      (-1.0, 1.0), nx=nx, dt=3e-4, advection="upwind")
 
 
 class TestCovariance:
@@ -258,7 +258,7 @@ class TestGrfInitialConditions:
 
     def test_2d_matches_column_stack_of_meshgrid(self):
         spec = ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "periodic",
-                          domain=(0.0, 2.0), nx=8, ny=6)
+                          domain=(0.0, 2.0), nx=8, ny=6, dt=1e-4)
         grf = rel.GrfSpec("rbf", alpha=1.0, length_scale=0.4)
         ics = rel.grf_initial_conditions(grf, spec, 5, seed=7)
         x, y = spec.grid()
@@ -370,7 +370,8 @@ class TestEstimateReliability:
         ics[:2] = 9e7  # two samples diverge in the first step
         before = ics.copy()
         model = wno.WnoModel.initialize(
-            wno.WnoConfig(width=6, layers=2, fc1_dim=12), seed=0)
+            wno.WnoConfig(width=6, layers=2, levels=4, fc1_dim=12,
+                          **wno.io_fields(full.state_shape())), seed=0)
         rng = np.random.default_rng(13)
         for name in ("downlift2.weight", "downlift2.bias"):
             model.params[name] = 0.1 * rng.standard_normal(model.params[name].shape)

@@ -66,7 +66,6 @@ ONE_VALUE_KEYS = {
     ("pde", "ny"): "there is one 2D benchmark",
     ("probe", "y"): "there is one 2D benchmark",
     ("wno", "levels"): "gradcheck runs depth 2 through the same field",
-    ("train", "checkpoint_every"): "the resume work of ROADMAP item 3 builds on it",
     ("grf", "alpha"): "every reliability.jsonl record writes it, and "
                       "perfbench/reference.json pins those records",
     ("grf", "periodicity"): "every reliability.jsonl record writes it, and "

@@ -15,8 +15,8 @@ from dpawno.errors import NonFiniteLoss, ScheduleExhausted, ShapeMismatch
 
 def burgers_setup(nx=32, n=6, nt=20, seed=42):
     full = ph.PdeSpec("burgers1d", {"nu": 0.3 / np.pi},
-                      ("advection", "diffusion"), "dirichlet", 0.0,
-                      (-1.0, 1.0), nx=nx, dt=3e-4, advection_scheme="upwind")
+                      ("advection", "diffusion"), "dirichlet",
+                      (-1.0, 1.0), nx=nx, dt=3e-4, advection="upwind")
     fams = [dg.IcFamily("sine", n, amplitudes=tuple(range(1, n + 1)),
                         frequencies=(2,))]
     ds = dg.generate(full, fams, nt, seed=seed)
@@ -48,7 +48,8 @@ class TestSchedule:
 
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError):
-            tr.TrainConfig(unroll_schedule=((0, 10), (50, 5)))
+            tr.TrainConfig(epochs=60, unroll_schedule=((0, 10), (50, 5)),
+                           learning_rate=0.01, seed=0)
 
     def test_schedule_beyond_dataset_raises(self):
         full, partial, ds = burgers_setup(nt=5)
@@ -165,8 +166,7 @@ class TestTrain:
                             frequencies=(2,))]
         partial_full_terms = ph.PdeSpec(
             "burgers1d", {"nu": 0.3 / np.pi}, ("advection", "diffusion"),
-            "dirichlet", 0.0, (-1.0, 1.0), nx=32, dt=3e-4,
-            advection_scheme="upwind")
+            "dirichlet", (-1.0, 1.0), nx=32, dt=3e-4, advection="upwind")
         ds_partial = dg.generate(partial_full_terms, fams, 12, seed=3)
         # relabel: train against trajectories produced by the full spec while
         # the training spec has the same terms -> zero correction is exact
@@ -231,7 +231,7 @@ class TestSurrogates:
         good = 0.5 * np.sin(2 * np.pi * np.linspace(-1, 1, 32))[None, None, :]
         ics = np.concatenate([good, bad], axis=0)
         spec = ph.PdeSpec("burgers1d", {"nu": 0.3 / np.pi},
-                          ("advection", "diffusion"), "dirichlet", 0.0,
+                          ("advection", "diffusion"), "dirichlet",
                           (-1.0, 1.0), nx=32, dt=3e-4)
         stats = tr.rollout_statistics(tr.PhysicsSurrogate(spec), ics, 10,
                                       snapshots=range(1, 11))

@@ -118,7 +118,7 @@ class TestEnsembleMse:
 class TestProbeEnsemble:
     def setup_method(self):
         self.spec = ph.PdeSpec("burgers1d", {"nu": 0.3 / np.pi},
-                               ("advection", "diffusion"), "dirichlet", 0.0,
+                               ("advection", "diffusion"), "dirichlet",
                                (-1.0, 1.0), nx=32, dt=3e-4)
         fams = [dg.IcFamily("sine", 4, amplitudes=(1.0, 2.0, 3.0, 4.0),
                             frequencies=(2,))]
@@ -163,7 +163,7 @@ class TestProbeEnsemble:
         assert abs(sy - 1.03) <= (x[1] - x[0]) / 2
         # a (iy, ix) probe reads channel 0 of the 2D state
         frozen = ph.PdeSpec("burgers2d", {"nu": 0.01}, (), "periodic",
-                            nx=16, dt=1e-4)
+                            (0.0, 2.0), nx=16, dt=1e-4)
         ics = np.random.default_rng(12).standard_normal((3, 2, 16, 16))
         probe = tr.rollout_statistics(tr.PhysicsSurrogate(frozen), ics, 2,
                                       probe_index=(iy, ix))["probe"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpawno import autodiff as ad
+from dpawno import container
 from dpawno import wavelet as wv
 from dpawno import wno
 from dpawno.errors import ShapeMismatch, SignalTooShort
@@ -276,18 +277,22 @@ class TestTapeTensors:
                 approx2, [(lh, ad.slice_axis(hl, -2, 0, 3), hh)] + details2[1:], 2)
 
 
+CONFIG_1D = wno.WnoConfig(width=4, layers=2, levels=2, fc1_dim=8,
+                          **wno.io_fields((1, 16)))
+
+
 class TestSpecValidation:
     def test_unknown_family(self):
         # db6 is the only family, so a checkpoint header has no family key
         # and one naming a family is rejected
-        header = dataclasses.asdict(wno.WnoConfig())
+        header = dataclasses.asdict(CONFIG_1D)
         header["wavelet_family"] = "haar"
         with pytest.raises(ValueError, match="wavelet_family"):
-            wno.config_from_header(header)
+            container.dataclass_from(wno.WnoConfig, header)
 
     def test_bad_levels(self):
         with pytest.raises(ValueError, match="levels"):
-            wno.WnoConfig(levels=0)
+            dataclasses.replace(CONFIG_1D, levels=0)
 
     def test_coefficient_length_rule(self):
         # ceil(n / 2^k) per level for the periodic lengths used here

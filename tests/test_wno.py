@@ -86,7 +86,7 @@ class TestLift:
         # identity lift: state channels, then x, then y of every point
         from dpawno import physics as ph
         spec = ph.PdeSpec("burgers2d", {"nu": 0.01}, ("advection",),
-                          "periodic", nx=8, ny=4)
+                          "periodic", (0.0, 2.0), nx=8, ny=4, dt=1e-4)
         cfg = small_config(width=4, in_channels=4, out_channels=2,
                            spatial_dims=2)
         m = wno.WnoModel.initialize(cfg, 0)
@@ -181,7 +181,7 @@ class TestWnoForward:
         from dpawno import physics as ph
 
         spec = ph.PdeSpec("burgers1d", {"nu": 0.3 / np.pi},
-                          ("advection",), "dirichlet", 0.0, (-1.0, 1.0),
+                          ("advection",), "dirichlet", (-1.0, 1.0),
                           nx=8, dt=3e-4)
         cfg = small_config()
         m = randomized(cfg, 30)
