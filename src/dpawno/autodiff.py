@@ -12,11 +12,13 @@ A node keeps an input value only when its VJP reads it (`reads`): the
 output array belongs to the returned :class:`Tensor` and is saved on its
 node when, and only when, a consumer that reads it is recorded.  Values
 nothing reads in reverse are freed as soon as the forward pass drops them.
-The output of a `rebuilt` primitive (GELU, a cheap elementwise op whose VJP
-already keeps its input) is never saved: a VJP that reads it gets it by
-re-running the forward on the primitive's own kept inputs, which gives the
-same bits.  That trades one GELU per read in the reverse sweep for a tape
-without the activations.
+The output of a `rebuilt` primitive (GELU and the channel `matmul` and
+`bias_add`, cheap ops whose inputs the tape keeps or rebuilds anyway) is
+never saved: a VJP that reads it gets it by re-running the forward on the
+primitive's own inputs, kept or themselves rebuilt, with the params it was
+recorded with, which gives the same bits.  That trades a re-run of each
+affine map and activation per read in the reverse sweep for a tape without
+the lift output, the activations and the pre-activations.
 
 GELU and its VJP, the largest kernels outside BLAS, walk a large array in
 its memory order in cache-sized chunks, with one output array and
@@ -219,7 +221,7 @@ def _rebuilt(op):
 def _input_value(tape, node, i):
     """The value of input `i` of `node`: a constant from its ctx, a kept
     value from its parent's node, or the output of a rebuilt parent,
-    computed again from that parent's inputs."""
+    computed again from that parent's inputs and recorded params."""
     pid = node.parents[i]
     if pid is None:
         return node.ctx["consts"][i]
@@ -227,7 +229,7 @@ def _input_value(tape, node, i):
     if not _rebuilt(parent.op):
         return parent.value
     values = [_input_value(tape, parent, j) for j in range(len(parent.parents))]
-    return PRIMITIVES[parent.op][0](values, {})[0]
+    return PRIMITIVES[parent.op][0](values, parent.ctx)[0]
 
 
 def record(tape: Tape, op: str, *inputs, **params) -> Tensor:
@@ -346,7 +348,7 @@ def _fw_matmul(v, p):
     axis = p["channel_axis"]
     if w.ndim != 2 or x.shape[axis] != w.shape[1]:
         raise ShapeMismatch(f"matmul: {w.shape} against axis {axis} of {x.shape}")
-    return k_axis_matmul(w, x, axis), {"axis": axis}
+    return k_axis_matmul(w, x, axis), p
 
 
 def _fw_bias_add(v, p):
@@ -354,7 +356,7 @@ def _fw_bias_add(v, p):
     axis = p["channel_axis"]
     if b.ndim != 1 or x.shape[axis] != b.shape[0]:
         raise ShapeMismatch(f"bias_add: {b.shape} against axis {axis} of {x.shape}")
-    return k_bias_add(x, b, axis), {"axis": axis}
+    return k_bias_add(x, b, axis), p
 
 
 def _fw_gelu(v, p):
@@ -424,7 +426,7 @@ def _vjp_scalar_mul(tape, node, g):
 def _vjp_matmul(tape, node, g):
     w = _input_value(tape, node, 0)
     x = _input_value(tape, node, 1)
-    axis = node.ctx["axis"]
+    axis = node.ctx["channel_axis"]
     order, inverse = _axis_orders(x.ndim, axis)
     gm, xm = g.transpose(order), x.transpose(order)
     gw = gm.reshape(-1, w.shape[0]).T @ xm.reshape(-1, w.shape[1])
@@ -432,7 +434,7 @@ def _vjp_matmul(tape, node, g):
 
 
 def _vjp_bias_add(tape, node, g):
-    axis = node.ctx["axis"]
+    axis = node.ctx["channel_axis"]
     reduce_axes = tuple(i for i in range(g.ndim) if i != axis)
     return g, np.sum(g, axis=reduce_axes)
 
@@ -513,15 +515,15 @@ def _vjp_level_matmul(tape, node, g):
 # (output, ctx); vjp(tape, node, g) returns one cotangent per input and may
 # read the values of the inputs whose indices are in `reads`, no others.  A
 # rebuilt op's output is never kept: a VJP that reads it gets
-# forward(inputs, {})[0] again, so a rebuilt op reads all of its inputs and
-# takes no params.
+# forward(inputs, node.ctx)[0] again, so a rebuilt op reads all of its
+# inputs and its forward returns its params within its ctx.
 PRIMITIVES = {
     "add": (_fw_add, _vjp_add, (), False),
     "sub": (_fw_sub, _vjp_sub, (), False),
     "mul": (_fw_mul, _vjp_mul, (0, 1), False),
     "scalar_mul": (_fw_scalar_mul, _vjp_scalar_mul, (), False),
-    "matmul": (_fw_matmul, _vjp_matmul, (0, 1), False),
-    "bias_add": (_fw_bias_add, _vjp_bias_add, (), False),
+    "matmul": (_fw_matmul, _vjp_matmul, (0, 1), True),
+    "bias_add": (_fw_bias_add, _vjp_bias_add, (0, 1), True),
     "gelu": (_fw_gelu, _vjp_gelu, (0,), True),
     "square": (_fw_square, _vjp_square, (0,), False),
     "sum": (_fw_sum, _vjp_sum, (), False),

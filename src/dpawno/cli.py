@@ -53,12 +53,13 @@ configuration keys (INI sections):
                 amplitudes, frequencies; for kind square2d (2D): value
                 (list, lo..hi grid, uniform: lo, hi)
   [wno]         width, layers, levels, fc1_dim, bands
-  [train]       epochs, learning_rate, batch_size, schedule
+  [train]       epochs, learning_rate (> 0), batch_size, schedule
                 (auto: T0 @ HOLD, TMAX @ REACH  or  pairs: E:T ...)
-  [probe]       x, y (burgers2d only), t (list of step indices)
+  [probe]       x, y (burgers2d only), t (list of step indices); x and y
+                lie within the [pde] domain
   [eval]        steps, snapshots
   [grf]         kernel (exp_sine_squared|rbf; rbf on 2D grids), alpha,
-                length_scale, periodicity
+                length_scale, periodicity (each > 0)
   [limit_state] threshold, horizon
   [reliability] n
 Every key is required except, with the default an omitted key takes:
@@ -229,13 +230,13 @@ def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     out = _ensure_outdir(args.out)
     # read (and so checked) before any file or checkpoint is loaded
-    eval_steps, snapshots = cfg.eval_steps, cfg.snapshots()
+    eval_steps, snapshots, probes = cfg.eval_steps, cfg.snapshots(), cfg.probes()
     test = _load_dataset(cfg, args.data, "test")
     truth = test.trajectories
     steps = min(eval_steps, test.n_steps)
     horizon = test.n_steps
     surrogates = _surrogates(cfg, args)
-    probe_x, _ = cfg.probes()[0]
+    probe_x, _ = probes[0]
     spec = cfg.partial_spec()
     index, snapped = uq.nearest_grid_index(spec.grid(), probe_x)
     # skipped, not rejected: a run that cuts data.nt_test keeps the preset's
@@ -297,8 +298,8 @@ PDF_COLUMNS = (("mass_model", "dpa-wno"), ("mass_truth", "truth"),
 def cmd_uq(args) -> int:
     cfg = _load_cfg(args)
     out = _ensure_outdir(args.out)
-    test = _load_dataset(cfg, args.data, "test")
     probes = cfg.probes()
+    test = _load_dataset(cfg, args.data, "test")
     for _, t_star in probes:
         if not 1 <= t_star <= test.n_steps:
             raise UsageError(

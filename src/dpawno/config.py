@@ -275,10 +275,18 @@ class ExperimentConfig:
 
     def probes(self):
         """(x*, t*) pairs; x* is a location in the order of
-        physics.PdeSpec.grid(): (x,) in 1D, (x, y) in 2D."""
+        physics.PdeSpec.grid(): (x,) in 1D, (x, y) in 2D, each coordinate
+        finite and within the [pde] domain interval."""
         times = [int(v) for v in _parse_number_list(self._get("probe", "t"))]
-        dims = len(self.data_only_spec().spatial_shape())
-        location = tuple(self._get("probe", axis, float) for axis in "xy"[:dims])
+        spec = self.data_only_spec()
+        lo, hi = spec.domain
+        location = tuple(self._get("probe", axis, float)
+                         for axis in "xy"[:len(spec.spatial_shape())])
+        for axis, value in zip("xy", location):
+            # NaN fails both comparisons
+            if not lo <= value <= hi:
+                raise UsageError(f"[probe] {axis} must lie in the [pde] domain "
+                                 f"[{lo}, {hi}], got {value}")
         return [(location, t) for t in times]
 
     @property

@@ -48,8 +48,10 @@ class GrfSpec:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown GRF kernel {self.kernel!r}; choose from {KERNELS}")
-        if self.alpha <= 0 or self.length_scale <= 0 or self.periodicity <= 0:
-            raise ValueError("alpha, length_scale and periodicity must be positive")
+        for key in ("alpha", "length_scale", "periodicity"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"[grf] {key} must be finite and > 0, got {value}")
 
 
 def grf_covariance(spec: GrfSpec, axis, jitter: float) -> np.ndarray:

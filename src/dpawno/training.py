@@ -63,6 +63,9 @@ class TrainConfig:
             if getattr(self, key) < 1:
                 raise ValueError(
                     f"[train] {key} must be >= 1, got {getattr(self, key)}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("[train] learning_rate must be finite and > 0, "
+                             f"got {self.learning_rate}")
         sched = tuple((int(e), int(t)) for e, t in self.unroll_schedule)
         object.__setattr__(self, "unroll_schedule", sched)
         for (e0, t0), (e1, t1) in zip(sched, sched[1:]):

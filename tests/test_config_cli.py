@@ -693,6 +693,71 @@ class TestConfigErrors:
         assert f"[train] {key.split('=')[0]} must be >= 1" in capsys.readouterr().err
         assert not (out / "train_log.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_learning_rate_exits_2_before_the_dataset(self, tmp_path, capsys,
+                                                         value):
+        # nan failed the first update and -1 diverged for epochs (exit 3)
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(tmp_path / "none"),
+                         "--out", str(out), "--set", f"train.learning_rate={value}"])
+        assert code == 2
+        assert capsys.readouterr().err == ("usage error: [train] learning_rate must "
+                                           f"be finite and > 0, got {float(value)}\n")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("override", [
+        "grf.alpha=nan", "grf.alpha=inf", "grf.alpha=0", "grf.length_scale=nan",
+        "grf.length_scale=inf", "grf.length_scale=-0.5", "grf.periodicity=nan",
+        "grf.periodicity=inf", "grf.periodicity=0"])
+    def test_bad_grf_parameter_exits_2_before_cholesky(self, tmp_path, monkeypatch,
+                                                       capsys, override):
+        # alpha=nan wrote p_f 1.0 with every sample diverged, and
+        # length_scale=inf p_f 0.001 from a constant field
+        calls = count_cholesky(monkeypatch)
+        out = tmp_path / "rel"
+        code = cli.main(["reliability", "--preset", DESK, "--out", str(out),
+                         "--set", "reliability.n=2", "--set", override])
+        assert code == 2
+        key, value = override[len("grf."):].split("=")
+        assert capsys.readouterr().err == \
+            f"usage error: [grf] {key} must be finite and > 0, got {float(value)}\n"
+        assert calls == []
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, preset, override", [
+        ("evaluate", DESK, "probe.x=5"),
+        ("evaluate", DESK, "probe.x=nan"),
+        ("evaluate", DESK, "probe.x=inf"),
+        ("uq", DESK, "probe.x=inf"),
+        ("uq", DESK, "probe.x=-1.5"),
+        ("evaluate", "burgers2d-missing-xdiff", "probe.y=3"),
+        ("uq", "burgers2d-missing-xdiff", "probe.y=3"),
+    ], ids=["evaluate-x=5", "evaluate-x=nan", "evaluate-x=inf", "uq-x=inf",
+            "uq-x=-1.5", "evaluate-2d-y=3", "uq-2d-y=3"])
+    def test_probe_outside_the_domain_exits_2_before_the_dataset(
+            self, tmp_path, capsys, command, preset, override):
+        # snapped to a Dirichlet boundary point, such a probe read as a
+        # perfect density match; the dataset does not exist: reading it
+        # first would exit 4
+        out = tmp_path / command
+        code = cli.main([command, "--preset", preset, "--data", str(tmp_path / "none"),
+                         "--out", str(out), "--set", override])
+        assert code == 2
+        axis, value = override[len("probe."):].split("=")
+        lo, hi = cf.load_config(preset=preset).full_spec().domain
+        assert capsys.readouterr().err == (
+            f"usage error: [probe] {axis} must lie in the [pde] domain "
+            f"[{lo}, {hi}], got {float(value)}\n")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("preset, overrides", [
+        (DESK, ("probe.x=-1",)), (DESK, ("probe.x=1",)),
+        ("burgers2d-missing-xdiff", ("probe.x=0", "probe.y=2"))])
+    def test_probe_on_the_domain_edge_is_accepted(self, preset, overrides):
+        c = cf.load_config(preset=preset, overrides=overrides)
+        location = tuple(float(o.split("=")[1]) for o in overrides)
+        assert c.probes()[0][0] == location
+
     @pytest.mark.parametrize("section,key", [("ic.train.1", "count"),
                                              ("ic.test.2", "amplitudes"),
                                              ("grf", "alpha")])

@@ -120,23 +120,32 @@ def test_every_primitive_has_its_own_rule_pair():
 
 
 def test_rebuilt_primitives_read_every_input():
-    """The reverse sweep re-runs a rebuilt primitive's forward on its kept
-    inputs with no params, so it must read (keep) every input and take no
-    params.  Inputs and params are the positional and keyword arguments of
-    the public op's `_apply(name, ...)` call."""
+    """The reverse sweep re-runs a rebuilt primitive's forward on its inputs
+    with the params it was recorded with (its ctx), so it must read (keep)
+    every input, and its forward must return its params as its ctx.  Inputs
+    and params are the positional and keyword arguments of the public op's
+    `_apply(name, ...)` call."""
     calls = {}
+    returned = {}
     tree = ast.parse((ROOT / "src" / "dpawno" / "autodiff.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "_apply" \
                 and isinstance(node.args[0], ast.Constant):
             calls[node.args[0].value] = (len(node.args) - 1, len(node.keywords))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_fw_"):
+            # the ctx of each return of a forward(v, p)
+            returned[node.name] = {ast.unparse(ret.value.elts[1])
+                                   for ret in ast.walk(node)
+                                   if isinstance(ret, ast.Return)}
     assert calls.keys() == autodiff.PRIMITIVES.keys()
     rebuilt = [name for name, entry in autodiff.PRIMITIVES.items() if entry[3]]
     wrong = [name for name in rebuilt
              if sorted(autodiff.PRIMITIVES[name][2]) != list(range(calls[name][0]))
-             or calls[name][1]]
-    assert not wrong, f"rebuilt primitives that skip an input or take params: {wrong}"
+             or returned[autodiff.PRIMITIVES[name][0].__name__]
+             != ({"p"} if calls[name][1] else {"None"})]
+    assert not wrong, ("rebuilt primitives that skip an input or do not return "
+                       f"their params as their ctx: {wrong}")
 
 
 def test_only_the_container_reads_bytes():

@@ -381,7 +381,8 @@ class TestBlockedRollout:
 
 def assert_only_read_values_kept(tape):
     """A node holds its output exactly when a recorded consumer's VJP reads it
-    and its op is not rebuilt; every input of a rebuilt node is kept."""
+    and its op is not rebuilt; every input of a rebuilt node is kept (a
+    constant in its ctx) or itself rebuilt."""
     read = set()
     for node in tape.nodes:
         if node.op != "leaf":
@@ -394,7 +395,9 @@ def assert_only_read_values_kept(tape):
         assert (node.value is not ad._UNSAVED) == (nid in kept), (nid, node.op)
         assert node.value.nbytes > 0 or nid not in kept
         if nid in rebuilt:
-            assert all(pid in kept for pid in node.parents), (nid, node.op)
+            assert all(i in node.ctx["consts"] if pid is None
+                       else pid in kept or pid in rebuilt
+                       for i, pid in enumerate(node.parents)), (nid, node.op)
 
 
 TAPE_2D = ("pde.nx=32", "pde.ny=32", "wno.width=8", "wno.fc1_dim=16",
@@ -427,10 +430,11 @@ class TestTapeMemory:
         return self.batch(preset, overrides, n, t_steps)[0]
 
     def test_desk_batch_keeps_read_values_only(self):
-        # B=4, T=10: 4.6 MB of values the VJPs read and the tape keeps (6.6 MB
-        # with the GELU outputs it rebuilds); every output is 22.3 MB
+        # B=4, T=10: 3.2 MB of values the VJPs read and the tape keeps (4.6 MB
+        # with the channel matmul and bias outputs it rebuilds, 6.6 MB with
+        # the GELU outputs too); every output is 22.3 MB
         tape = self.batch_tape(*DESK_BATCH, 10)
-        assert sum(node.value.nbytes for node in tape.nodes) <= 5e6
+        assert sum(node.value.nbytes for node in tape.nodes) <= 3.5e6
         assert_only_read_values_kept(tape)
         ops = {node.op for node in tape.nodes}
         assert {"level_matmul", "add", "bias_add", "gelu"} <= ops
@@ -441,8 +445,43 @@ class TestTapeMemory:
     @pytest.mark.parametrize("batch,t_steps", [(DESK_BATCH, 10),
                                                (SMALL_2D_BATCH, 2)],
                              ids=["desk-T10", "small-2d-T2"])
-    def test_rebuilt_gelu_gradients_equal_kept_ones(self, monkeypatch, batch,
-                                                     t_steps):
+    def test_rebuilt_outputs_rerun_bitwise(self, monkeypatch, batch, t_steps):
+        # the reverse sweep re-runs a rebuilt node's forward on its inputs,
+        # kept or rebuilt in turn, with the params it was recorded with
+        outputs = {}
+
+        def record(tape, op, *inputs, original=ad.record, **params):
+            out = original(tape, op, *inputs, **params)
+            outputs[out.node_id] = out.data
+            return out
+
+        monkeypatch.setattr(ad, "record", record)
+        tape = self.batch_tape(*batch, t_steps)
+        rebuilt = {node.op for node in tape.nodes
+                   if node.op != "leaf" and ad.PRIMITIVES[node.op][3]}
+        assert rebuilt == {"matmul", "bias_add", "gelu"}
+        for nid, node in enumerate(tape.nodes):
+            if node.op in rebuilt:
+                inputs = [ad._input_value(tape, node, i)
+                          for i in range(len(node.parents))]
+                out = ad.PRIMITIVES[node.op][0](inputs, node.ctx)[0]
+                assert out.tobytes() == outputs[nid].tobytes(), (nid, node.op)
+
+    # (reads, rebuilt) entries of a reference tape: the earlier entries, where
+    # only GELU is rebuilt and bias_add reads nothing, and entries that
+    # rebuild nothing
+    KEPT_ENTRIES = {
+        "gelu-only": {"matmul": ((0, 1), False), "bias_add": ((), False)},
+        "none": {"matmul": ((0, 1), False), "bias_add": ((), False),
+                 "gelu": ((0,), False)},
+    }
+
+    @pytest.mark.parametrize("reference", sorted(KEPT_ENTRIES))
+    @pytest.mark.parametrize("batch,t_steps", [(DESK_BATCH, 10),
+                                               (SMALL_2D_BATCH, 2)],
+                             ids=["desk-T10", "small-2d-T2"])
+    def test_rebuilt_gradients_equal_kept_ones(self, monkeypatch, batch,
+                                               t_steps, reference):
         def sweep():
             tape, staged, loss = self.batch(*batch, t_steps)
             kept = sum(node.value.nbytes for node in tape.nodes)
@@ -450,9 +489,10 @@ class TestTapeMemory:
             return kept, {k: ad.grad_of(tape, leaf) for k, leaf in staged.items()}
 
         rebuilt_bytes, rebuilt = sweep()
-        # the reference keeps every GELU output its consumers read
-        monkeypatch.setitem(ad.PRIMITIVES, "gelu",
-                            ad.PRIMITIVES["gelu"][:3] + (False,))
+        # the reference keeps the outputs of these ops that consumers read
+        for op, (reads, is_rebuilt) in self.KEPT_ENTRIES[reference].items():
+            monkeypatch.setitem(ad.PRIMITIVES, op,
+                                ad.PRIMITIVES[op][:2] + (reads, is_rebuilt))
         kept_bytes, kept = sweep()
         assert rebuilt_bytes < kept_bytes
         assert rebuilt.keys() == kept.keys()
