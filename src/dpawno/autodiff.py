@@ -6,7 +6,10 @@ of leaf nodes.  Each primitive is defined once, as a (forward, vjp, reads,
 rebuilt) entry in :data:`PRIMITIVES`, and every public op goes through one
 dispatch path: it is recorded when any input is a Tensor, otherwise its
 forward function is evaluated on the plain operands.  Evaluating a model with or
-without a tape therefore produces bit-identical values.
+without a tape therefore produces bit-identical values.  A VJP that is a
+forward kernel with transposed params (the transposed matrix of a matmul,
+the negated offsets of a stencil, the two slices of a concat) calls that
+kernel, so each evaluation order is written once.
 
 A node keeps an input value only when its VJP reads it (`reads`): the
 output array belongs to the returned :class:`Tensor` and is saved on its
@@ -48,7 +51,7 @@ _GELU_3A = 3.0 * _GELU_A
 
 
 # ---------------------------------------------------------------------------
-# kernels (shared by taped and untaped evaluation)
+# kernels (each shared by a primitive's forward and VJP, or by two primitives)
 #
 # Each kernel evaluates its formula in a fixed order and hands BLAS fixed
 # operands; byte-identical primary outputs across versions depend on both.
@@ -97,17 +100,6 @@ def _gelu_tanh(x, t):
     np.tanh(t, out=t)
 
 
-def k_gelu(x):
-    # 0.5 x (1 + t), as (0.5 x) * (1 + t)
-    out = np.empty_like(x, dtype=np.float64)
-    for xp, op, t in _pieces(1, x, out):
-        _gelu_tanh(xp, t)
-        t += 1.0
-        np.multiply(0.5, xp, out=op)
-        op *= t
-    return out
-
-
 @lru_cache(maxsize=None)
 def _axis_orders(ndim, axis):
     """(order, inverse): the transpose that moves `axis` to the end, keeping
@@ -135,12 +127,6 @@ def k_circ_stencil(v, taps, axis):
     for offset, weight in taps[1:]:
         out = out + weight * np.roll(v, -offset, axis=axis)
     return out
-
-
-def k_bias_add(v, b, axis):
-    shape = [1] * v.ndim
-    shape[axis] = b.shape[0]
-    return v + b.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +190,8 @@ def _check_finite(arr, op):
 
 
 def _operand(x):
-    """A non-Tensor operand: floats stay, ints and NumPy scalars become
-    floats, anything else becomes a float64 array."""
-    if isinstance(x, float):
-        return x
+    """A non-Tensor operand that is not a float: ints and NumPy scalars
+    become floats, anything else becomes a float64 array."""
     if isinstance(x, (int, np.floating, np.integer)):
         return float(x)
     return np.asarray(x, dtype=np.float64)
@@ -356,13 +340,21 @@ def _fw_bias_add(v, p):
     axis = p["channel_axis"]
     if b.ndim != 1 or x.shape[axis] != b.shape[0]:
         raise ShapeMismatch(f"bias_add: {b.shape} against axis {axis} of {x.shape}")
-    return k_bias_add(x, b, axis), p
+    shape = [1] * x.ndim
+    shape[axis] = b.shape[0]
+    return x + b.reshape(shape), p
 
 
 def _fw_gelu(v, p):
-    # the tanh is recomputed in the vjp: storing it would add one full-size
-    # array per activation to the tape
-    return k_gelu(v[0]), None
+    # 0.5 x (1 + t), as (0.5 x) * (1 + t); the tanh is recomputed in the
+    # vjp: storing it would add one full-size array per activation to the tape
+    out = np.empty_like(v[0], dtype=np.float64)
+    for xp, op, t in _pieces(1, v[0], out):
+        _gelu_tanh(xp, t)
+        t += 1.0
+        np.multiply(0.5, xp, out=op)
+        op *= t
+    return out, None
 
 
 def _fw_square(v, p):
@@ -374,9 +366,10 @@ def _fw_sum(v, p):
 
 
 def _fw_slice_axis(v, p):
-    sl = [slice(None)] * v[0].ndim
-    sl[p["axis"]] = slice(p["start"], p["stop"])
-    return v[0][tuple(sl)].copy(), {**p, "in_shape": v[0].shape}
+    index = [slice(None)] * v[0].ndim
+    index[p["axis"]] = slice(p["start"], p["stop"])
+    index = tuple(index)
+    return v[0][index].copy(), {"index": index, "in_shape": v[0].shape}
 
 
 def _fw_concat(v, p):
@@ -427,10 +420,10 @@ def _vjp_matmul(tape, node, g):
     w = _input_value(tape, node, 0)
     x = _input_value(tape, node, 1)
     axis = node.ctx["channel_axis"]
-    order, inverse = _axis_orders(x.ndim, axis)
-    gm, xm = g.transpose(order), x.transpose(order)
-    gw = gm.reshape(-1, w.shape[0]).T @ xm.reshape(-1, w.shape[1])
-    return gw, (gm @ w).transpose(inverse)
+    order, _ = _axis_orders(x.ndim, axis)
+    gw = (g.transpose(order).reshape(-1, w.shape[0]).T
+          @ x.transpose(order).reshape(-1, w.shape[1]))
+    return gw, k_axis_matmul(w.T, g, axis)
 
 
 def _vjp_bias_add(tape, node, g):
@@ -477,21 +470,15 @@ def _vjp_sum(tape, node, g):
 
 
 def _vjp_slice_axis(tape, node, g):
-    ctx = node.ctx
-    out = np.zeros(ctx["in_shape"])
-    sl = [slice(None)] * len(ctx["in_shape"])
-    sl[ctx["axis"]] = slice(ctx["start"], ctx["stop"])
-    out[tuple(sl)] = g
+    out = np.zeros(node.ctx["in_shape"])
+    out[node.ctx["index"]] = g
     return (out,)
 
 
 def _vjp_concat(tape, node, g):
     axis, split = node.ctx["axis"], node.ctx["split"]
-    sl_a = [slice(None)] * g.ndim
-    sl_b = [slice(None)] * g.ndim
-    sl_a[axis] = slice(0, split)
-    sl_b[axis] = slice(split, None)
-    return g[tuple(sl_a)].copy(), g[tuple(sl_b)].copy()
+    return (_fw_slice_axis([g], {"axis": axis, "start": 0, "stop": split})[0],
+            _fw_slice_axis([g], {"axis": axis, "start": split, "stop": None})[0])
 
 
 def _vjp_boundary_overwrite(tape, node, g):
@@ -499,12 +486,9 @@ def _vjp_boundary_overwrite(tape, node, g):
 
 
 def _vjp_circ_stencil(tape, node, g):
-    taps = node.ctx["taps"]
-    axis = node.ctx["axis"]
-    out = taps[0][1] * np.roll(g, taps[0][0], axis=axis)
-    for offset, weight in taps[1:]:
-        out = out + weight * np.roll(g, offset, axis=axis)
-    return (out,)
+    # the adjoint of a circular stencil is the stencil with negated offsets
+    taps = tuple((-offset, weight) for offset, weight in node.ctx["taps"])
+    return (k_circ_stencil(g, taps, node.ctx["axis"]),)
 
 
 def _vjp_level_matmul(tape, node, g):

@@ -162,16 +162,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = _ensure_outdir(args.out)
-    wcfg = cfg.wno_config()
-    model = wno_mod.WnoModel.initialize(wcfg, cfg.seed)
+    model = wno_mod.WnoModel.initialize(cfg.wno_config(), cfg.seed)
     ckpt = os.path.join(out, "model.dpaw")
-    if args.mode == "physics-only":
-        # the zero-initialized model is exactly the known-physics solver
-        wno_mod.save_checkpoint(model, ckpt)
-        _write_sidecar(os.path.join(out, "train.meta.json"),
-                       {"config": cfg.name, "mode": args.mode, "epochs": 0})
-        print(f"wrote identity checkpoint {ckpt}")
-        return 0
     spec = cfg.data_only_spec() if args.mode == "data-only" else cfg.partial_spec()
     tcfg = cfg.train_config()
     dataset = _load_dataset(cfg, args.data, "train")
@@ -435,10 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", required=True, help="directory with train.dpds")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("dpa", "data-only", "physics-only"),
-                   default="dpa",
+    p.add_argument("--mode", choices=("dpa", "data-only"), default="dpa",
                    help="dpa: partial physics + correction; data-only: pure "
-                        "next-step operator; physics-only: identity checkpoint")
+                        "next-step operator")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="ensemble error metrics and snapshots",

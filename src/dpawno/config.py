@@ -179,6 +179,15 @@ class ExperimentConfig:
                 given[field.name] = self._get(section, field.name, field.type)
         return cls(**given)
 
+    def _steps(self, section, key):
+        """The whole step numbers listed under [section] key."""
+        values = self._get(section, key, _parse_number_list)
+        for v in values:
+            if not v.is_integer():  # False for inf and NaN
+                raise UsageError(f"[{section}] {key} must list whole step "
+                                 f"numbers, got {v}")
+        return [int(v) for v in values]
+
     def _count(self, section, key, default=None) -> int:
         """An integer key that must be at least 1."""
         n = self._get(section, key, int, default)
@@ -232,8 +241,11 @@ class ExperimentConfig:
             count = self._count(section, "count")
             amplitudes, *frequencies = (self._get(section, key)
                                         for key in IC_KINDS[kind])
-            out.append(IcFamily(kind, count, parse_amplitudes(amplitudes),
-                                *map(_parse_number_list, frequencies)))
+            try:
+                out.append(IcFamily(kind, count, parse_amplitudes(amplitudes),
+                                    *map(_parse_number_list, frequencies)))
+            except ValueError as exc:
+                raise UsageError(f"[{section}] {exc}") from exc
         if not out:
             raise UsageError(f"no [ic.{role}.N] sections configured")
         return out
@@ -277,7 +289,7 @@ class ExperimentConfig:
         """(x*, t*) pairs; x* is a location in the order of
         physics.PdeSpec.grid(): (x,) in 1D, (x, y) in 2D, each coordinate
         finite and within the [pde] domain interval."""
-        times = [int(v) for v in _parse_number_list(self._get("probe", "t"))]
+        times = self._steps("probe", "t")
         spec = self.data_only_spec()
         lo, hi = spec.domain
         location = tuple(self._get("probe", axis, float)
@@ -294,7 +306,7 @@ class ExperimentConfig:
         return self._count("eval", "steps", 100)
 
     def snapshots(self):
-        times = [int(v) for v in _parse_number_list(self._get("eval", "snapshots"))]
+        times = self._steps("eval", "snapshots")
         if any(t < 1 for t in times):
             raise UsageError(f"[eval] snapshots must be steps >= 1, got {times}")
         return times

@@ -52,6 +52,9 @@ class IcFamily:
     def __post_init__(self):
         if self.kind not in IC_KINDS:
             raise ValueError(f"unknown IC kind {self.kind!r}")
+        for key, values in zip(IC_KINDS[self.kind], (self.amplitudes, self.frequencies)):
+            if not all(np.isfinite(v) for v in values if v != "uniform"):
+                raise ValueError(f"{key} must be finite, got {values}")
 
     def describe(self) -> str:
         if self.kind == "square2d":

@@ -123,6 +123,9 @@ class PdeSpec:
                 raise ValueError(f"[pde] {key} must be >= 2, got {getattr(self, key)}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"[pde] dt must be finite and > 0, got {self.dt}")
+        for key, value in {**self.params, "bc_value": self.bc_value}.items():
+            if not np.isfinite(value):
+                raise ValueError(f"[pde] {key} must be finite, got {value}")
         if self.bc not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown bc {self.bc!r}")
         self._cfl_check()

@@ -52,6 +52,11 @@ class GrfSpec:
             value = getattr(self, key)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"[grf] {key} must be finite and > 0, got {value}")
+        # grf_covariance divides by length_scale ** 2, and ** raises on overflow
+        square = self.length_scale * self.length_scale
+        if not np.finfo(np.float64).tiny <= square < np.inf:
+            raise ValueError(f"[grf] length_scale {self.length_scale} is out of "
+                             "range: its square is not a normal float")
 
 
 def grf_covariance(spec: GrfSpec, axis, jitter: float) -> np.ndarray:

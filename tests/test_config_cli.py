@@ -41,6 +41,14 @@ DESK = "burgers1d-missing-diffusion-desk"
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def identity_checkpoint(path):
+    """Save the zero-initialized desk model, which steps exactly like the
+    known physics, at `path`; return the path as a string."""
+    cfg = cf.load_config(preset=DESK)
+    wno.save_checkpoint(wno.WnoModel.initialize(cfg.wno_config(), cfg.seed), path)
+    return str(path)
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", cf.PRESETS)
     def test_presets_parse_and_build(self, name):
@@ -193,9 +201,6 @@ class TestCliPipeline:
         assert self.run("train", "--preset", DESK, "--data", data, "--out",
                         donly, "--mode", "data-only", *SMALL_DATA,
                         *FAST_TRAIN) == 0
-        ponly = str(tmp_path / "ponly")
-        assert self.run("train", "--preset", DESK, "--data", data, "--out",
-                        ponly, "--mode", "physics-only", *SMALL_DATA) == 0
 
         ev = str(tmp_path / "eval")
         assert self.run("evaluate", "--preset", DESK, "--data", data,
@@ -230,13 +235,10 @@ class TestCliPipeline:
         # the zero-initialized checkpoint steps exactly like the known
         # physics, so its column equals mass_partial, not the truth; no
         # data-only model was given, so there is no mass_dataonly column
-        ponly = str(tmp_path / "ponly")
-        assert self.run("train", "--preset", DESK, "--data", str(desk_data),
-                        "--out", ponly, "--mode", "physics-only",
-                        *SMALL_DATA) == 0
+        ponly = identity_checkpoint(tmp_path / "ponly.dpaw")
         uqd = tmp_path / "uq"
         assert self.run("uq", "--preset", DESK, "--data", str(desk_data),
-                        "--dpa", f"{ponly}/model.dpaw", "--out", str(uqd),
+                        "--dpa", ponly, "--out", str(uqd),
                         *SMALL_DATA) == 0
         header, *lines = (uqd / "pdf_probe0.csv").read_text().splitlines()
         assert header == "support,mass_model,mass_truth,mass_partial"
@@ -275,6 +277,30 @@ class TestCliPipeline:
         out = capsys.readouterr().out
         for key in ("partial_terms", "schedule", "threshold", "amplitudes"):
             assert key in out
+
+    def test_physics_only_train_mode_refused(self, tmp_path):
+        # evaluate and uq roll the known physics with no checkpoint
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("train", "--preset", DESK, "--data", str(tmp_path),
+                     "--out", str(tmp_path / "o"), "--mode", "physics-only")
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_commands_parse(self):
+        """Every `dpawno` line of README's "Command line" block, continuation
+        lines joined and comments dropped, is accepted by the parser."""
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+        lines = [line.split() for line in
+                 block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+                 if line.strip() and not line.lstrip().startswith("#")]
+        assert len(lines) >= 6 and {argv[0] for argv in lines} == {"dpawno"}
+        parser = cli.build_parser()
+        for argv in lines:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
 
 def count_cholesky(monkeypatch):
@@ -724,6 +750,26 @@ class TestConfigErrors:
         assert calls == []
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("value", ["1e-160", "1e-300", "1e300"])
+    def test_length_scale_whose_square_is_not_normal_exits_2_before_cholesky(
+            self, tmp_path, monkeypatch, capsys, value):
+        # in grf_covariance 1e-300 divided by zero and 1e300 overflowed
+        # (exit 1), and 1e-160, squared to a subnormal, drew white noise
+        # that every sample diverged from
+        calls = count_cholesky(monkeypatch)
+        out = tmp_path / "rel"
+        code = cli.main(["reliability", "--preset", DESK, "--out", str(out),
+                         "--set", "reliability.n=2",
+                         "--set", f"grf.length_scale={value}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: [grf] length_scale {float(value)} is out of range: "
+            "its square is not a normal float\n")
+        assert calls == []
+        assert not any(out.iterdir())
+        for ok in (1.5e-154, 1.3e154):  # square to normal floats
+            rel.GrfSpec("rbf", 1.0, ok)
+
     @pytest.mark.parametrize("command, preset, override", [
         ("evaluate", DESK, "probe.x=5"),
         ("evaluate", DESK, "probe.x=nan"),
@@ -748,6 +794,31 @@ class TestConfigErrors:
         assert capsys.readouterr().err == (
             f"usage error: [probe] {axis} must lie in the [pde] domain "
             f"[{lo}, {hi}], got {float(value)}\n")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, override, bad", [
+        ("evaluate", "eval.snapshots=inf", "inf"),
+        ("evaluate", "eval.snapshots=1e400", "inf"),
+        ("evaluate", "eval.snapshots=5, 2.5", "2.5"),
+        ("evaluate", "probe.t=inf", "inf"),
+        ("evaluate", "probe.t=2.5", "2.5"),
+        ("uq", "probe.t=inf", "inf"),
+        ("uq", "probe.t=-inf", "-inf"),
+        ("uq", "probe.t=2.5", "2.5"),
+        ("uq", "probe.t=5, nan", "nan"),
+    ])
+    def test_step_that_is_not_a_whole_number_exits_2_before_the_dataset(
+            self, tmp_path, capsys, command, override, bad):
+        # inf and 1e400 overflowed int() (exit 1), and probe.t=2.5 probed
+        # step 2; the dataset does not exist: reading it first would exit 4
+        out = tmp_path / command
+        code = cli.main([command, "--preset", DESK, "--data", str(tmp_path / "none"),
+                         "--out", str(out), "--set", override])
+        assert code == 2
+        section, key = override.split("=")[0].split(".")
+        assert capsys.readouterr().err == (
+            f"usage error: [{section}] {key} must list whole step numbers, "
+            f"got {bad}\n")
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("preset, overrides", [
@@ -840,8 +911,25 @@ class TestConfigErrors:
          "[pde] domain must be two finite numbers lo < hi, got (1.0,)"),
         ("burgers2d-missing-xdiff", "pde.ny=0", "[pde] ny must be >= 2, got 0"),
         ("burgers2d-missing-xdiff", "pde.ny=1", "[pde] ny must be >= 2, got 1"),
+        # unchecked, these blew the ground truth up at step 1 (exit 3)
+        (DESK, "pde.nu=nan", "[pde] nu must be finite, got nan"),
+        (DESK, "pde.bc_value=inf", "[pde] bc_value must be finite, got inf"),
+        ("nagumo-missing-diffusion", "pde.alpha=-inf",
+         "[pde] alpha must be finite, got -inf"),
+        # unchecked, -inf overflowed rng.uniform (exit 1), and a NaN read as
+        # a blow-up (exit 3), or passed when no sample drew it
+        (DESK, "ic.test.1.amplitudes=uniform: -inf, 10",
+         "[ic.test.1] amplitudes must be finite, got ('uniform', -inf, 10.0)"),
+        (DESK, "ic.train.2.amplitudes=1, nan",
+         "[ic.train.2] amplitudes must be finite, got (1.0, nan)"),
+        (DESK, "ic.train.1.frequencies=nan, 5",
+         "[ic.train.1] frequencies must be finite, got (nan, 5.0)"),
+        ("burgers2d-missing-xdiff", "ic.train.1.value=uniform: 0, inf",
+         "[ic.train.1] value must be finite, got ('uniform', 0.0, inf)"),
     ], ids=["dt=0", "dt<0", "dt=nan", "dt=inf", "nx=1", "nx=6x4", "domain=1,1",
-            "domain=1,-1", "domain=0,inf", "domain=1", "ny=0", "ny=1"])
+            "domain=1,-1", "domain=0,inf", "domain=1", "ny=0", "ny=1", "nu=nan",
+            "bc_value=inf", "alpha=-inf", "uniform-inf", "amplitude=nan",
+            "frequency=nan", "value=inf"])
     def test_bad_grid_exits_2_before_any_write(self, tmp_path, capsys, preset,
                                                override, message):
         out = tmp_path / "data"
@@ -1075,13 +1163,11 @@ class TestUqStepping:
             monkeypatch.setattr(cls, "step", step)
 
     def prepare(self, tmp_path):
-        data, model = str(tmp_path / "data"), str(tmp_path / "model")
+        data = str(tmp_path / "data")
         assert cli.main(["gen-data", "--preset", DESK, "--out", data,
                          *SMALL_DATA]) == 0
-        assert cli.main(["train", "--preset", DESK, "--data", data, "--out",
-                         model, "--mode", "physics-only", *SMALL_DATA]) == 0
         return ["uq", "--preset", DESK, "--data", data,
-                "--dpa", os.path.join(model, "model.dpaw"),
+                "--dpa", identity_checkpoint(tmp_path / "model.dpaw"),
                 "--out", str(tmp_path / "uq"), *SMALL_DATA]
 
     def test_one_rollout_per_surrogate(self, tmp_path, monkeypatch):

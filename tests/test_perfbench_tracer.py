@@ -46,9 +46,15 @@ assert tracer.calls["reliability.sample_grf"] == before + 1
 import os
 import tempfile
 from dpawno import cli
+desk = ["--preset", "burgers1d-missing-diffusion-desk"]
+for kv in ("data.n_train=2", "data.nt_train=2", "data.n_test=2",
+           "data.nt_test=2", "ic.train.1.count=1", "ic.train.2.count=1",
+           "ic.test.1.count=1", "ic.test.2.count=1", "train.epochs=1",
+           "train.schedule=pairs: 0:2"):
+    desk += ["--set", kv]
 with tempfile.TemporaryDirectory() as tmp:
-    assert cli.main(["train", "--preset", "burgers1d-missing-diffusion-desk",
-                     "--data", tmp, "--out", tmp, "--mode", "physics-only"]) == 0
+    assert cli.main(["gen-data", *desk, "--out", tmp]) == 0
+    assert cli.main(["train", *desk, "--data", tmp, "--out", tmp]) == 0
     assert tracer.calls["wno.checkpoint_save"] == 1
     wno.load_checkpoint(os.path.join(tmp, "model.dpaw"))
     assert tracer.calls["wno.checkpoint_load"] == 1
