@@ -25,18 +25,10 @@ from . import uq
 from . import wno as wno_mod
 from .config import PRESETS, ExperimentConfig, load_config
 from .errors import (
-    ChecksumMismatch,
-    CountExceedsFamily,
     DatasetIoError,
     DpawnoError,
-    FormatVersionMismatch,
     NonFiniteLoss,
-    NonFiniteState,
-    NonFiniteValue,
-    NotPositiveDefinite,
-    ScheduleExhausted,
-    ShapeMismatch,
-    SignalTooShort,
+    NumericalFailure,
     UsageError,
 )
 
@@ -44,9 +36,10 @@ CONFIG_KEYS_HELP = """\
 configuration keys (INI sections):
   [run]         seed, benchmark (burgers1d|nagumo|allen_cahn|burgers2d)
   [pde]         nu (burgers1d, burgers2d) | epsilon, alpha (nagumo) |
-                gamma (allen_cahn);  nx, ny (burgers2d only), dt, bc,
-                bc_value, domain, partial_terms, advection (central|upwind;
-                burgers1d and burgers2d only)
+                gamma (allen_cahn), with nu, epsilon, gamma >= 0; nx,
+                ny (burgers2d only), dt, bc, bc_value, domain,
+                partial_terms, advection (central|upwind; burgers1d and
+                burgers2d only)
   [data]        n_train, nt_train, n_test, nt_test (nt_* >= 1)
   [ic.train.N], [ic.test.N]
                 kind, count (>= 1), and for kind cosine|sine (1D):
@@ -54,12 +47,15 @@ configuration keys (INI sections):
                 (list, lo..hi grid, uniform: lo, hi)
   [wno]         width, layers, levels, fc1_dim, bands
   [train]       epochs, learning_rate (> 0), batch_size, schedule
-                (auto: T0 @ HOLD, TMAX @ REACH  or  pairs: E:T ...)
+                (auto: T0 @ HOLD, TMAX @ REACH  or  pairs: E:T ...; whole
+                numbers, the first epoch 0 and every T >= 1)
   [probe]       x, y (burgers2d only), t (list of step indices); x and y
                 lie within the [pde] domain
   [eval]        steps, snapshots
-  [grf]         kernel (exp_sine_squared|rbf; rbf on 2D grids), alpha,
-                length_scale, periodicity (each > 0)
+  [grf]         kernel (exp_sine_squared|rbf; rbf on 2D grids), alpha
+                (1e-4 .. 4.5e11), length_scale, periodicity (each > 0;
+                an exp_sine_squared periodicity at least twice the grid
+                spacing)
   [limit_state] threshold, horizon
   [reliability] n
 Every key is required except, with the default an omitted key takes:
@@ -476,16 +472,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UsageError, ValueError, ShapeMismatch, ScheduleExhausted,
-            CountExceedsFamily, SignalTooShort) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteLoss, NonFiniteState, NonFiniteValue,
-            NotPositiveDefinite) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DatasetIoError, ChecksumMismatch, FormatVersionMismatch,
-            OSError) as exc:
+    except (DatasetIoError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 

@@ -34,7 +34,7 @@ from importlib import resources
 from . import physics as ph
 from . import wno as wno_mod
 from .datagen import IC_KINDS, IcFamily
-from .errors import UnsupportedTermForBenchmark, UsageError
+from .errors import UsageError
 from .reliability import GrfSpec, LimitState
 from .training import TrainConfig, default_schedule
 
@@ -133,12 +133,19 @@ def parse_amplitudes(text: str):
     return _parse_number_list(text)
 
 
+def _whole(text: str) -> int:
+    value = float(text)
+    if not value.is_integer():  # False for inf and NaN
+        raise ValueError(f"{text.strip()!r} is not a whole number")
+    return int(value)
+
+
 def parse_schedule(text: str):
     text = text.strip()
     try:
         if text.startswith("auto:"):
             (t0, hold), (tmax, reach) = (
-                [int(float(v)) for v in part.split("@")]
+                [_whole(v) for v in part.split("@")]
                 for part in text[len("auto:"):].split(","))
             return default_schedule(t0, hold, tmax, reach)
         if text.startswith("pairs:"):
@@ -219,14 +226,11 @@ class ExperimentConfig:
 
     def _spec(self, terms) -> ph.PdeSpec:
         bench = self.benchmark
-        try:
-            return self._read(
-                ph.PdeSpec, "pde", benchmark=bench, terms=terms,
-                params={k: self._get("pde", k, float)
-                        for k in ph.BENCHMARK_PARAMS[bench]},
-                domain=_parse_number_list(self._get("pde", "domain")))
-        except UnsupportedTermForBenchmark as exc:  # a partial_terms typo
-            raise UsageError(str(exc)) from exc
+        return self._read(
+            ph.PdeSpec, "pde", benchmark=bench, terms=terms,
+            params={k: self._get("pde", k, float)
+                    for k in ph.BENCHMARK_PARAMS[bench]},
+            domain=_parse_number_list(self._get("pde", "domain")))
 
     def families(self, role: str):
         """IC families from the [ic.<role>.N] sections, in order."""

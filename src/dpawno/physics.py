@@ -75,7 +75,9 @@ BENCHMARK_TERMS = {
     "burgers2d": ("advection", "diffusion_x", "diffusion_y"),
 }
 
-# the physics constants each benchmark reads, as PdeSpec.params keys
+# the physics constants each benchmark reads, as PdeSpec.params keys; the
+# first is its diffusivity, which must be >= 0, and Nagumo's alpha takes
+# either sign
 BENCHMARK_PARAMS = {"burgers1d": ("nu",), "nagumo": ("epsilon", "alpha"),
                     "allen_cahn": ("gamma",), "burgers2d": ("nu",)}
 
@@ -121,11 +123,18 @@ class PdeSpec:
         for key in ("nx", "ny") if self.is_2d else ("nx",):
             if getattr(self, key) < 2:
                 raise ValueError(f"[pde] {key} must be >= 2, got {getattr(self, key)}")
+        # the diffusion stencil and its CFL number divide by the spacing squared
+        if not all(np.finfo(np.float64).tiny <= h * h < np.inf for h in self.spacing()):
+            raise ValueError(f"[pde] domain {self.domain} is out of range: a grid "
+                             f"spacing squared is not a normal float")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"[pde] dt must be finite and > 0, got {self.dt}")
         for key, value in {**self.params, "bc_value": self.bc_value}.items():
             if not np.isfinite(value):
                 raise ValueError(f"[pde] {key} must be finite, got {value}")
+        key = BENCHMARK_PARAMS[self.benchmark][0]
+        if self.params[key] < 0:
+            raise ValueError(f"[pde] {key} must be >= 0, got {self.params[key]}")
         if self.bc not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown bc {self.bc!r}")
         self._cfl_check()
@@ -162,10 +171,7 @@ class PdeSpec:
         return replace(self, terms=tuple(terms))
 
     def diffusivity(self) -> float:
-        for key in ("nu", "epsilon", "gamma"):
-            if key in self.params:
-                return self.params[key]
-        return 0.0
+        return self.params[BENCHMARK_PARAMS[self.benchmark][0]]
 
     def _cfl_check(self):
         has_diffusion = any(t.startswith("diffusion") for t in self.terms)

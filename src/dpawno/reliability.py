@@ -38,6 +38,11 @@ class GrfSpec:
 
     Draws factor the covariance one grid axis at a time, so over a 2D grid
     the kernel must be rbf, the one that separates over the axes.
+
+    alpha lies in [JITTER/_MAX_JITTER, _MAX_JITTER/eps], about [1e-4, 4.5e11]:
+    below it the x factor's jitter swamps the kernel and the other axes'
+    jitter, JITTER/alpha, starts above _MAX_JITTER; above it even
+    _MAX_JITTER is lost in the rounding of the kernel's diagonal.
     """
 
     kernel: str
@@ -52,6 +57,10 @@ class GrfSpec:
             value = getattr(self, key)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"[grf] {key} must be finite and > 0, got {value}")
+        lo, hi = JITTER / _MAX_JITTER, _MAX_JITTER / np.finfo(np.float64).eps
+        if not lo <= self.alpha <= hi:
+            raise ValueError(f"[grf] alpha must lie in [{lo:.3g}, {hi:.3g}], "
+                             f"got {self.alpha}")
         # grf_covariance divides by length_scale ** 2, and ** raises on overflow
         square = self.length_scale * self.length_scale
         if not np.finfo(np.float64).tiny <= square < np.inf:
@@ -94,11 +103,18 @@ def _factors(spec: GrfSpec, axes) -> list:
     factor carries the same relative jitter.  Only rbf separates over the
     axes: the exp_sine_squared kernel of the Euclidean distance does not,
     so over more than one axis it is a ValueError, raised before any
-    factorization.
+    factorization.  So is an exp_sine_squared period shorter than twice
+    the grid spacing (the Nyquist limit): it aliases on the grid, and
+    dist * pi / p keeps no accurate digit, so the covariance can be
+    indefinite.
     """
     if len(axes) > 1 and spec.kernel != "rbf":
         raise ValueError(f"the {spec.kernel} GRF kernel does not separate over "
                          f"{len(axes)} grid axes; use kernel = rbf")
+    nyquist = 2.0 * np.max(np.diff(axes[0]), initial=0.0)
+    if spec.kernel == "exp_sine_squared" and spec.periodicity < nyquist:
+        raise ValueError(f"[grf] periodicity must be at least twice the grid "
+                         f"spacing, {nyquist:.3g}, got {spec.periodicity}")
     unit = replace(spec, alpha=1.0)
     return [_cholesky(unit, axis, JITTER / spec.alpha)
             for axis in reversed(axes[1:])] + [_cholesky(spec, axes[0], JITTER)]

@@ -28,13 +28,30 @@ from .rng import stream
 
 def default_schedule(t_start: int, hold_epochs: int, t_max: int,
                      reach_epoch: int) -> tuple:
-    """(epoch, T) pairs: hold t_start, grow linearly to t_max, then hold."""
+    """(epoch, T) pairs: hold t_start, grow linearly to t_max, then hold.
+
+    T at epoch hold_epochs + k - 1 is t_start + round((t_max - t_start) *
+    k / span) for k = 1 .. reach_epoch - hold_epochs. It is monotone in k,
+    so each T's first epoch is found by bisection, in time that grows with
+    the number of pairs rather than with reach_epoch."""
+    last = reach_epoch - hold_epochs
+    span = max(last, 1)
+
+    def t_at(k):
+        return t_start + round((t_max - t_start) * k / span)
+
     pairs = [(0, t_start)]
-    span = max(reach_epoch - hold_epochs, 1)
-    for e in range(hold_epochs, reach_epoch):
-        t = t_start + round((t_max - t_start) * (e - hold_epochs + 1) / span)
+    k = 1
+    while k <= last:
+        t = t_at(k)
         if t != pairs[-1][1]:
-            pairs.append((e, int(t)))
+            pairs.append((hold_epochs + k - 1, t))
+        # t_at(lo) is t; hi is past the end or has another T
+        lo, hi = k, last + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if t_at(mid) == t else (lo, mid)
+        k = hi
     if pairs[-1][1] != t_max:
         pairs.append((reach_epoch, t_max))
     return tuple(pairs)
@@ -68,9 +85,15 @@ class TrainConfig:
                              f"got {self.learning_rate}")
         sched = tuple((int(e), int(t)) for e, t in self.unroll_schedule)
         object.__setattr__(self, "unroll_schedule", sched)
+        if not sched or sched[0][0] != 0:
+            raise ValueError("[train] schedule must start at epoch 0, got "
+                             f"{sched[0][0] if sched else 'no pairs'}")
         for (e0, t0), (e1, t1) in zip(sched, sched[1:]):
             if e1 <= e0 or t1 < t0:
-                raise ValueError("unroll schedule must be monotone in both coordinates")
+                raise ValueError("[train] schedule must be monotone in both "
+                                 "coordinates")
+        if sched[0][1] < 1:
+            raise ValueError(f"[train] schedule T must be >= 1, got {sched[0][1]}")
 
 
 @dataclass

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import re
+import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -770,6 +772,64 @@ class TestConfigErrors:
         for ok in (1.5e-154, 1.3e154):  # square to normal floats
             rel.GrfSpec("rbf", 1.0, ok)
 
+    @pytest.mark.parametrize("preset, override, message", [
+        # exited 3 after the largest jitter
+        (DESK, "grf.alpha=1e300", "[grf] alpha must lie in [0.0001, 4.5e+11], "
+         "got 1e+300"),
+        # the jitter swamped the kernel: white noise, reliability 100.00%
+        (DESK, "grf.alpha=1e-300", "[grf] alpha must lie in [0.0001, 4.5e+11], "
+         "got 1e-300"),
+        # the y factor's jitter started above the largest (exit 3)
+        ("burgers2d-missing-xdiff", "grf.alpha=1e-5",
+         "[grf] alpha must lie in [0.0001, 4.5e+11], got 1e-05"),
+        # finite but indefinite: exited 3 after the largest jitter
+        (DESK, "grf.periodicity=1e-300", "[grf] periodicity must be at least "
+         "twice the grid spacing, 0.0635, got 1e-300"),
+        (DESK, "grf.periodicity=0.06", "[grf] periodicity must be at least "
+         "twice the grid spacing, 0.0635, got 0.06"),
+        # an anti-diffusive PDE ran to exit 0
+        (DESK, "pde.nu=-1", "[pde] nu must be >= 0, got -1.0"),
+    ], ids=["alpha=1e300", "alpha=1e-300", "2d-alpha=1e-5", "periodicity=1e-300",
+            "periodicity=0.06", "nu=-1"])
+    def test_hostile_reliability_setting_exits_2_before_cholesky(
+            self, tmp_path, monkeypatch, capsys, preset, override, message):
+        calls = count_cholesky(monkeypatch)
+        out = tmp_path / "rel"
+        code = cli.main(["reliability", "--preset", preset, "--out", str(out),
+                         "--set", "reliability.n=5", "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert calls == []
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("schedule", [
+        # each slot at inf, -inf or 1e400 raised OverflowError (exit 1)
+        *(f"auto: {', '.join(slots)}" for value in ("inf", "-inf", "1e400")
+          for slots in ((f"{value} @ 80", "50 @ 150"), ("10 @ 80", f"{value} @ 150"),
+                        (f"10 @ {value}", "50 @ 150"), ("10 @ 80", f"50 @ {value}"))),
+        # these loaded and failed inside train, after train_log.csv was
+        # written, on a T below 1 or before the first scheduled epoch
+        "pairs: 0:-5", "pairs: 0:0", "auto: 0 @ 2, 50 @ 6", "pairs: 3:5", "pairs:"])
+    def test_bad_schedule_exits_2_before_the_dataset(self, tmp_path, capsys,
+                                                     schedule):
+        # the dataset does not exist: reading it first would exit 4
+        out = tmp_path / "train"
+        code = cli.main(["train", "--preset", DESK, "--data", str(tmp_path / "none"),
+                         "--out", str(out), "--set", f"train.schedule={schedule}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "schedule" in err
+        assert not any(out.iterdir())
+
+    def test_far_reach_epoch_loads_at_once(self):
+        # default_schedule stepped through every epoch up to the reach
+        started = time.perf_counter()
+        cfg = cf.load_config(preset=DESK, overrides=[
+            "train.schedule=auto: 10 @ 80, 50 @ 1e12"]).train_config()
+        assert time.perf_counter() - started < 1.0
+        assert cfg.unroll_schedule[0] == (0, 10)
+        assert cfg.unroll_schedule[-1] == (987_500_000_000, 50)
+
     @pytest.mark.parametrize("command, preset, override", [
         ("evaluate", DESK, "probe.x=5"),
         ("evaluate", DESK, "probe.x=nan"),
@@ -909,6 +969,11 @@ class TestConfigErrors:
          "[pde] domain must be two finite numbers lo < hi, got (0.0, inf)"),
         (DESK, "pde.domain=1",
          "[pde] domain must be two finite numbers lo < hi, got (1.0,)"),
+        # unchecked, the CFL number overflowed or divided by zero (exit 1)
+        (DESK, "pde.domain=0, 1e300", "[pde] domain (0.0, 1e+300) is out of range: "
+         "a grid spacing squared is not a normal float"),
+        (DESK, "pde.domain=0, 1e-300", "[pde] domain (0.0, 1e-300) is out of "
+         "range: a grid spacing squared is not a normal float"),
         ("burgers2d-missing-xdiff", "pde.ny=0", "[pde] ny must be >= 2, got 0"),
         ("burgers2d-missing-xdiff", "pde.ny=1", "[pde] ny must be >= 2, got 1"),
         # unchecked, these blew the ground truth up at step 1 (exit 3)
@@ -926,10 +991,19 @@ class TestConfigErrors:
          "[ic.train.1] frequencies must be finite, got (nan, 5.0)"),
         ("burgers2d-missing-xdiff", "ic.train.1.value=uniform: 0, inf",
          "[ic.train.1] value must be finite, got ('uniform', 0.0, inf)"),
+        # unchecked, each ran an anti-diffusive PDE
+        (DESK, "pde.nu=-1", "[pde] nu must be >= 0, got -1.0"),
+        ("burgers2d-missing-xdiff", "pde.nu=-1e-3", "[pde] nu must be >= 0, got -0.001"),
+        ("nagumo-missing-diffusion", "pde.epsilon=-1",
+         "[pde] epsilon must be >= 0, got -1.0"),
+        ("allen-cahn-missing-reaction", "pde.gamma=-1",
+         "[pde] gamma must be >= 0, got -1.0"),
     ], ids=["dt=0", "dt<0", "dt=nan", "dt=inf", "nx=1", "nx=6x4", "domain=1,1",
-            "domain=1,-1", "domain=0,inf", "domain=1", "ny=0", "ny=1", "nu=nan",
+            "domain=1,-1", "domain=0,inf", "domain=1", "domain=0,1e300",
+            "domain=0,1e-300", "ny=0", "ny=1", "nu=nan",
             "bc_value=inf", "alpha=-inf", "uniform-inf", "amplitude=nan",
-            "frequency=nan", "value=inf"])
+            "frequency=nan", "value=inf", "nu<0", "2d-nu<0", "epsilon<0",
+            "gamma<0"])
     def test_bad_grid_exits_2_before_any_write(self, tmp_path, capsys, preset,
                                                override, message):
         out = tmp_path / "data"
@@ -1235,47 +1309,106 @@ class TestCheckpointForAnotherState:
         assert not (out / "reliability.jsonl").exists()
 
 
-# every error class cli.main maps, with its documented exit code and the
-# prefix of the one-line message it prints
-EXIT_CODES = [
-    (errors.UsageError, 2, "usage error"),
-    (errors.ShapeMismatch, 2, "usage error"),
-    (errors.ScheduleExhausted, 2, "usage error"),
-    (errors.CountExceedsFamily, 2, "usage error"),
-    (errors.SignalTooShort, 2, "usage error"),
-    (errors.NonFiniteLoss, 3, "numerical failure"),
-    (errors.NonFiniteState, 3, "numerical failure"),
-    (errors.NonFiniteValue, 3, "numerical failure"),
-    (errors.NotPositiveDefinite, 3, "numerical failure"),
-    (errors.DatasetIoError, 4, "i/o error"),
-    (errors.ChecksumMismatch, 4, "i/o error"),
-    (errors.FormatVersionMismatch, 4, "i/o error"),
-]
-# raised only by misuse of the library API, or turned into a mapped class
-# before they reach cli.main (UnsupportedTermForBenchmark becomes a usage
-# error in config and an i/o error in datagen.load; DegenerateSamples falls
-# back to a point mass in uq)
-UNMAPPED = {errors.UnknownPrimitive, errors.NonScalarSeed, errors.EmptyTape,
-            errors.UnsupportedTermForBenchmark, errors.DegenerateSamples}
+# the exit code and message prefix of each error category in errors.py
+CATEGORIES = {errors.UsageError: (2, "usage error"),
+              errors.NumericalFailure: (3, "numerical failure"),
+              errors.DatasetIoError: (4, "i/o error")}
+# raised only by misuse of the library API, so cli.main lets them through
+INTERNAL = (errors.UnknownPrimitive, errors.NonScalarSeed, errors.EmptyTape,
+            errors.DegenerateSamples)
+ERRORS = [obj for obj in vars(errors).values()
+          if isinstance(obj, type) and issubclass(obj, errors.DpawnoError)
+          and obj is not errors.DpawnoError]
+
+
+def categories_of(error):
+    return [c for c in CATEGORIES if issubclass(error, c)]
+
+
+def inject(monkeypatch, error):
+    def command(args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", command)
 
 
 class TestExitCodeTable:
-    @pytest.mark.parametrize("error,code,prefix", EXIT_CODES,
-                             ids=[e.__name__ for e, _, _ in EXIT_CODES])
-    def test_error_maps_to_documented_exit_code(self, error, code, prefix,
-                                                monkeypatch, capsys):
-        def command(args):
-            raise error("injected")
-
-        monkeypatch.setattr(cli, "cmd_gradcheck", command)
+    @pytest.mark.parametrize("error", [e for e in ERRORS if e not in INTERNAL],
+                             ids=lambda e: e.__name__)
+    def test_error_maps_to_documented_exit_code(self, error, monkeypatch, capsys):
+        code, prefix = CATEGORIES[categories_of(error)[0]]
+        inject(monkeypatch, error)
         assert cli.main(["gradcheck"]) == code
         captured = capsys.readouterr()
         assert captured.err == f"{prefix}: injected\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("error", INTERNAL, ids=lambda e: e.__name__)
+    def test_internal_error_is_not_mapped(self, error, monkeypatch):
+        inject(monkeypatch, error)
+        with pytest.raises(error):
+            cli.main(["gradcheck"])
+
     def test_every_error_class_is_mapped_or_listed(self):
-        defined = {obj for obj in vars(errors).values()
-                   if isinstance(obj, type) and issubclass(obj, errors.DpawnoError)
-                   and obj is not errors.DpawnoError}
-        mapped = {e for e, _, _ in EXIT_CODES}
-        assert defined - UNMAPPED == mapped
+        for error in ERRORS:
+            assert (error in INTERNAL) != (len(categories_of(error)) == 1), error
+
+
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "0.5", "1e-300", "1e300", "1e400")
+# a number token in any value grammar: a plain number, a list entry, either
+# end of a lo..hi range or of uniform: lo, hi, or a slot of a schedule
+NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def hostile_overrides(preset):
+    """SECTION.KEY=VALUE overrides that set, in turn, each number the preset
+    gives to the hostile values, and each key KEYS lists for a section the
+    preset has but that it omits to each of them."""
+    parser = configparser.ConfigParser()
+    parser.read_string(cf.preset_text(preset))
+    for section in parser.sections():
+        for key in cf.KEYS[re.sub(r"\.\d+$", ".N", section)]:
+            value = parser.get(section, key, raw=True, fallback=None)
+            if value is None:
+                yield from (f"{section}.{key}={bad}" for bad in HOSTILE)
+                continue
+            for match in NUMBER.finditer(value):
+                for bad in HOSTILE:
+                    yield (f"{section}.{key}={value[:match.start()]}{bad}"
+                           f"{value[match.end():]}")
+
+
+def read_everything(cfg):
+    """Call every reader of ExperimentConfig."""
+    for name, attr in vars(cf.ExperimentConfig).items():
+        if name.startswith("_"):
+            continue
+        if isinstance(attr, property):
+            getattr(cfg, name)
+        elif name == "families":
+            cfg.families("train")
+            cfg.families("test")
+        else:
+            getattr(cfg, name)()
+
+
+class TestHostileValues:
+    """Every number a preset reads, set to a hostile value, loads or is a
+    usage error (UsageError or ValueError, exit 2) in the config readers,
+    never another exception."""
+
+    @pytest.mark.parametrize("preset", [DESK, "burgers2d-missing-xdiff",
+                                        "nagumo-missing-reaction"])
+    def test_every_reader_loads_or_raises_a_usage_error(self, preset):
+        escaped = []
+        for override in hostile_overrides(preset):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    read_everything(cf.load_config(preset=preset,
+                                                   overrides=[override]))
+            except (UsageError, ValueError):
+                pass
+            except Exception as exc:  # any other type escapes the gate
+                escaped.append(f"{override}: {type(exc).__name__}: {exc}")
+        assert not escaped, "\n".join(escaped)

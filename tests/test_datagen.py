@@ -25,6 +25,11 @@ def benchmark_families():
             dg.IcFamily("sine", 16, amplitudes=AMPS_16, frequencies=(2, 4))]
 
 
+def assert_same_dataset(a, b):
+    assert (a.spec, a.seed, a.family_desc) == (b.spec, b.seed, b.family_desc)
+    assert np.array_equal(a.trajectories, b.trajectories)
+
+
 class TestSampleIcs:
     def test_training_enumeration_yields_32_half_and_half(self):
         spec = burgers_spec()
@@ -99,7 +104,7 @@ class TestGenerate:
     def test_same_seed_bit_identical(self):
         a = dg.generate(burgers_spec(), benchmark_families(), 10, seed=4)
         b = dg.generate(burgers_spec(), benchmark_families(), 10, seed=4)
-        assert a == b
+        assert_same_dataset(a, b)
 
     def test_partial_terms_rejected(self):
         spec = burgers_spec().with_terms(("advection",))
@@ -160,7 +165,7 @@ class TestFileFormat:
         ds = self.make_dataset()
         path = tmp_path / "d.dpds"
         dg.save(ds, path)
-        assert dg.load(path) == ds
+        assert_same_dataset(dg.load(path), ds)
 
     def test_truncated_file_checksum_mismatch(self, tmp_path):
         ds = self.make_dataset()

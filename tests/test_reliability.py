@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dpawno import config as cf
 from dpawno import physics as ph
 from dpawno import reliability as rel
 from dpawno import training as tr
@@ -52,6 +53,19 @@ class TestCovariance:
     def test_symmetric(self):
         k = rel.grf_covariance(PERIODIC_GRF, np.linspace(0, 2, 30), rel.JITTER)
         assert np.array_equal(k, k.T)
+
+    @pytest.mark.parametrize("preset", ["burgers1d-missing-diffusion-desk",
+                                        "burgers2d-missing-xdiff"])
+    def test_alpha_range_factors_on_both_workloads(self, preset):
+        cfg = cf.load_config(preset=preset)
+        grf, grid = cfg.grf_spec(), cfg.full_spec().grid()
+        lo = rel.JITTER / rel._MAX_JITTER
+        hi = rel._MAX_JITTER / np.finfo(np.float64).eps
+        for alpha in (lo, 1.0, 1e10):
+            rel._factors(dataclasses.replace(grf, alpha=alpha), grid)
+        for alpha in (lo * 0.99, hi * 1.01):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                dataclasses.replace(grf, alpha=alpha)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import itertools
+import re
 import weakref
 
 import numpy as np
@@ -31,7 +33,45 @@ def tiny_model(levels=2, nx=32, seed=0):
     return wno.WnoModel.initialize(cfg, seed)
 
 
+def loop_schedule(t_start, hold_epochs, t_max, reach_epoch):
+    """The epoch-by-epoch loop that default_schedule replaced, kept as the
+    reference its pairs must equal."""
+    pairs = [(0, t_start)]
+    span = max(reach_epoch - hold_epochs, 1)
+    for e in range(hold_epochs, reach_epoch):
+        t = t_start + round((t_max - t_start) * (e - hold_epochs + 1) / span)
+        if t != pairs[-1][1]:
+            pairs.append((e, int(t)))
+    if pairs[-1][1] != t_max:
+        pairs.append((reach_epoch, t_max))
+    return tuple(pairs)
+
+
 class TestSchedule:
+    def test_equals_the_epoch_loop(self):
+        # small values, and the desk benchmark's auto: 10 @ 2, 50 @ 6
+        for args in itertools.product([*range(-2, 6), 10], range(-1, 9),
+                                      [*range(-2, 12), 40, 50], range(-1, 25)):
+            assert tr.default_schedule(*args) == loop_schedule(*args), args
+
+    @pytest.mark.parametrize("preset", cf.PRESETS)
+    def test_preset_schedule_equals_the_epoch_loop(self, preset):
+        text = cf.load_config(preset=preset).parser.get("train", "schedule")
+        t0, hold, tmax, reach = map(int, re.findall(r"-?\d+", text))
+        assert cf.parse_schedule(text) == loop_schedule(t0, hold, tmax, reach)
+
+    @pytest.mark.parametrize("schedule, message", [
+        ((), "must start at epoch 0, got no pairs"),
+        (((3, 5),), "must start at epoch 0, got 3"),
+        (((0, 0), (5, 10)), "T must be >= 1, got 0"),
+        (((0, -5),), "T must be >= 1, got -5"),
+    ])
+    def test_schedule_without_a_first_epoch_or_a_positive_t_rejected(
+            self, schedule, message):
+        with pytest.raises(ValueError, match=re.escape(f"[train] schedule {message}")):
+            tr.TrainConfig(epochs=10, unroll_schedule=schedule,
+                           learning_rate=0.01, seed=0)
+
     def test_default_shape(self):
         sched = tr.default_schedule(10, 100, 50, 400)
         assert sched[0] == (0, 10)
